@@ -78,6 +78,7 @@ from .galerkin import RefinementComparison, compare, newton_solve
 from .iso import (
     GradientSample,
     IsoSurfaceSample,
+    SurfaceDraw,
     SurfaceScan,
     h_gradient,
     kappa_solve,

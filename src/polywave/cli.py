@@ -15,9 +15,10 @@ configuration and seed reproduces the output byte for byte.  Exit codes:
 0 success, 2 configuration problems, 3 numerical failures (including
 admission rejections), 4 exhausted iteration budgets.
 
-The environment variable ``POLYWAVE_THREADS`` parallelizes the per-draw
-loops with an order-preserving thread map; results are aggregated in draw
-order, so the artifacts do not depend on the thread count.
+The sweep commands call the library sweeps with an order-preserving map
+that runs on ``POLYWAVE_THREADS`` threads (default 1); results are
+aggregated in draw order, so the artifacts do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -38,19 +39,12 @@ import numpy as np
 from . import __version__
 from .bloch import BlochEigenpair, diagonalize_oracle, series_eigenpair
 from .config import RunConfig, parse_config
-from .errors import (
-    ConfigError,
-    NonConvergence,
-    NumericalFailure,
-    PolywaveError,
-    ResonanceError,
-)
+from .errors import ConfigError, NonConvergence, NumericalFailure, PolywaveError
 from .fixedpoint import Solution, contraction_report, iterate, residual
 from .galerkin import compare
-from .iso import IsoSurfaceSample, kappa_solve
-from .lattice import PeriodicFunction, from_json_dict, to_json_dict
-from .nonres import check_quasimomentum, exponents, k1_threshold, sample_directions
-from .lattice import decompose
+from .iso import sample_surface
+from .lattice import from_json_dict, to_json_dict
+from .nonres import exponents, k1_threshold, sample_directions, sample_nonresonant
 
 
 # ---------------------------------------------------------------------------
@@ -199,32 +193,20 @@ def _cmd_linear_eig(cfg: RunConfig, out: _OutputDir) -> None:
 def _cmd_nonres_scan(cfg: RunConfig, out: _OutputDir) -> None:
     _require(cfg, "nonres-scan", k=cfg.k, samples=cfg.samples)
     ctx = cfg.ctx
-    dirs = sample_directions(ctx.n, cfg.samples, ctx.seed)
-
-    def probe(omega):
-        j, t = decompose(cfg.k * omega)
-        return check_quasimomentum(ctx, t, j)
-
-    reports = _thread_map(probe, list(dirs))
-    admitted = sum(1 for r in reports if r.admitted)
+    stats = sample_nonresonant(
+        ctx, cfg.k, cfg.samples, keep_reports=True, map_fn=_thread_map
+    )
     exps = exponents(ctx)
     out.write_json(
         "scan.json",
         {
             "k": cfg.k,
             "samples": cfg.samples,
-            "admitted": admitted,
-            "fraction": admitted / cfg.samples,
-            "failed_separation": sum(
-                1 for r in reports if not r.cond_separation
-            ),
-            "failed_slack": sum(
-                1 for r in reports if r.cond_separation and not r.cond_slack
-            ),
-            "failed_pair": sum(
-                1 for r in reports
-                if r.cond_separation and r.cond_slack and not r.cond_pair
-            ),
+            "admitted": stats.admitted,
+            "fraction": stats.fraction,
+            "failed_separation": stats.failed_separation,
+            "failed_slack": stats.failed_slack,
+            "failed_pair": stats.failed_pair,
             "gamma0": exps.gamma0,
             "gamma1": exps.gamma1,
             "gamma2": exps.gamma2,
@@ -239,7 +221,8 @@ def _cmd_nonres_scan(cfg: RunConfig, out: _OutputDir) -> None:
         + ["admitted", "margin_separation", "margin_slack", "margin_pair"]
     )
     rows = []
-    for idx, (omega, rep) in enumerate(zip(dirs, reports)):
+    dirs = sample_directions(ctx.n, cfg.samples, ctx.seed)
+    for idx, (omega, rep) in enumerate(zip(dirs, stats.reports)):
         margin_pair = rep.margin_pair if math.isfinite(rep.margin_pair) else float("nan")
         rows.append(
             [idx]
@@ -292,37 +275,21 @@ def _cmd_fixed_point(cfg: RunConfig, out: _OutputDir) -> None:
 def _cmd_isoenergetic(cfg: RunConfig, out: _OutputDir) -> None:
     _require(cfg, "isoenergetic", **{"lambda": cfg.lam, "samples": cfg.samples})
     ctx = cfg.ctx
-    if cfg.sweep:
-        if ctx.n != 2:
-            raise ConfigError("sweep = true requires a planar model")
-        theta = 2.0 * np.pi * np.arange(cfg.samples) / cfg.samples
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    else:
-        dirs = sample_directions(ctx.n, cfg.samples, ctx.seed)
-
-    def solve(omega):
-        try:
-            return kappa_solve(ctx, cfg.lam, omega, solver=cfg.solver)
-        except ResonanceError:
-            return "hole"
-        except (NonConvergence, NumericalFailure):
-            return "failure"
-
-    results = _thread_map(solve, list(dirs))
-    samples = [r for r in results if isinstance(r, IsoSurfaceSample)]
-    holes = sum(1 for r in results if r == "hole")
-    failures = sum(1 for r in results if r == "failure")
-
-    kappas = np.array([s.kappa for s in samples]) if samples else np.zeros(0)
+    scan = sample_surface(
+        ctx, cfg.lam, cfg.samples, solver=cfg.solver, sweep=cfg.sweep,
+        map_fn=_thread_map,
+    )
+    samples = scan.resolved
+    kappas = scan.kappa_values
     out.write_json(
         "surface.json",
         {
             "lambda": cfg.lam,
             "solver": cfg.solver,
-            "requested": cfg.samples,
+            "requested": scan.requested,
             "resolved": len(samples),
-            "holes": holes,
-            "failures": failures,
+            "holes": scan.holes,
+            "failures": scan.failures,
             "kappa_min": float(kappas.min()) if samples else None,
             "kappa_max": float(kappas.max()) if samples else None,
             "kappa_mean": float(kappas.mean()) if samples else None,
@@ -335,12 +302,13 @@ def _cmd_isoenergetic(cfg: RunConfig, out: _OutputDir) -> None:
         + ["kappa", "h", "f_at_root", "evals"]
     )
     rows = []
-    for idx, (omega, r) in enumerate(zip(dirs, results)):
-        if isinstance(r, IsoSurfaceSample):
-            rows.append([idx, "ok"] + list(r.direction) + [r.kappa, r.h, r.f_at_root, r.evals])
+    for idx, draw in enumerate(scan.draws):
+        s = draw.sample
+        if s is None:
+            root = [math.nan, math.nan, math.nan, 0]
         else:
-            rows.append([idx, r] + [float(c) for c in omega]
-                        + [float("nan"), float("nan"), float("nan"), 0])
+            root = [s.kappa, s.h, s.f_at_root, s.evals]
+        rows.append([idx, draw.status] + list(draw.direction) + root)
     out.write_csv("surface.csv", header, rows)
 
 

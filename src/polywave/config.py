@@ -13,13 +13,15 @@ One assignment per line, ``#`` starts a comment, blank lines are ignored:
     backend = series
 
 Potential coefficients use ``v.<q1>,...,<qn> = value``; every other key is
-from a fixed vocabulary, and anything unknown, duplicated or malformed is
-rejected with its line number.  The model keys mirror the ``ModelContext``
+from a fixed vocabulary, and anything unknown, duplicated, malformed or
+non-finite (``nan``, ``inf``) is rejected with its line number, as is a
+``samples`` count below one.  The model keys mirror the ``ModelContext``
 fields; the run keys parameterize individual CLI commands.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -28,22 +30,20 @@ from .lattice import ModelContext, PeriodicFunction
 
 _INT_KEYS = {"n", "l", "M_lin", "r_max", "N_q", "m_max", "seed", "samples"}
 _FLOAT_KEYS = {
-    "sigma", "delta", "beta", "M_W", "tol_fp", "tol_root", "tol_tail",
-    "k0", "k", "lambda", "step",
+    "sigma", "delta", "beta", "M_W", "tol_fp", "tol_root", "k0", "k", "lambda",
 }
 _COMPLEX_KEYS = {"A"}
-_FLOAT_TUPLE_KEYS = {"t", "direction"}
+_FLOAT_TUPLE_KEYS = {"t"}
 _INT_TUPLE_KEYS = {"j"}
 _STR_KEYS = {"backend", "solver", "solution"}
 _BOOL_KEYS = {"sweep"}
 
 _MODEL_KEYS = {
     "n", "l", "sigma", "A", "delta", "beta", "M_lin", "M_W", "r_max",
-    "N_q", "tol_fp", "tol_root", "tol_tail", "m_max", "k0", "seed",
+    "N_q", "tol_fp", "tol_root", "m_max", "k0", "seed",
 }
 _RUN_KEYS = {
-    "k", "lambda", "samples", "t", "j", "backend", "solver", "solution",
-    "step", "direction", "sweep",
+    "k", "lambda", "samples", "t", "j", "backend", "solver", "solution", "sweep",
 }
 _ALL_KEYS = _MODEL_KEYS | _RUN_KEYS
 
@@ -61,8 +61,6 @@ class RunConfig:
     backend: str = "series"
     solver: str = "series"
     solution: Optional[str] = None
-    step: float = 1e-3
-    direction: Optional[Tuple[float, ...]] = None
     sweep: bool = False
 
 
@@ -70,16 +68,23 @@ def _fail(lineno: int, message: str) -> ConfigError:
     return ConfigError(f"line {lineno}: {message}")
 
 
+def _finite(value, key: str, lineno: int):
+    """Return ``value`` unless it (or its imaginary part) is nan or infinite."""
+    if not cmath.isfinite(value):
+        raise _fail(lineno, f"non-finite value {value!r} for key {key!r}")
+    return value
+
+
 def _parse_scalar(key: str, raw: str, lineno: int):
     try:
         if key in _INT_KEYS:
             return int(raw)
         if key in _FLOAT_KEYS:
-            return float(raw)
+            return _finite(float(raw), key, lineno)
         if key in _COMPLEX_KEYS:
-            return complex(raw)
+            return _finite(complex(raw), key, lineno)
         if key in _FLOAT_TUPLE_KEYS:
-            return tuple(float(p) for p in raw.split(","))
+            return tuple(_finite(float(p), key, lineno) for p in raw.split(","))
         if key in _INT_TUPLE_KEYS:
             return tuple(int(p) for p in raw.split(","))
         if key in _BOOL_KEYS:
@@ -120,7 +125,7 @@ def parse_config(text: str) -> RunConfig:
             if q in coeffs:
                 raise _fail(lineno, f"duplicate potential coefficient {key!r}")
             try:
-                coeffs[q] = complex(raw)
+                coeffs[q] = _finite(complex(raw), key, lineno)
             except ValueError as exc:
                 raise _fail(lineno, f"invalid coefficient value {raw!r}") from exc
             continue
@@ -132,6 +137,8 @@ def parse_config(text: str) -> RunConfig:
         seen_lines[key] = lineno
         values[key] = _parse_scalar(key, raw, lineno)
 
+    if values.get("samples", 1) < 1:
+        raise _fail(seen_lines["samples"], "samples must be >= 1")
     for required in ("n", "l"):
         if required not in values:
             raise ConfigError(f"missing required key {required!r}")
@@ -149,7 +156,7 @@ def parse_config(text: str) -> RunConfig:
         "V": PeriodicFunction(n, coeffs),
     }
     for key in ("delta", "beta", "M_lin", "M_W", "r_max", "N_q",
-                "tol_fp", "tol_root", "tol_tail", "m_max", "k0", "seed"):
+                "tol_fp", "tol_root", "m_max", "k0", "seed"):
         if key in values:
             ctx_kwargs[key] = values[key]
     ctx = ModelContext(**ctx_kwargs)
@@ -167,9 +174,6 @@ def parse_config(text: str) -> RunConfig:
     j = values.get("j")
     if j is not None and len(j) != n:
         raise ConfigError(f"j must have {n} components")
-    direction = values.get("direction")
-    if direction is not None and len(direction) != n:
-        raise ConfigError(f"direction must have {n} components")
 
     return RunConfig(
         ctx=ctx,
@@ -181,7 +185,5 @@ def parse_config(text: str) -> RunConfig:
         backend=backend,
         solver=solver,
         solution=values.get("solution"),
-        step=float(values.get("step", 1e-3)),
-        direction=direction,
         sweep=bool(values.get("sweep", False)),
     )

@@ -41,13 +41,12 @@ from .fixedpoint import iterate
 from .lattice import ModelContext, decompose
 from .nonres import sample_directions
 
-# Relative width at which the bracketed root search stops refining h.
+# Newton stops once its step is below this fraction of |h|.
 H_REL_WIDTH = 1e-4
-# Absolute width floor, scaled by the reference radius.
-H_ABS_WIDTH = 1e-21
-MAX_ROOT_EVALS = 160
-BRACKET_EXPANSIONS = 4
-BRACKET_SHRINKS = 10
+# Evaluation cap of the Newton loop; the free-wave slope makes it contract
+# in about two evaluations, so hitting the cap means the residual is not
+# behaving like a perturbed polynomial.
+MAX_ROOT_EVALS = 8
 
 
 def reference_radius(ctx: ModelContext, lam: float) -> Tuple[float, float]:
@@ -118,17 +117,19 @@ def kappa_solve(
 ) -> IsoSurfaceSample:
     """Radius of the isoenergetic surface along one direction.
 
-    Runs a bracketed secant iteration (bisection-guarded) on the residual
-    ``F(h) = lam(kappa(h) * nu) - lam`` expressed in the stable ``h``
-    coordinate.  The initial bracket spans the a-priori correction scale
-    ``ktilde^{1-n-2*delta}``; trial points that land on non-admitted momenta
-    are pulled inward (endpoints toward zero, interior points toward the
-    endpoint currently closest to the root -- mid-bracket punctures are
-    generic at high energy because the bracket spans many ladder spacings,
-    while the root itself sits deep in the admitted cell of the base
-    direction), and a bracket with no sign change is widened a few times
-    before giving up.  The root is certified by re-evaluating the residual,
-    which must come out below ``tol_root`` (default ``1e-9 * |lam|``).
+    Solves ``F(h) = h * P(h) + c0 + gap(kappa) - sigma |A|^2 = 0`` for the
+    offset ``h = kappa - ktilde``, where ``P(h) = sum_s kappa^s
+    ktilde^{2l-1-s}`` is the factored free-wave slope and ``gap`` the
+    spectral correction ``lam(kappa * nu) - kappa^{2l}``.  ``P`` dominates
+    ``dF/dh`` at high energy, so the iteration is Newton with that slope:
+    ``h <- h - F(h) / P(h)`` from ``h = 0``.  It stops at the first
+    evaluated ``h`` whose residual is below ``tol_root`` (default
+    ``1e-9 * |lam|``) and whose step is below ``H_REL_WIDTH * |h|``; that
+    residual is the certificate stored in ``f_at_root``.  The search raises
+    ``NonConvergence`` after ``MAX_ROOT_EVALS`` evaluations.
+
+    A momentum that fails the admission tests raises ``ResonanceError``
+    unchanged: the direction is a hole of the surface, not a failed solve.
     """
     nu = np.asarray(direction, dtype=float)
     norm = float(np.linalg.norm(nu))
@@ -142,122 +143,81 @@ def kappa_solve(
     sig2 = ctx.sigma * abs(ctx.A) ** 2
     if tol_root is None:
         tol_root = ctx.tol_root if ctx.tol_root is not None else 1e-9 * abs(lam)
+    two_l = 2 * ctx.l
 
-    evals = 0
-
-    def F(h: float) -> float:
-        nonlocal evals
-        evals += 1
+    def slope(h: float) -> float:
         kappa = kt + h
-        powsum = math.fsum(kappa ** s * kt ** (2 * ctx.l - 1 - s) for s in range(2 * ctx.l))
-        return h * powsum + c0 + (_gap_total(ctx, kappa, nu, solver, r_max) - sig2)
+        return math.fsum(kappa ** s * kt ** (two_l - 1 - s) for s in range(two_l))
 
-    half = kt ** (1 - ctx.n - 2 * ctx.delta)
-    lo, hi = -half, half
-
-    def eval_endpoint(h: float, inward: float) -> Tuple[float, float]:
-        """Evaluate F at an endpoint, stepping toward 0 if not admitted."""
-        for _ in range(BRACKET_SHRINKS):
-            try:
-                return h, F(h)
-            except ResonanceError:
-                h *= inward
-        raise NumericalFailure(
-            "could not place an admitted bracket endpoint for the surface solve"
-        )
-
-    def eval_interior(h: float, toward: float) -> Tuple[float, float]:
-        """Evaluate F inside the bracket, sliding toward ``toward`` when a
-        trial lands on a punctured momentum (admission holds near ``toward``
-        because it was evaluated there already)."""
-        for _ in range(BRACKET_SHRINKS):
-            try:
-                return h, F(h)
-            except ResonanceError:
-                h = 0.5 * (h + toward)
-        raise NumericalFailure(
-            "surface root search kept landing on punctured momenta"
-        )
-
-    lo, f_lo = eval_endpoint(lo, 0.5)
-    hi, f_hi = eval_endpoint(hi, 0.5)
-
-    expansions = 0
-    while f_lo * f_hi > 0.0:
-        if expansions >= BRACKET_EXPANSIONS:
-            raise NonConvergence(
-                f"no sign change of the surface residual within h in "
-                f"[{lo:.3e}, {hi:.3e}] after {expansions} expansions"
-            )
-        expansions += 1
-        lo, f_lo = eval_endpoint(2.0 * lo, 0.5)
-        hi, f_hi = eval_endpoint(2.0 * hi, 0.5)
-
-    # Bracketed secant with a bisection guard: the sign change is preserved
-    # and the width is forced to halve regularly, so termination is assured.
-    stall = 0
-    while evals < MAX_ROOT_EVALS:
-        width = hi - lo
-        h_best = lo if abs(f_lo) <= abs(f_hi) else hi
-        if width <= max(H_REL_WIDTH * abs(h_best), H_ABS_WIDTH * max(1.0, kt)):
+    h = 0.0
+    for evals in range(1, MAX_ROOT_EVALS + 1):
+        p = slope(h)
+        f = h * p + c0 + (_gap_total(ctx, kt + h, nu, solver, r_max) - sig2)
+        step = f / p
+        if abs(f) <= tol_root and abs(step) <= H_REL_WIDTH * abs(h):
             break
-        if f_hi != f_lo and stall < 2:
-            h_new = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            margin = 0.01 * width
-            if not lo + margin <= h_new <= hi - margin:
-                h_new = 0.5 * (lo + hi)
-        else:
-            h_new = 0.5 * (lo + hi)
-            stall = 0
-        h_new, f_new = eval_interior(h_new, lo if abs(f_lo) <= abs(f_hi) else hi)
-        if f_new == 0.0:
-            lo = hi = h_new
-            f_lo = f_hi = f_new
-            break
-        if f_lo * f_new < 0.0:
-            hi, f_hi = h_new, f_new
-        else:
-            lo, f_lo = h_new, f_new
-        stall = stall + 1 if (hi - lo) > 0.6 * width else 0
+        h -= step
     else:
         raise NonConvergence(
-            f"surface root search exhausted {MAX_ROOT_EVALS} evaluations "
-            f"(bracket [{lo:.6e}, {hi:.6e}])"
+            f"surface Newton search did not settle within {MAX_ROOT_EVALS} "
+            f"evaluations (last |F| = {abs(f):.3e}, tol_root {tol_root:.3e})"
         )
 
-    h_root = lo if abs(f_lo) <= abs(f_hi) else hi
-    f_root = f_lo if h_root == lo else f_hi
-    if abs(f_root) > tol_root:
-        raise NumericalFailure(
-            f"surface root certificate failed: |F| = {abs(f_root):.3e} "
-            f"exceeds {tol_root:.3e}"
-        )
-
-    kappa = kt + h_root
+    kappa = kt + h
     j, t = decompose(kappa * nu)
     return IsoSurfaceSample(
         lam_target=float(lam),
         direction=tuple(float(c) for c in nu),
         ktilde=kt,
-        h=float(h_root),
+        h=float(h),
         kappa=float(kappa),
         j=tuple(int(c) for c in j),
         t=tuple(float(c) for c in t),
-        f_at_root=float(f_root),
+        f_at_root=float(f),
         evals=evals,
         solver=solver,
     )
 
 
 @dataclass(frozen=True)
+class SurfaceDraw:
+    """Outcome of one direction of a surface scan.
+
+    ``status`` is ``"ok"`` with the resolved ``sample``, ``"hole"`` when the
+    admission tests puncture the direction, or ``"failure"`` when the root
+    search failed for another reason; ``error`` names the exception class.
+    """
+
+    direction: Tuple[float, ...]
+    status: str
+    sample: Optional[IsoSurfaceSample] = None
+    error: Optional[str] = None
+
+
+@dataclass(frozen=True)
 class SurfaceScan:
-    """Batch of surface solves over many directions, with failure accounting."""
+    """Batch of surface solves over many directions, one draw each in order."""
 
     lam_target: float
-    requested: int
-    resolved: Tuple[IsoSurfaceSample, ...]
-    holes: int                 # directions rejected by the admission tests
-    failures: int              # root searches that failed for other reasons
+    draws: Tuple[SurfaceDraw, ...]
+
+    @property
+    def requested(self) -> int:
+        return len(self.draws)
+
+    @property
+    def resolved(self) -> Tuple[IsoSurfaceSample, ...]:
+        return tuple(d.sample for d in self.draws if d.sample is not None)
+
+    @property
+    def holes(self) -> int:
+        """Directions rejected by the admission tests."""
+        return sum(d.status == "hole" for d in self.draws)
+
+    @property
+    def failures(self) -> int:
+        """Root searches that failed for other reasons."""
+        return sum(d.status == "failure" for d in self.draws)
 
     @property
     def kappa_values(self) -> np.ndarray:
@@ -272,13 +232,15 @@ def sample_surface(
     solver: str = "series",
     r_max: Optional[int] = None,
     sweep: bool = False,
+    map_fn: Callable = map,
 ) -> SurfaceScan:
     """Resolve surface points over random directions (or a uniform sweep).
 
     ``sweep=True`` spaces directions uniformly in angle (planar models
     only); otherwise directions come from the deterministic per-index
     sampler.  Admission failures count as holes; they are part of the
-    geometry, not errors.
+    geometry, not errors.  ``map_fn(fn, items)`` runs the solves and must
+    return results in input order (a thread-pool map qualifies).
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
@@ -290,23 +252,16 @@ def sample_surface(
     else:
         dirs = sample_directions(ctx.n, count, ctx.seed if seed is None else seed)
 
-    resolved = []
-    holes = 0
-    failures = 0
-    for nu in dirs:
+    def solve(nu) -> SurfaceDraw:
+        direction = tuple(float(c) for c in nu)
         try:
-            resolved.append(kappa_solve(ctx, lam, nu, solver=solver, r_max=r_max))
-        except ResonanceError:
-            holes += 1
-        except (NonConvergence, NumericalFailure):
-            failures += 1
-    return SurfaceScan(
-        lam_target=float(lam),
-        requested=count,
-        resolved=tuple(resolved),
-        holes=holes,
-        failures=failures,
-    )
+            sample = kappa_solve(ctx, lam, nu, solver=solver, r_max=r_max)
+        except (NonConvergence, NumericalFailure) as exc:
+            status = "hole" if isinstance(exc, ResonanceError) else "failure"
+            return SurfaceDraw(direction, status, error=type(exc).__name__)
+        return SurfaceDraw(direction, "ok", sample=sample)
+
+    return SurfaceScan(lam_target=float(lam), draws=tuple(map_fn(solve, list(dirs))))
 
 
 @dataclass(frozen=True)

@@ -252,7 +252,6 @@ class ModelContext:
     N_q: int = 64
     tol_fp: Optional[float] = None       # None: 1e-12 * star_norm(V)
     tol_root: Optional[float] = None     # None: 1e-9 * target eigenvalue
-    tol_tail: float = 1e-9
     m_max: int = 50
     k0: float = 2.0
     seed: int = 42

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -263,31 +263,35 @@ def sample_nonresonant(
     samples: int,
     seed: Optional[int] = None,
     keep_reports: bool = False,
+    map_fn: Callable = map,
 ) -> SphereSampleStats:
-    """Sample momenta of magnitude k in random directions and test admission."""
+    """Sample momenta of magnitude k in random directions and test admission.
+
+    ``map_fn(fn, items)`` runs the checks and must return results in input
+    order (a thread-pool map qualifies).
+    """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     if k < ctx.k0:
         raise ConfigError(f"k = {k} is below the working floor k0 = {ctx.k0}")
     seed = ctx.seed if seed is None else seed
-    dirs = sample_directions(ctx.n, samples, seed)
+
+    def probe(omega) -> NonResonanceReport:
+        j, t = decompose(k * omega)
+        return check_quasimomentum(ctx, t, j)
+
+    reports = tuple(map_fn(probe, list(sample_directions(ctx.n, samples, seed))))
     admitted = 0
     fails = {"separation": 0, "slack": 0, "pair": 0}
-    kept: List[NonResonanceReport] = []
-    for omega in dirs:
-        j, t = decompose(k * omega)
-        report = check_quasimomentum(ctx, t, j)
-        if keep_reports:
-            kept.append(report)
+    for report in reports:
         if report.admitted:
             admitted += 1
+        elif not report.cond_separation:
+            fails["separation"] += 1
+        elif not report.cond_slack:
+            fails["slack"] += 1
         else:
-            if not report.cond_separation:
-                fails["separation"] += 1
-            elif not report.cond_slack:
-                fails["slack"] += 1
-            else:
-                fails["pair"] += 1
+            fails["pair"] += 1
     return SphereSampleStats(
         k=float(k),
         samples=samples,
@@ -295,5 +299,5 @@ def sample_nonresonant(
         failed_separation=fails["separation"],
         failed_slack=fails["slack"],
         failed_pair=fails["pair"],
-        reports=tuple(kept),
+        reports=reports if keep_reports else (),
     )

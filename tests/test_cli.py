@@ -54,7 +54,7 @@ def test_parse_minimal_config():
     assert cfg.t == (0.1, 0.2)
     assert cfg.j == (5, 1)
     assert cfg.backend == "series" and cfg.solver == "series"
-    assert cfg.step == 1e-3 and cfg.sweep is False
+    assert cfg.sweep is False
 
 
 def test_parse_comments_and_blanks():
@@ -77,6 +77,18 @@ def test_parse_comments_and_blanks():
         ("n = 2\nl = 3\nbackend = magic", "backend"),
         ("n = 2\nl = 3\nsolver = magic", "solver"),
         ("n = 2\nl = 3\nt = 0.1", "components"),
+        ("n = 2\nl = 3\nsamples = 0", "line 3: samples must be >= 1"),
+        ("n = 2\nl = 3\nsamples = -3", "line 3: samples must be >= 1"),
+        ("n = 2\nl = 3\nk = nan", "line 3: non-finite"),
+        ("n = 2\nl = 3\nk = inf", "line 3: non-finite"),
+        ("n = 2\nl = 3\nlambda = nan", "line 3: non-finite"),
+        ("n = 2\nl = 3\nlambda = -inf", "line 3: non-finite"),
+        ("n = 2\nl = 3\nt = 0.1,nan", "line 3: non-finite"),
+        ("n = 2\nl = 3\nA = 1+nanj", "line 3: non-finite"),
+        ("n = 2\nl = 3\nv.1,0 = inf", "line 3: non-finite"),
+        ("n = 2\nl = 3\nstep = 0.01", "unknown key 'step'"),
+        ("n = 2\nl = 3\ndirection = 1,0", "unknown key 'direction'"),
+        ("n = 2\nl = 3\ntol_tail = 1e-9", "unknown key 'tol_tail'"),
     ],
 )
 def test_parse_rejects_with_location(body, fragment):
@@ -219,6 +231,10 @@ def test_config_errors_exit_2(tmp_path):
     assert run_cli("linear-eig", "--config", bad, "--out", str(tmp_path / "o1")) == 2
     missing = write_config(tmp_path, MODEL_L3, "missing.cfg")
     assert run_cli("linear-eig", "--config", missing, "--out", str(tmp_path / "o2")) == 2
+    empty = write_config(tmp_path, MODEL_L3 + "\nk = 6.0\nsamples = 0", "empty.cfg")
+    assert run_cli("nonres-scan", "--config", empty, "--out", str(tmp_path / "o3")) == 2
+    nan = write_config(tmp_path, MODEL_L3 + "\nlambda = nan\nsamples = 2", "nan.cfg")
+    assert run_cli("isoenergetic", "--config", nan, "--out", str(tmp_path / "o4")) == 2
 
 
 def test_isoenergetic_surface_accounting(tmp_path):
@@ -227,8 +243,12 @@ def test_isoenergetic_surface_accounting(tmp_path):
     assert run_cli("isoenergetic", "--config", cfg, "--out", str(out)) == 0
     surface = json.loads((out / "surface.json").read_text())
     assert surface["requested"] == 2
-    assert surface["resolved"] + surface["holes"] + surface["failures"] == 2
-    assert len((out / "surface.csv").read_text().splitlines()) == 3
+    # both seeded directions have punctured base momenta: holes, not failures
+    assert surface["holes"] == 2 and surface["failures"] == 0
+    assert surface["resolved"] == 0
+    lines = (out / "surface.csv").read_text().splitlines()
+    assert len(lines) == 3
+    assert [line.split(",")[1] for line in lines[1:]] == ["hole", "hole"]
 
 
 def test_thread_pool_env(tmp_path, monkeypatch):

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from polywave.errors import ConfigError, NumericalFailure
+from concurrent.futures import ThreadPoolExecutor
+
+from polywave.errors import ConfigError, HoleBoundary, NonConvergence, ResonanceError
 from polywave.iso import h_gradient, kappa_solve, reference_radius, sample_surface
 from polywave.lattice import ModelContext, cosine_potential, decompose, momentum
-from polywave.nonres import sample_nonresonant
+from polywave.nonres import check_quasimomentum, sample_nonresonant
 
 from conftest import make_context
 
@@ -69,11 +71,20 @@ def test_kappa_solve_certifies_and_repeats(ctx_iso, admitted_direction):
     assert np.allclose(s.t, t)
     again = kappa_solve(ctx_iso, lam, admitted_direction)
     assert again.h == s.h and again.kappa == s.kappa and again.evals == s.evals
+    # sigma = 0: the self-consistent gap is the linear one, so both agree
+    fp = kappa_solve(ctx_iso, lam, admitted_direction, solver="fixedpoint")
+    assert fp.solver == "fixedpoint"
+    assert abs(fp.f_at_root) <= 1e-9 * lam
+    assert fp.evals <= 4
+    assert fp.h == pytest.approx(s.h, rel=1e-9)
+    # a certificate no residual can meet exhausts the evaluation cap
+    with pytest.raises(NonConvergence):
+        kappa_solve(ctx_iso, lam, admitted_direction, tol_root=-1.0)
 
 
 def test_kappa_solve_refuses_resonant_axis(ctx_iso):
-    # kappa * (1, 0) stays glued to the lattice line: every trial is punctured
-    with pytest.raises(NumericalFailure):
+    # kappa * (1, 0) stays glued to the lattice line: the direction is a hole
+    with pytest.raises(ResonanceError):
         kappa_solve(ctx_iso, 8.0 ** 6, (1.0, 0.0))
 
 
@@ -88,9 +99,16 @@ def test_sample_surface_accounts_every_direction(ctx_iso):
     scan = sample_surface(ctx_iso, 8.0 ** 6, 6, seed=0)
     assert scan.requested == 6
     assert len(scan.resolved) + scan.holes + scan.failures == 6
-    repeat = sample_surface(ctx_iso, 8.0 ** 6, 6, seed=0)
-    assert repeat.holes == scan.holes
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        repeat = sample_surface(ctx_iso, 8.0 ** 6, 6, seed=0, map_fn=pool.map)
+    assert repeat.draws == scan.draws
     assert np.array_equal(repeat.kappa_values, scan.kappa_values)
+    # every seed-0 direction has a base momentum the admission tests reject
+    for draw in scan.draws:
+        j, t = decompose(8.0 * np.asarray(draw.direction))
+        assert not check_quasimomentum(ctx_iso, t, j).admitted
+        assert draw.status == "hole" and draw.error == "ResonanceError"
+    assert scan.holes == 6 and scan.failures == 0
 
 
 def test_sample_surface_sweep_needs_plane():
@@ -107,3 +125,6 @@ def test_h_gradient_finite_and_small(ctx_iso, admitted_direction):
     assert math.isfinite(g.value)
     assert abs(g.value) < 1.0
     assert g.kappa_plus != g.kappa_minus  # the surface actually tilts
+    # a wide stencil leaves the admitted cell of the base direction
+    with pytest.raises(HoleBoundary):
+        h_gradient(ctx_iso, 8.0 ** 6, admitted_direction, step=0.05)
