@@ -4,8 +4,9 @@ The package resolves isolated spectral bands of ``(-Lap)^l + W`` on the
 integer frequency lattice, feeds the band back through the cubic
 nonlinearity ``W = V + sigma |psi|^2`` until self-consistent, and traces
 isoenergetic surfaces in quasi-momentum space.  Everything is organized
-around exact sparse Fourier arithmetic and stably-evaluated energy gaps, so
-the tiny high-energy corrections survive the huge absolute energy scales.
+around exact Fourier arithmetic on origin-centred coefficient boxes and
+stably-evaluated energy gaps, so the tiny high-energy corrections survive the
+huge absolute energy scales.
 """
 
 __version__ = "0.1.0"

@@ -23,8 +23,8 @@ Two backends produce the same quantities:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -35,6 +35,7 @@ from .lattice import (
     LatticeIndex,
     ModelContext,
     PeriodicFunction,
+    integer_grid,
     momentum,
     star_norm,
 )
@@ -127,25 +128,10 @@ class BlochEigenpair:
 # series backend
 # ---------------------------------------------------------------------------
 
-def _kernel_array(W: PeriodicFunction) -> Tuple[np.ndarray, int]:
-    """Dense box layout of the coefficients, kernel[q + R] = w_q."""
-    R = W.box_radius
-    shape = (2 * R + 1,) * W.n
-    kernel = np.zeros(shape, dtype=complex)
-    for q, cval in W.coeffs.items():
-        kernel[tuple(c + R for c in q)] = cval
-    return kernel, R
-
-
-def _offset_grid(radius: int, n: int) -> np.ndarray:
-    axes = [np.arange(-radius, radius + 1)] * n
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-
 def _chain_series(
     ctx: ModelContext,
     gaps: np.ndarray,
-    kernel: np.ndarray,
+    W: PeriodicFunction,
     r_max: int,
     contour: ContourSpec,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -159,7 +145,6 @@ def _chain_series(
     vectors ``(S W)^c e_anchor``, and both are assembled with the loop
     generating function ``log(1 + g * sum_b (-1)^b a_b)`` for the eigenvalue.
     """
-    n = ctx.n
     grid_shape = gaps.shape
     center_idx = tuple(s // 2 for s in grid_shape)
     zeta_nodes, weights = contour.nodes()
@@ -174,10 +159,7 @@ def _chain_series(
     # for zero-mean input, where a transform-based convolution of the delta
     # would backfill it with dust that the contour integral then reports as
     # a spurious order-1 eigenvalue term.
-    kr = kernel.shape[0] // 2
-    embed = tuple(slice(c - kr, c + kr + 1) for c in center_idx)
-    y_first = np.zeros(grid_shape, dtype=complex)
-    y_first[embed] = kernel
+    y_first = W.to_box(grid_shape[0] // 2)
 
     for zeta, w in zip(zeta_nodes, weights):
         g = -1.0 / zeta
@@ -189,7 +171,7 @@ def _chain_series(
         us = [delta]
         u = delta
         for b in range(r_max):
-            y = y_first if b == 0 else scipy.signal.convolve(u, kernel, mode="same")
+            y = y_first if b == 0 else scipy.signal.convolve(u, W.box, mode="same")
             a[b] = y[center_idx]
             u = S * y
             us.append(u)
@@ -221,17 +203,6 @@ def _chain_series(
                     g_terms[r] += w * ((-1) ** r) * gv * Av[s] / v
 
     return g_terms, columns
-
-
-def _column_function(ctx: ModelContext, arr: np.ndarray) -> PeriodicFunction:
-    grid = _offset_grid(arr.shape[0] // 2, ctx.n)
-    flat = arr.reshape(-1)
-    offs = grid.reshape(-1, ctx.n)
-    coeffs = {
-        tuple(int(c) for c in offs[i]): complex(flat[i])
-        for i in np.nonzero(np.abs(flat) > 0.0)[0]
-    }
-    return PeriodicFunction(ctx.n, coeffs)
 
 
 def _empirical_tail(values: Sequence[float]) -> Tuple[float, float]:
@@ -283,7 +254,7 @@ def series_eigenpair(
     j = tuple(int(c) for c in j)
     t = tuple(float(c) for c in np.asarray(t, dtype=float))
 
-    if (0,) * ctx.n in W.coeffs:
+    if W.get((0,) * ctx.n) != 0:
         raise ContractError("series expansion expects a zero-mean perturbation")
     if not W.is_real_valued():
         raise ContractError("perturbation must be real-valued")
@@ -294,10 +265,9 @@ def series_eigenpair(
     rho = contour_radius(ctx, k)
 
     if len(W) == 0:
-        column = PeriodicFunction(ctx.n, {(0,) * ctx.n: 1.0})
         return BlochEigenpair(
             lam=center, lam_gap=0.0, j=j, t=t, k=k, center=center, rho=rho,
-            proj_column=column, g_terms=(0.0 + 0.0j,) * r_max,
+            proj_column=PeriodicFunction.constant(ctx.n, 1.0), g_terms=(0.0 + 0.0j,) * r_max,
             G_norms=(0.0,) * r_max, backend="series", norm_mode="column",
             tail_bound=0.0, tail_bound_column=0.0, tail_certified=True,
             quad_err=0.0, admission=None,
@@ -305,17 +275,15 @@ def series_eigenpair(
 
     admission = require_nonresonant(ctx, t, j)
 
-    kernel, R = _kernel_array(W)
-    reach = r_max * R
-    grid = _offset_grid(reach, ctx.n)
-    gaps = energy_gaps(ctx, t, j, grid)
+    R = W.box_radius
+    gaps = energy_gaps(ctx, t, j, integer_grid(r_max * R, ctx.n))
 
     g_lo, col_lo = _chain_series(
-        ctx, gaps, kernel, r_max, ContourSpec(center=center, rho=rho, count=count)
+        ctx, gaps, W, r_max, ContourSpec(center=center, rho=rho, count=count)
     )
     for attempt in range(QUAD_MAX_DOUBLINGS + 1):
         g_hi, col_hi = _chain_series(
-            ctx, gaps, kernel, r_max,
+            ctx, gaps, W, r_max,
             ContourSpec(center=center, rho=rho, count=2 * count),
         )
         lam_gap_lo = complex(np.sum(g_lo))
@@ -378,7 +346,7 @@ def series_eigenpair(
         k=k,
         center=center,
         rho=rho,
-        proj_column=_column_function(ctx, total_hi),
+        proj_column=PeriodicFunction.from_box(total_hi),
         g_terms=g_terms,
         G_norms=G_norms,
         backend="series",
@@ -416,9 +384,24 @@ class DenseWindowSeries:
         return sum(self.order_terms)
 
 
-def _window_sites(j: LatticeIndex, radius: int, n: int) -> List[LatticeIndex]:
-    grid = _offset_grid(radius, n).reshape(-1, n)
-    return [tuple(int(c) for c in j + d) for d in grid]
+def _window(ctx: ModelContext, W: PeriodicFunction, t, j, radius: int):
+    """Site offsets, energy gaps and coupling matrix of the window of sup-norm
+    ``radius`` around the anchor, sites in row-major order (the anchor is the
+    middle one); matrix entry (i, k) is ``w_{d_i - d_k}``, its diagonal empty."""
+    full = 2 * radius + 1
+    dim = full ** ctx.n
+    if dim > DENSE_DIM_MAX:
+        raise ConfigError(f"window dimension {dim} exceeds {DENSE_DIM_MAX}")
+    offsets = integer_grid(radius, ctx.n).reshape(-1, ctx.n)
+    mat = np.zeros((dim, dim), dtype=complex)
+    lin = np.arange(dim).reshape((full,) * ctx.n)
+    for q, cval in W.items():
+        if any(abs(qa) >= full for qa in q):
+            continue
+        row_sl = tuple(slice(max(0, qa), full + min(0, qa)) for qa in q)
+        col_sl = tuple(slice(max(0, -qa), full + min(0, -qa)) for qa in q)
+        mat[lin[row_sl].ravel(), lin[col_sl].ravel()] = cval
+    return offsets, energy_gaps(ctx, t, j, offsets), mat
 
 
 def dense_window_series(
@@ -442,20 +425,9 @@ def dense_window_series(
     center = contour_center(ctx, k)
     rho = contour_radius(ctx, k)
 
-    offsets = _offset_grid(radius, ctx.n).reshape(-1, ctx.n)
-    dim = offsets.shape[0]
-    if dim > DENSE_DIM_MAX:
-        raise ConfigError(f"dense window dimension {dim} exceeds {DENSE_DIM_MAX}")
-    gaps = energy_gaps(ctx, t, j, offsets)
-    center_index = int(np.nonzero(np.all(offsets == 0, axis=1))[0][0])
-
-    Wmat = np.zeros((dim, dim), dtype=complex)
-    lin = np.arange(dim).reshape((2 * radius + 1,) * ctx.n)
-    full = 2 * radius + 1
-    for q, cval in W.coeffs.items():
-        row_sl = tuple(slice(max(0, qa), full + min(0, qa)) for qa in q)
-        col_sl = tuple(slice(max(0, -qa), full + min(0, -qa)) for qa in q)
-        Wmat[lin[row_sl].ravel(), lin[col_sl].ravel()] = cval
+    offsets, gaps, Wmat = _window(ctx, W, t, j, radius)
+    dim = len(offsets)
+    center_index = dim // 2
 
     zeta_nodes, weights = ContourSpec(center, rho, count).nodes()
     terms = [np.zeros((dim, dim), dtype=complex) for _ in range(r_max + 1)]
@@ -473,7 +445,7 @@ def dense_window_series(
             g_dense[r] += (w * sign) * zeta * np.trace(M)
 
     return DenseWindowSeries(
-        sites=tuple(_window_sites(j, radius, ctx.n)),
+        sites=tuple(tuple(int(c) for c in j + d) for d in offsets),
         center_index=center_index,
         order_terms=tuple(terms),
         g_dense=tuple(complex(v) for v in g_dense),
@@ -510,8 +482,7 @@ def diagonalize_oracle(
     t = tuple(float(c) for c in np.asarray(t, dtype=float))
     if not W.is_real_valued():
         raise ContractError("perturbation must be real-valued")
-    w_mean = W.get((0,) * ctx.n)
-    if abs(w_mean) > 0.0:
+    if W.get((0,) * ctx.n) != 0:
         raise ContractError("oracle expects a zero-mean perturbation")
 
     p = momentum(j, t)
@@ -520,24 +491,9 @@ def diagonalize_oracle(
     rho = contour_radius(ctx, k)
     M = ctx.m_lin(k) if window is None else int(window)
 
-    dim = (2 * M + 1) ** ctx.n
-    if dim > DENSE_DIM_MAX:
-        raise ConfigError(f"window dimension {dim} exceeds {DENSE_DIM_MAX}")
-
-    offsets = _offset_grid(M, ctx.n).reshape(-1, ctx.n)
-    gaps = energy_gaps(ctx, t, j, offsets)
-    center_index = int(np.nonzero(np.all(offsets == 0, axis=1))[0][0])
-
-    Hs = np.zeros((dim, dim), dtype=complex)
-    lin = np.arange(dim).reshape((2 * M + 1,) * ctx.n)
-    full = 2 * M + 1
-    for q, cval in W.coeffs.items():
-        if any(abs(qa) > 2 * M for qa in q):
-            continue
-        row_sl = tuple(slice(max(0, qa), full + min(0, qa)) for qa in q)
-        col_sl = tuple(slice(max(0, -qa), full + min(0, -qa)) for qa in q)
-        Hs[lin[row_sl].ravel(), lin[col_sl].ravel()] = cval
-    Hs[np.arange(dim), np.arange(dim)] = gaps
+    offsets, gaps, Hs = _window(ctx, W, t, j, M)
+    center_index = len(offsets) // 2
+    Hs[np.diag_indices_from(Hs)] = gaps
 
     vals, vecs = scipy.linalg.eigh(Hs, subset_by_value=(-rho, rho))
     if vals.size == 0:
@@ -557,13 +513,8 @@ def diagonalize_oracle(
     # an absolute error ~eps * ||H||, the quotient only ~eps * |lam_gap|-ish.
     lam_gap = float(np.real(np.vdot(phi, Hs @ phi)))
 
-    phi_j = phi[center_index]
-    column = PeriodicFunction(
-        ctx.n,
-        {
-            tuple(int(c) for c in offsets[i]): complex(phi[i] * np.conj(phi_j))
-            for i in range(dim)
-        },
+    column = PeriodicFunction.from_box(phi.reshape((2 * M + 1,) * ctx.n)).scale(
+        np.conj(phi[center_index])
     )
 
     boundary = np.max(np.abs(offsets), axis=1) == M
@@ -597,30 +548,23 @@ def diagonalize_oracle(
 
 def second_order_eigenvalue_shift(ctx: ModelContext, W: PeriodicFunction, t, j) -> float:
     """sum_q |w_q|^2 / (mu_j - mu_{j+q}): the leading eigenvalue correction."""
-    if not W.coeffs:
-        return 0.0
-    offsets = np.array(sorted(W.coeffs), dtype=int)
+    offsets, amps = W.nonzero()
     gaps = energy_gaps(ctx, t, j, offsets)
-    amps = np.array([W.coeffs[tuple(q)] for q in offsets])
     return float(math.fsum(-(abs(a) ** 2) / g for a, g in zip(amps, gaps)))
 
 
 def first_order_column(ctx: ModelContext, W: PeriodicFunction, t, j) -> PeriodicFunction:
     """Offset d -> w_d / (mu_j - mu_{j+d}): the leading projector column."""
-    if not W.coeffs:
-        return PeriodicFunction(ctx.n, {})
-    offsets = np.array(sorted(W.coeffs), dtype=int)
+    offsets, amps = W.nonzero()
     gaps = energy_gaps(ctx, t, j, offsets)
-    coeffs = {
-        tuple(int(c) for c in q): -W.coeffs[tuple(q)] / g
-        for q, g in zip(offsets, gaps)
-    }
-    return PeriodicFunction(ctx.n, coeffs)
+    return PeriodicFunction(
+        ctx.n, {tuple(q): -a / g for q, a, g in zip(offsets.tolist(), amps.tolist(), gaps)}
+    )
 
 
 def eigenvalue_ladder(ctx: ModelContext, t, j, radius: int) -> np.ndarray:
     """Sorted energy gaps mu_i - mu_j over a window; a diagnostics helper."""
-    offsets = _offset_grid(radius, ctx.n).reshape(-1, ctx.n)
+    offsets = integer_grid(radius, ctx.n).reshape(-1, ctx.n)
     return np.sort(energy_gaps(ctx, t, j, offsets))
 
 
@@ -677,9 +621,5 @@ def eigenvalue_gradient(
 def periodic_eigenfunction(pair: BlochEigenpair, points) -> np.ndarray:
     """Evaluate sum_d col_d * exp(i <t + j + d, x>) at physical points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    base = momentum(pair.j, pair.t)
-    out = np.zeros(pts.shape[0], dtype=complex)
-    for d, cval in pair.proj_column.items():
-        freq = base + np.asarray(d, dtype=float)
-        out += cval * np.exp(1j * (pts @ freq))
-    return out
+    offsets, values = pair.proj_column.nonzero()
+    return np.exp(1j * (pts @ (momentum(pair.j, pair.t) + offsets).T)) @ values

@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__
 from .bloch import BlochEigenpair, diagonalize_oracle, series_eigenpair
 from .config import RunConfig, parse_config
-from .errors import ConfigError, NonConvergence, NumericalFailure, PolywaveError
+from .errors import ConfigError, ContractError, NonConvergence, NumericalFailure, PolywaveError
 from .fixedpoint import Solution, contraction_report, iterate, residual
 from .galerkin import compare
 from .iso import sample_surface
@@ -183,10 +183,7 @@ def _cmd_linear_eig(cfg: RunConfig, out: _OutputDir) -> None:
         pair = diagonalize_oracle(cfg.ctx, cfg.ctx.V, cfg.t, cfg.j)
     out.write_json("eigenpair.json", _eigenpair_dict(pair))
     header = [f"d{a+1}" for a in range(cfg.ctx.n)] + ["re", "im"]
-    rows = [
-        list(q) + [c.real, c.imag]
-        for q, c in sorted(pair.proj_column.items())
-    ]
+    rows = [list(q) + [c.real, c.imag] for q, c in pair.proj_column.items()]
     out.write_csv("column.csv", header, rows)
 
 
@@ -317,26 +314,26 @@ def _cmd_verify(cfg: RunConfig, out: _OutputDir) -> None:
     path = Path(cfg.solution)
     if not path.exists():
         raise ConfigError(f"solution file {path} does not exist")
-    doc = json.loads(path.read_text())
     ctx = cfg.ctx
-    psi = from_json_dict(doc["psi"], n=ctx.n)
-    sol = Solution(
-        t=tuple(float(c) for c in doc["t"]),
-        j=tuple(int(c) for c in doc["j"]),
-        k=float(doc["k"]),
-        center=float(doc["center"]),
-        lam=float(doc["lam"]),
-        lam_gap=float(doc["lam_gap"]),
-        psi=psi,
-        eigenpair=None,
-        w_mean=float(doc["w_mean"]),
-        sigma_abs2=float(doc["sigma_abs2"]),
-        steps=int(doc["steps"]),
-        converged=bool(doc["converged"]),
-        certified=bool(doc["certified"]),
-        backend=str(doc["backend"]),
-        admission=None,
-    )
+    try:
+        doc = json.loads(path.read_text())
+        floats = ("k", "center", "lam", "lam_gap", "w_mean", "sigma_abs2")
+        sol = Solution(
+            t=tuple(float(c) for c in doc["t"]),
+            j=tuple(int(c) for c in doc["j"]),
+            psi=from_json_dict(doc["psi"], n=ctx.n),
+            eigenpair=None,
+            steps=int(doc["steps"]),
+            converged=bool(doc["converged"]),
+            certified=bool(doc["certified"]),
+            backend=str(doc["backend"]),
+            admission=None,
+            **{key: float(doc[key]) for key in floats},
+        )
+        if len(sol.t) != ctx.n or len(sol.j) != ctx.n:
+            raise ValueError(f"momentum t + j is not of dimension {ctx.n}")
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ContractError) as exc:
+        raise ConfigError(f"solution file {path} is malformed: {exc!r}") from exc
     res = residual(ctx, sol)
     ref = compare(ctx, sol)
     out.write_json(

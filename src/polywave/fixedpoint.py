@@ -29,6 +29,7 @@ from .lattice import (
     ModelContext,
     PeriodicFunction,
     abs_squared,
+    integer_grid,
     momentum,
     multiply,
     star_norm,
@@ -206,7 +207,7 @@ def iterate(
 
     sigma_abs2 = ctx.sigma * abs(ctx.A) ** 2
 
-    psi_prev = PeriodicFunction(ctx.n, {(0,) * ctx.n: ctx.A})
+    psi_prev = PeriodicFunction.constant(ctx.n, ctx.A)
     W_prev, _ = effective_perturbation(ctx, psi_prev)
     w0_norm = star_norm(W_prev)
     noise_floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * w0_norm
@@ -410,32 +411,30 @@ def contraction_report(ctx: ModelContext, trace: FixedPointTrace, k: float) -> C
     )
 
 
-def residual(ctx: ModelContext, sol: Solution) -> float:
-    """Exact residual of the nonlinear equation at the reported solution.
-
-    Evaluates ``(H0 + V + sigma |psi|^2 - lam) psi`` coefficient by
-    coefficient with exact convolutions, using stably-computed energy gaps so
-    the huge diagonal entries cannot wash out the small residual.  Returns
-    the star norm scaled by the wave amplitude.
+def defect(
+    ctx: ModelContext,
+    t,
+    j,
+    psi: PeriodicFunction,
+    lam_gap: float,
+    radius: Optional[int] = None,
+) -> np.ndarray:
+    """Coefficients ``(mu_{j+q} - mu_j - lam_gap) psi_q + (V psi)_q + sigma
+    (|psi|^2 psi)_q`` of ``(H0 + V + sigma |psi|^2 - lam) psi``, on the box of
+    sup-norm ``radius`` (default: the smallest that holds them all).  Energy
+    gaps are evaluated stably, so the huge diagonal cannot wash out the defect.
     """
-    psi = sol.psi
-    if not psi.coeffs:
+    coupled = multiply(ctx.V, psi) + multiply(abs_squared(psi), psi).scale(ctx.sigma)
+    if radius is None:
+        radius = max(psi.box_radius, coupled.box_radius)
+    gaps = energy_gaps(ctx, t, j, integer_grid(radius, ctx.n))
+    return (gaps - lam_gap) * psi.to_box(radius) + coupled.to_box(radius)
+
+
+def residual(ctx: ModelContext, sol: Solution) -> float:
+    """Exact residual of the nonlinear equation at the reported solution:
+    the summed magnitudes of its ``defect``, scaled by the wave amplitude."""
+    if not len(sol.psi):
         raise ContractError("solution wave is empty")
-    cubic = multiply(abs_squared(psi), psi).scale(ctx.sigma)
-    coupled = multiply(ctx.V, psi) + cubic
-
-    offsets = np.array(sorted(psi.coeffs), dtype=int)
-    gaps = energy_gaps(ctx, sol.t, sol.j, offsets)
-    gap_of = {tuple(int(c) for c in q): g for q, g in zip(offsets, gaps)}
-
-    support = set(psi.coeffs) | set(coupled.coeffs)
-    extra = sorted(q for q in support if q not in gap_of)
-    if extra:
-        more = energy_gaps(ctx, sol.t, sol.j, np.array(extra, dtype=int))
-        gap_of.update({tuple(int(c) for c in q): g for q, g in zip(extra, more)})
-
-    terms = []
-    for q in sorted(support):
-        linear = (gap_of[q] - sol.lam_gap) * psi.get(q)
-        terms.append(abs(linear + coupled.get(q)))
-    return math.fsum(terms) / abs(ctx.A)
+    box = defect(ctx, sol.t, sol.j, sol.psi, sol.lam_gap)
+    return math.fsum(map(abs, box.ravel().tolist())) / abs(ctx.A)

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import ContractError, NewtonFailure
-from .fixedpoint import Solution
+from .fixedpoint import Solution, defect
 from .lattice import (
     ModelContext,
     PeriodicFunction,
@@ -40,23 +40,6 @@ from .nonres import energy_gaps
 NEWTON_TOL = 1e-12
 NEWTON_MAX_STEPS = 20
 LINE_SEARCH_HALVINGS = 10
-
-
-def _projected_residual(
-    ctx: ModelContext,
-    support: Tuple[Tuple[int, ...], ...],
-    gaps: np.ndarray,
-    psi: PeriodicFunction,
-    dlam: float,
-) -> np.ndarray:
-    coupled = multiply(ctx.V, psi) + multiply(abs_squared(psi), psi).scale(ctx.sigma)
-    return np.array(
-        [
-            (g - dlam) * psi.get(q) + coupled.get(q)
-            for q, g in zip(support, gaps)
-        ],
-        dtype=complex,
-    )
 
 
 def newton_solve(
@@ -81,21 +64,34 @@ def newton_solve(
     if abs(psi_init.get(zero)) == 0.0:
         raise ContractError("anchor coefficient psi_0 must be nonzero for gauge pinning")
 
-    support = tuple(sorted(set(psi_init.coeffs) | {zero}))
-    index = {q: i for i, q in enumerate(support)}
-    nS = len(support)
-    free = [q for q in support if q != zero]
-    gaps = energy_gaps(ctx, t, j, np.array(support, dtype=int))
-    gap_of = dict(zip(support, gaps))
+    # The working support S is the stored frequencies of psi_init (anchor
+    # included), in lexicographic order; ``cells`` are their flat positions
+    # in the box of radius R that holds them.
+    R = psi_init.box_radius
+    offsets, _ = psi_init.nonzero()
+    cells = np.flatnonzero(psi_init.box)
+    nS = cells.size
+    free = cells != psi_init.box.size // 2
+    gaps = energy_gaps(ctx, t, j, offsets)
+
+    # q - p and q + p for q, p in S, as flat positions in a box of radius 2R.
+    side = 4 * R + 1
+    lin = offsets @ side ** np.arange(ctx.n - 1, -1, -1)
+    middle = side ** ctx.n // 2
+    at_diff = middle + lin[:, None] - lin[None, :]
+    at_sum = middle + lin[:, None] + lin[None, :]
 
     p = momentum(j, t)
     k = float(np.sqrt(p @ p))
     center = k ** (2 * ctx.l)
     amp = abs(ctx.A) if ctx.A else 1.0
 
+    def projected(psi: PeriodicFunction, dlam: float) -> np.ndarray:
+        return defect(ctx, t, j, psi, dlam, R).ravel()[cells]
+
     psi = psi_init
     dlam = float(lam_gap_init)
-    F = _projected_residual(ctx, support, gaps, psi, dlam)
+    F = projected(psi, dlam)
     steps = 0
 
     while True:
@@ -108,31 +104,24 @@ def newton_solve(
             )
         steps += 1
 
-        dens = abs_squared(psi)          # coefficients of |psi|^2
-        pair = multiply(psi, psi)        # coefficients of psi^2
-        J1 = np.zeros((nS, nS), dtype=complex)
-        J2 = np.zeros((nS, nS), dtype=complex)
-        for qi, q in enumerate(support):
-            for pi, pq in enumerate(support):
-                diff = tuple(a - b for a, b in zip(q, pq))
-                tot = tuple(a + b for a, b in zip(q, pq))
-                J1[qi, pi] = ctx.V.get(diff) + 2.0 * ctx.sigma * dens.get(diff)
-                J2[qi, pi] = ctx.sigma * pair.get(tot)
-            J1[qi, qi] += gap_of[q] - dlam
+        # J1[q, p] = V_{q-p} + 2 sigma |psi|^2_{q-p}, J2[q, p] = sigma psi^2_{q+p}.
+        coupling = ctx.V.to_box(2 * R) + 2.0 * ctx.sigma * abs_squared(psi).to_box(2 * R)
+        J1 = coupling.ravel()[at_diff]
+        J1[np.arange(nS), np.arange(nS)] += gaps - dlam
+        J2 = ctx.sigma * multiply(psi, psi).to_box(2 * R).ravel()[at_sum]
 
         # Real-imaginary split.  Columns: (Re psi_p, Im psi_p) for free p,
         # then dlam.  dF = J1 da+idb + J2 da-idb - psi ddlam.
+        plus = (J1 + J2)[:, free]
+        minus = (J1 - J2)[:, free]
         ncols = 2 * (nS - 1) + 1
-        Jr = np.zeros((2 * nS, ncols))
-        for ci, pq in enumerate(free):
-            pi = index[pq]
-            plus = J1[:, pi] + J2[:, pi]
-            minus = J1[:, pi] - J2[:, pi]
-            Jr[:nS, 2 * ci] = plus.real
-            Jr[nS:, 2 * ci] = plus.imag
-            Jr[:nS, 2 * ci + 1] = -minus.imag
-            Jr[nS:, 2 * ci + 1] = minus.real
-        psi_vec = np.array([psi.get(q) for q in support])
+        Jr = np.empty((2 * nS, ncols))
+        Jr[:nS, 0:-1:2] = plus.real
+        Jr[nS:, 0:-1:2] = plus.imag
+        Jr[:nS, 1:-1:2] = -minus.imag
+        Jr[nS:, 1:-1:2] = minus.real
+        psi_box = psi.to_box(R)
+        psi_vec = psi_box.ravel()[cells]
         Jr[:nS, -1] = -psi_vec.real
         Jr[nS:, -1] = -psi_vec.imag
 
@@ -142,19 +131,17 @@ def newton_solve(
             raise NewtonFailure(
                 f"Jacobian rank {rank} < {ncols}: the projected system is degenerate"
             )
+        move = step[:-1].view(complex)   # (Re, Im) pairs of the free coefficients
 
         # Damped update with a strict-decrease backtracking line search.
         f0 = float(np.linalg.norm(F))
         scale = 1.0
         for _ in range(LINE_SEARCH_HALVINGS + 1):
-            trial_coeffs = dict(psi.coeffs)
-            for ci, pq in enumerate(free):
-                trial_coeffs[pq] = (
-                    psi.get(pq) + scale * complex(step[2 * ci], step[2 * ci + 1])
-                )
-            trial_psi = PeriodicFunction(ctx.n, trial_coeffs)
+            trial_box = psi_box.copy()
+            trial_box.ravel()[cells[free]] += scale * move
+            trial_psi = PeriodicFunction.from_box(trial_box)
             trial_dlam = dlam + scale * float(step[-1])
-            trial_F = _projected_residual(ctx, support, gaps, trial_psi, trial_dlam)
+            trial_F = projected(trial_psi, trial_dlam)
             if float(np.linalg.norm(trial_F)) < f0:
                 psi, dlam, F = trial_psi, trial_dlam, trial_F
                 break

@@ -79,7 +79,7 @@ def _gap_total(
     j, t = decompose(kappa * nu)
     if solver == "series":
         pair = series_eigenpair(ctx, ctx.V, t, j, r_max=r_max)
-        col_sq = math.fsum(abs(c) ** 2 for _, c in pair.proj_column.items())
+        col_sq = math.fsum(abs(c) ** 2 for c in pair.proj_column.box.ravel().tolist())
         return pair.lam_gap + ctx.sigma * abs(ctx.A) ** 2 * col_sq
     if solver == "fixedpoint":
         sol, trace = iterate(ctx, t, j, backend="series", r_max=r_max)

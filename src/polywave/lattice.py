@@ -1,16 +1,17 @@
-"""Sparse Fourier arithmetic on the integer frequency lattice.
+"""Fourier coefficients on the integer frequency lattice.
 
-Functions on the periodicity cell [0, 2*pi)^n are held as finite maps
-``frequency tuple -> complex amplitude``.  Shifted momenta are written
-``p_j(t) = t + j`` with ``t`` in the half-open unit cube and ``j`` an
-integer vector; ``decompose`` inverts that splitting by componentwise
-floor.  All operations are pure: they never mutate their inputs.
+A function on the periodicity cell [0, 2*pi)^n is held as one origin-centred
+complex box, ``box[q + R]`` holding the coefficient of frequency ``q``, trimmed
+to the smallest sup-norm radius ``R`` that keeps every nonzero coefficient.
+Shifted momenta are written ``p_j(t) = t + j`` with ``t`` in the half-open
+unit cube and ``j`` an integer vector; ``decompose`` inverts that splitting
+by componentwise floor.  All operations are pure: they never mutate their inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -23,12 +24,52 @@ from .errors import ConfigError, ContractError
 PRUNE_TOL = 1e-18
 # Relative tolerance for "is this function real-valued" checks.
 HERMITIAN_RTOL = 1e-13
+# Largest box of lattice sites any stage allocates; larger requests are
+# refused before allocation.  The biggest box in regular use is the n=3,
+# k=16 admission screen with 77^3 sites.
+BOX_SITES_MAX = 1 << 22
 
 LatticeIndex = Tuple[int, ...]
 
 
 def _as_index(q) -> LatticeIndex:
     return tuple(int(round(float(c))) for c in q)
+
+
+def _box_shape(radius: int, n: int) -> Tuple[int, ...]:
+    """Shape of the box of sup-norm ``radius``, refused above BOX_SITES_MAX sites."""
+    if n < 1:
+        raise ConfigError(f"dimension n must be >= 1, got {n}")
+    if (2 * radius + 1) ** n > BOX_SITES_MAX:
+        raise ConfigError(f"radius-{radius} box in dimension {n} exceeds {BOX_SITES_MAX} sites")
+    return (2 * radius + 1,) * n
+
+
+def _resize(box: np.ndarray, radius: int) -> np.ndarray:
+    """A fresh origin-centred copy of ``box`` with the given radius, zero-padded
+    or cropped."""
+    n, old = box.ndim, box.shape[0] // 2
+    r = min(radius, old)
+    out = np.zeros(_box_shape(radius, n), dtype=complex)
+    out[(slice(radius - r, radius + r + 1),) * n] = box[(slice(old - r, old + r + 1),) * n]
+    return out
+
+
+def _times(c: complex, box: np.ndarray) -> np.ndarray:
+    """``c * box`` with the terms of Python's complex product, one rounding
+    per operation (numpy's complex multiply may fuse them)."""
+    c = complex(c)
+    out = np.empty(box.shape, dtype=complex)
+    out.real = c.real * box.real - c.imag * box.imag
+    out.imag = c.real * box.imag + c.imag * box.real
+    return out
+
+
+def integer_grid(radius: int, n: int) -> np.ndarray:
+    """All integer vectors with sup-norm <= radius, shape (2r+1,)*n + (n,)."""
+    side = _box_shape(radius, n)[0]
+    axes = [np.arange(side) - radius] * n
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def momentum(j, t) -> np.ndarray:
@@ -54,26 +95,43 @@ def decompose(kvec) -> Tuple[LatticeIndex, np.ndarray]:
     return tuple(int(c) for c in j), t
 
 
-@dataclass(frozen=True)
 class PeriodicFunction:
-    """A trigonometric polynomial, stored sparsely by frequency.
+    """A trigonometric polynomial, stored as its canonical coefficient box.
 
-    The coefficient map is canonicalized on construction: keys become int
-    tuples sorted lexicographically, and amplitudes with magnitude below
-    ``PRUNE_TOL`` are dropped.
+    ``PeriodicFunction(n, {q: c, ...})`` builds one from a frequency map and
+    ``from_box`` from an origin-centred array.  ``box`` is read-only; the
+    map views (``coeffs``, ``items``, ``get``) list only the nonzero
+    coefficients, in lexicographic order of their frequencies.
     """
 
-    n: int
-    coeffs: Dict[LatticeIndex, complex] = field(default_factory=dict)
+    __slots__ = ("n", "box")
 
-    def __post_init__(self):
-        canon: Dict[LatticeIndex, complex] = {}
-        for q, c in sorted(((_as_index(q), complex(c)) for q, c in self.coeffs.items())):
-            if len(q) != self.n:
-                raise ContractError(f"frequency {q} does not have dimension {self.n}")
-            if abs(c) > PRUNE_TOL:
-                canon[q] = c
-        object.__setattr__(self, "coeffs", canon)
+    def __init__(self, n: int, coeffs: Optional[Mapping] = None):
+        items = [(_as_index(q), complex(c)) for q, c in (coeffs or {}).items()]
+        for q, _ in items:
+            if len(q) != n:
+                raise ContractError(f"frequency {q} does not have dimension {n}")
+        radius = max((max(abs(s) for s in q) for q, _ in items), default=0)
+        box = np.zeros(_box_shape(radius, n), dtype=complex)
+        for q, c in items:
+            box[tuple(s + radius for s in q)] = c
+        canonical = PeriodicFunction.from_box(box)
+        self.n, self.box = canonical.n, canonical.box
+
+    @classmethod
+    def from_box(cls, arr) -> "PeriodicFunction":
+        """The function with coefficients ``arr[q + R]``, for an origin-centred
+        array of shape ``(2R+1,) * n``; the array is copied, pruned and trimmed."""
+        box = np.array(arr, dtype=complex)
+        if box.ndim < 1 or box.shape[0] % 2 == 0 or len(set(box.shape)) != 1:
+            raise ContractError(f"box of shape {box.shape} is not origin-centred")
+        box[~(np.abs(box) > PRUNE_TOL)] = 0.0
+        nonzero = np.argwhere(box) - box.shape[0] // 2
+        out = cls.__new__(cls)
+        out.n = box.ndim
+        out.box = _resize(box, int(np.abs(nonzero).max()) if nonzero.size else 0)
+        out.box.flags.writeable = False
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -87,59 +145,77 @@ class PeriodicFunction:
 
     # -- basic queries ------------------------------------------------
 
+    def nonzero(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Frequencies, shape (m, n), and values, shape (m,), of the nonzero
+        coefficients in lexicographic order."""
+        mask = self.box != 0
+        return np.argwhere(mask) - self.box_radius, self.box[mask]
+
+    @property
+    def coeffs(self) -> Dict[LatticeIndex, complex]:
+        """A fresh ``frequency -> amplitude`` dict of the nonzero coefficients."""
+        offsets, values = self.nonzero()
+        return dict(zip(map(tuple, offsets.tolist()), values.tolist()))
+
     def get(self, q) -> complex:
-        return self.coeffs.get(_as_index(q), 0.0 + 0.0j)
+        idx = tuple(s + self.box_radius for s in _as_index(q))
+        inside = len(idx) == self.n and all(0 <= i < self.box.shape[0] for i in idx)
+        return complex(self.box[idx]) if inside else 0.0 + 0.0j
 
     def items(self):
         return self.coeffs.items()
 
+    def to_box(self, radius: int) -> np.ndarray:
+        """A fresh writable box of the given radius holding the coefficients
+        of sup-norm at most ``radius`` (zero-padded or cropped)."""
+        return _resize(self.box, radius)
+
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return int(np.count_nonzero(self.box))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PeriodicFunction):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.box, other.box)
+
+    __hash__ = None
 
     @property
     def support_radius(self) -> float:
         """Largest Euclidean norm among stored frequencies (0 when empty)."""
-        if not self.coeffs:
-            return 0.0
-        return math.sqrt(max(sum(c * c for c in q) for q in self.coeffs))
+        offsets, _ = self.nonzero()
+        return math.sqrt(int((offsets * offsets).sum(axis=1).max(initial=0)))
 
     @property
     def box_radius(self) -> int:
         """Largest sup-norm among stored frequencies (0 when empty)."""
-        if not self.coeffs:
-            return 0
-        return max(max(abs(c) for c in q) for q in self.coeffs)
+        return (self.box.shape[0] - 1) // 2
 
     def is_real_valued(self, rtol: float = HERMITIAN_RTOL) -> bool:
         """True when coefficients satisfy w(-q) == conj(w(q)) to within rtol."""
         scale = max(1.0, star_norm(self))
-        for q, c in self.coeffs.items():
-            mq = tuple(-s for s in q)
-            if abs(self.coeffs.get(mq, 0.0) - c.conjugate()) > rtol * scale:
-                return False
-        return True
+        return not np.any(np.abs(np.flip(self.box) - self.box.conj()) > rtol * scale)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "PeriodicFunction") -> "PeriodicFunction":
         if self.n != other.n:
             raise ContractError("dimension mismatch in addition")
-        out = dict(self.coeffs)
-        for q, c in other.coeffs.items():
-            out[q] = out.get(q, 0.0) + c
-        return PeriodicFunction(self.n, out)
+        radius = max(self.box_radius, other.box_radius)
+        out, addend = self.to_box(radius), other.to_box(radius)
+        # Only stored coefficients are added, so untouched ones keep their bits.
+        np.add(out, addend, out=out, where=addend != 0)
+        return PeriodicFunction.from_box(out)
 
     def __sub__(self, other: "PeriodicFunction") -> "PeriodicFunction":
         return self + other.scale(-1.0)
 
     def scale(self, s: complex) -> "PeriodicFunction":
-        return PeriodicFunction(self.n, {q: s * c for q, c in self.coeffs.items()})
+        return PeriodicFunction.from_box(_times(s, self.box))
 
     def conj(self) -> "PeriodicFunction":
         """Complex conjugate of the function: frequencies flip sign."""
-        return PeriodicFunction(
-            self.n, {tuple(-s for s in q): c.conjugate() for q, c in self.coeffs.items()}
-        )
+        return PeriodicFunction.from_box(np.flip(self.box).conj())
 
     def real_part(self) -> "PeriodicFunction":
         return (self + self.conj()).scale(0.5)
@@ -147,19 +223,30 @@ class PeriodicFunction:
 
 def star_norm(f: PeriodicFunction) -> float:
     """Sum of coefficient magnitudes (the Wiener-algebra norm)."""
-    return math.fsum(abs(c) for _, c in f.coeffs.items())
+    # Python's abs, not np.abs: numpy's complex modulus can differ in the
+    # last bit, and star norms are compared exactly across representations.
+    return math.fsum(map(abs, f.box.ravel().tolist()))
 
 
 def multiply(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
-    """Pointwise product, computed as the exact convolution of coefficients."""
+    """Pointwise product, computed as the exact convolution of coefficients.
+
+    ``c * g`` is shifted and added into the output once per nonzero ``c`` of
+    ``f``, in lexicographic order of its frequency, and only where ``g`` is
+    stored, so each coefficient sums the same terms in the same order as a
+    loop over coefficient pairs.
+    """
     if f.n != g.n:
         raise ContractError("dimension mismatch in multiply")
-    out: Dict[LatticeIndex, complex] = {}
-    for qa, ca in f.coeffs.items():
-        for qb, cb in g.coeffs.items():
-            q = tuple(a + b for a, b in zip(qa, qb))
-            out[q] = out.get(q, 0.0) + ca * cb
-    return PeriodicFunction(f.n, out)
+    rf, rg = f.box_radius, g.box_radius
+    out = np.zeros(_box_shape(rf + rg, f.n), dtype=complex)
+    stored = g.box != 0
+    side = 2 * rg + 1
+    offsets, values = f.nonzero()
+    for corner, c in zip((offsets + rf).tolist(), values.tolist()):
+        view = out[tuple(slice(i, i + side) for i in corner)]
+        np.add(view, _times(c, g.box), out=view, where=stored)
+    return PeriodicFunction.from_box(out)
 
 
 def abs_squared(f: PeriodicFunction) -> PeriodicFunction:
@@ -173,12 +260,10 @@ def zero_mean_shift(f: PeriodicFunction) -> Tuple[PeriodicFunction, float]:
     The mean of a real-valued function must be real; a complex mean beyond
     rounding dust is a contract violation.
     """
-    q0 = (0,) * f.n
-    w0 = f.coeffs.get(q0, 0.0 + 0.0j)
+    w0 = f.get((0,) * f.n)
     if abs(w0.imag) > HERMITIAN_RTOL * max(1.0, star_norm(f)):
         raise ContractError(f"mean {w0} has a non-negligible imaginary part")
-    shifted = {q: c for q, c in f.coeffs.items() if q != q0}
-    return PeriodicFunction(f.n, shifted), float(w0.real)
+    return f - PeriodicFunction.constant(f.n, w0), float(w0.real)
 
 
 def truncate_support(f: PeriodicFunction, radius: float) -> Tuple[PeriodicFunction, float]:
@@ -189,30 +274,17 @@ def truncate_support(f: PeriodicFunction, radius: float) -> Tuple[PeriodicFuncti
     """
     if radius < 0:
         raise ContractError("truncation radius must be nonnegative")
-    r2 = float(radius) * float(radius)
-    kept: Dict[LatticeIndex, complex] = {}
-    dropped = []
-    for q, c in f.coeffs.items():
-        if sum(s * s for s in q) <= r2:
-            kept[q] = c
-        else:
-            dropped.append(abs(c))
-    return PeriodicFunction(f.n, kept), math.fsum(dropped)
-
-
-def distance(f: PeriodicFunction, g: PeriodicFunction) -> float:
-    """star_norm(f - g); convenient for closeness assertions."""
-    return star_norm(f - g)
+    grid = integer_grid(f.box_radius, f.n)
+    near = (grid * grid).sum(axis=-1) <= float(radius) * float(radius)
+    dropped = PeriodicFunction.from_box(np.where(near, 0.0, f.box))
+    return PeriodicFunction.from_box(np.where(near, f.box, 0.0)), star_norm(dropped)
 
 
 # -- serialization ----------------------------------------------------
 
 def to_json_dict(f: PeriodicFunction) -> Dict[str, list]:
     """Map ``"q1,q2,...,qn" -> [re, im]``; keys sorted for determinism."""
-    return {
-        ",".join(str(s) for s in q): [c.real, c.imag]
-        for q, c in sorted(f.coeffs.items())
-    }
+    return {",".join(str(s) for s in q): [c.real, c.imag] for q, c in f.items()}
 
 
 def from_json_dict(d: Mapping[str, Iterable[float]], n: Optional[int] = None) -> PeriodicFunction:
@@ -274,7 +346,7 @@ class ModelContext:
             raise ConfigError("need delta > 0")
         if self.V.n != self.n:
             raise ConfigError("potential dimension does not match n")
-        if (0,) * self.n in self.V.coeffs:
+        if self.V.get((0,) * self.n) != 0:
             raise ConfigError("potential must have zero mean (no zero-frequency coefficient)")
         if not self.V.is_real_valued():
             raise ConfigError("potential must be real-valued (Hermitian coefficients)")
@@ -282,6 +354,10 @@ class ModelContext:
             raise ConfigError("r_max must be >= 2")
         if self.N_q < 8:
             raise ConfigError("N_q must be >= 8")
+        for name in ("M_lin", "M_W", "seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
 
     # -- derived quantities -------------------------------------------
 

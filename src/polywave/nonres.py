@@ -25,7 +25,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, ResonanceError
-from .lattice import LatticeIndex, ModelContext, decompose, momentum
+from .lattice import LatticeIndex, ModelContext, decompose, integer_grid, momentum
 
 # Safety factor in the pair condition: 200 * d_i * d_{i+q} > k^{2*gamma2}.
 PAIR_FACTOR = 200.0
@@ -96,12 +96,6 @@ class NonResonanceReport:
         return self.cond_separation and self.cond_slack and self.cond_pair
 
 
-def _integer_grid(radius: int, n: int) -> np.ndarray:
-    """All integer vectors with sup-norm <= radius, shape (2r+1,)*n + (n,)."""
-    axes = [np.arange(-radius, radius + 1)] * n
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
-
 def energy_gaps(ctx: ModelContext, t, j, offsets: np.ndarray) -> np.ndarray:
     """mu_{j+d} - mu_j for an array of integer offsets d, evaluated stably.
 
@@ -131,18 +125,21 @@ def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
     k = float(np.sqrt(p @ p))
     if k < ctx.k0:
         raise ConfigError(f"momentum magnitude {k:.6g} is below the working floor k0 = {ctx.k0}")
-
-    exps = exponents(ctx)
-    rho = contour_radius(ctx, k)
-    center = contour_center(ctx, k)
+    if not math.isfinite(k):
+        raise ConfigError("momentum magnitude |t + j| overflows")
 
     # Any site with |t+i| > 2k has |mu_i - c| >= (4^l - 1) k^{2l} >> 2*rho,
     # and any product of two such distances dwarfs k^{2*gamma2}; so a box of
     # sup-norm radius ceil(2k) + 2 around the origin contains every candidate
-    # violator, with symmetric pair lookups handled by padding.
+    # violator, with symmetric pair lookups handled by padding.  The box is
+    # built (or refused as too large) before any power of k can overflow.
     box_radius = int(math.ceil(2.0 * k)) + 2
     pad = int(math.ceil(k ** ctx.beta))
-    grid = _integer_grid(box_radius + pad, ctx.n)
+    grid = integer_grid(box_radius + pad, ctx.n)
+
+    exps = exponents(ctx)
+    rho = contour_radius(ctx, k)
+    center = contour_center(ctx, k)
     gaps = energy_gaps(ctx, t, j, grid - np.asarray(j))
     dist = np.abs(np.abs(gaps) - rho)
 
@@ -163,7 +160,7 @@ def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
 
     # Pair condition over short offsets 0 < |q| < k^beta.
     threshold = k ** (2.0 * exps.gamma2)
-    q_grid = _integer_grid(max(pad, 1), ctx.n).reshape(-1, ctx.n)
+    q_grid = integer_grid(max(pad, 1), ctx.n).reshape(-1, ctx.n)
     q_norms2 = np.sum(q_grid * q_grid, axis=1)
     q_list = q_grid[(q_norms2 > 0) & (q_norms2 < k ** (2.0 * ctx.beta))]
 

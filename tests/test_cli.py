@@ -1,10 +1,15 @@
 """Run configuration parsing and the command-line entry points."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polywave.cli import main
 from polywave.config import parse_config
@@ -89,6 +94,9 @@ def test_parse_comments_and_blanks():
         ("n = 2\nl = 3\nstep = 0.01", "unknown key 'step'"),
         ("n = 2\nl = 3\ndirection = 1,0", "unknown key 'direction'"),
         ("n = 2\nl = 3\ntol_tail = 1e-9", "unknown key 'tol_tail'"),
+        ("n = 2\nl = 3\nM_lin = -3", "M_lin must be >= 0"),
+        ("n = 2\nl = 3\nM_W = -1", "M_W must be >= 0"),
+        ("n = 2\nl = 3\nseed = -1", "seed must be >= 0"),
     ],
 )
 def test_parse_rejects_with_location(body, fragment):
@@ -198,7 +206,7 @@ def test_fixed_point_and_verify_round_trip(tmp_path):
 
 def test_solution_json_round_trip_is_exact(tmp_path):
     from polywave.fixedpoint import iterate
-    from polywave.lattice import distance, from_json_dict
+    from polywave.lattice import from_json_dict, star_norm
 
     cfg = parse_config(MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
     sol, _ = iterate(cfg.ctx, cfg.t, cfg.j)
@@ -210,7 +218,7 @@ def test_solution_json_round_trip_is_exact(tmp_path):
 
     assert float(doc["lam"]) == sol.lam
     assert float(doc["lam_gap"]) == sol.lam_gap
-    assert distance(from_json_dict(doc["psi"], n=2), sol.psi) == 0.0
+    assert star_norm(from_json_dict(doc["psi"], n=2) - sol.psi) == 0.0
 
 
 def test_fixed_point_budget_exhaustion_exits_4(tmp_path):
@@ -227,14 +235,44 @@ def test_resonant_point_exits_3(tmp_path):
 
 
 def test_config_errors_exit_2(tmp_path):
-    bad = write_config(tmp_path, "n = 2\nl = 3\nwild = 1\n")
-    assert run_cli("linear-eig", "--config", bad, "--out", str(tmp_path / "o1")) == 2
-    missing = write_config(tmp_path, MODEL_L3, "missing.cfg")
-    assert run_cli("linear-eig", "--config", missing, "--out", str(tmp_path / "o2")) == 2
-    empty = write_config(tmp_path, MODEL_L3 + "\nk = 6.0\nsamples = 0", "empty.cfg")
-    assert run_cli("nonres-scan", "--config", empty, "--out", str(tmp_path / "o3")) == 2
-    nan = write_config(tmp_path, MODEL_L3 + "\nlambda = nan\nsamples = 2", "nan.cfg")
-    assert run_cli("isoenergetic", "--config", nan, "--out", str(tmp_path / "o4")) == 2
+    desk = "\n" + "\n".join(desk_lines())
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{ psi: oops")
+    no_psi = tmp_path / "no_psi.json"
+    no_psi.write_text(json.dumps({"t": list(DESK_T), "j": list(DESK_J)}))
+    good = {
+        "t": list(DESK_T), "j": list(DESK_J), "k": 8.0, "center": 1.0, "lam": 1.0,
+        "lam_gap": 0.0, "w_mean": 0.0, "sigma_abs2": 0.0, "steps": 1,
+        "converged": True, "certified": True, "backend": "series",
+    }
+    text_psi = tmp_path / "text_psi.json"
+    text_psi.write_text(json.dumps({**good, "psi": {"0,0": ["a", "b"]}}))
+    flat_psi = tmp_path / "flat_psi.json"
+    flat_psi.write_text(json.dumps({**good, "psi": {"0": [1.0, 0.0]}}))
+    rows = [
+        ("linear-eig", "n = 2\nl = 3\nwild = 1"),
+        ("linear-eig", MODEL_L3),
+        ("nonres-scan", MODEL_L3 + "\nk = 6.0\nsamples = 0"),
+        ("isoenergetic", MODEL_L3 + "\nlambda = nan\nsamples = 2"),
+        # malformed stored solutions
+        ("verify", MODEL_L3_NL + f"\nsolution = {not_json}"),
+        ("verify", MODEL_L3_NL + f"\nsolution = {no_psi}"),
+        ("verify", MODEL_L3_NL + f"\nsolution = {text_psi}"),
+        ("verify", MODEL_L3_NL + f"\nsolution = {flat_psi}"),
+        # negative model controls
+        ("linear-eig", MODEL_L3 + desk + "\nM_lin = -3\nbackend = diag"),
+        ("fixed-point", MODEL_L3_NL + desk + "\nM_W = -1"),
+        ("nonres-scan", MODEL_L3 + "\nk = 6.0\nsamples = 2\nseed = -1"),
+        # admission boxes too large to build
+        ("nonres-scan", MODEL_L3 + "\nk = 1e7\nsamples = 1"),
+        ("nonres-scan", MODEL_L3 + "\nk = 1e300\nsamples = 1"),
+        ("isoenergetic", MODEL_L3 + "\nlambda = 1e300\nsamples = 1"),
+        ("linear-eig", MODEL_L3 + "\nt = 0.5,0.5\nj = 100000000,0"),
+    ]
+    for idx, (command, body) in enumerate(rows):
+        cfg = write_config(tmp_path, body, f"row{idx}.cfg")
+        code = run_cli(command, "--config", cfg, "--out", str(tmp_path / f"o{idx}"))
+        assert code == 2, (command, body)
 
 
 def test_isoenergetic_surface_accounting(tmp_path):
@@ -257,3 +295,92 @@ def test_thread_pool_env(tmp_path, monkeypatch):
     assert run_cli("nonres-scan", "--config", cfg, "--out", str(tmp_path / "ok")) == 0
     monkeypatch.setenv("POLYWAVE_THREADS", "zippy")
     assert run_cli("nonres-scan", "--config", cfg, "--out", str(tmp_path / "bad")) == 2
+
+
+# -- config fuzzing ---------------------------------------------------
+
+# A valid base run for every command, then up to three overrides, so that
+# draws reach the solvers as well as the parser.
+_FUZZ_BASE = {
+    "sigma": "1.0",
+    "A": repr(math.sqrt(1e-3)),
+    "t": f"{DESK_T[0]!r},{DESK_T[1]!r}",
+    "j": f"{DESK_J[0]},{DESK_J[1]}",
+    "k": "6.0",
+    "lambda": "262144.0",
+    "samples": "2",
+}
+_FUZZ_VALUES = {
+    "sigma": ["0", "-2", "1e300"],
+    "A": ["1", "1e10", "1+1j"],
+    "delta": ["0", "0.5", "0.1"],
+    "M_lin": ["-3", "0", "4"],
+    "M_W": ["-1", "0", "20"],
+    "seed": ["-1", "0", "7"],
+    "r_max": ["1", "4"],
+    "N_q": ["4", "16"],
+    "m_max": ["0", "1"],
+    "k": ["-1", "1e7", "1e300", "abc", "20"],
+    "lambda": ["1e300", "-5", "0", "1e9"],
+    "samples": ["0", "-3", "1"],
+    "t": ["0.5", "0.0,0.0", "1.5,0.2", "0.5,0.5"],
+    "j": ["100000000,0", "5,0", "1", "0,0"],
+    "backend": ["diag", "magic"],
+    "solver": ["fixedpoint", "magic"],
+    "sweep": ["true", "maybe"],
+}
+_POTENTIALS = [
+    "v.1,0 = 1.0\nv.-1,0 = 1.0\nv.0,1 = 1.0\nv.0,-1 = 1.0",
+    "",
+    "v.1,0 = 1j\nv.-1,0 = 1j",
+    "v.0,0 = 1",
+    "v.1 = 1",
+]
+_SOLUTIONS = {
+    "not-json": "{ psi: oops",
+    "no-psi": json.dumps({"t": list(DESK_T), "j": list(DESK_J)}),
+    "bad-psi": json.dumps({"psi": {"0,0": [None, 1.0]}, "t": list(DESK_T), "j": list(DESK_J)}),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in _SOLUTIONS.items():
+        (root / f"{name}.json").write_text(text)
+    cfg = write_config(root, MODEL_L3_NL + "\n" + "\n".join(desk_lines()), "valid.cfg")
+    assert main(["fixed-point", "--config", cfg, "--out", str(root / "valid")]) == 0
+    (root / "valid.json").write_text((root / "valid" / "solution.json").read_text())
+    return root
+
+
+_COMMANDS = ["linear-eig", "nonres-scan", "fixed-point", "isoenergetic", "verify"]
+
+
+@given(
+    command=st.sampled_from(_COMMANDS),
+    n=st.sampled_from(["2"] * 6 + ["1", "3", "0", "x"]),
+    l=st.sampled_from(["3"] * 6 + ["1", "0"]),
+    potential=st.sampled_from(_POTENTIALS[:1] * 6 + _POTENTIALS[1:]),
+    overrides=st.dictionaries(
+        st.sampled_from(sorted(_FUZZ_VALUES)), st.integers(0, 4), max_size=3
+    ),
+    solution=st.sampled_from(["valid", "valid", *sorted(_SOLUTIONS)]),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_config_fuzz_exits_with_documented_code(
+    fuzz_dir, command, n, l, potential, overrides, solution
+):
+    values = dict(_FUZZ_BASE)
+    for key, pick in overrides.items():
+        values[key] = _FUZZ_VALUES[key][pick % len(_FUZZ_VALUES[key])]
+    lines = [f"n = {n}", f"l = {l}", potential]
+    lines += [f"{key} = {value}" for key, value in values.items()]
+    lines.append(f"solution = {fuzz_dir / (solution + '.json')}")
+    cfg = fuzz_dir / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg), "--out", tempfile.mkdtemp(dir=fuzz_dir)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dict_reference as ref
 from polywave.errors import ConfigError, ContractError
 from polywave.lattice import (
+    BOX_SITES_MAX,
     ModelContext,
     PeriodicFunction,
     abs_squared,
     cosine_potential,
     decompose,
-    distance,
     from_json_dict,
     momentum,
     multiply,
@@ -104,7 +105,7 @@ def test_multiply_conjugate_frequencies():
 def test_multiply_identity_element():
     g = pf(2, {(1, 0): 0.5 - 0.25j, (2, -1): 1.5})
     out = multiply(PeriodicFunction.constant(2, 1.0), g)
-    assert distance(out, g) == 0.0
+    assert star_norm(out - g) == 0.0
 
 
 def test_multiply_norm_equality_case():
@@ -170,7 +171,7 @@ def test_star_norm_triangle(a, b):
 @given(sparse_map)
 def test_conj_involution_and_real_part(coeffs):
     f = pf(2, coeffs)
-    assert distance(f.conj().conj(), f) == 0.0
+    assert star_norm(f.conj().conj() - f) == 0.0
     assert f.real_part().is_real_valued()
 
 
@@ -178,7 +179,7 @@ def test_zero_mean_shift_examples():
     V = cosine_potential(2, (1.0, 1.0))
     shifted, mean = zero_mean_shift(V)
     assert mean == 0.0
-    assert distance(shifted, V) == 0.0
+    assert star_norm(shifted - V) == 0.0
 
     const = PeriodicFunction.constant(1, 7.0)
     shifted, mean = zero_mean_shift(const)
@@ -195,7 +196,7 @@ def test_truncate_support_noop_and_drop():
     V = cosine_potential(2, (1.0, 1.0))
     kept, dropped = truncate_support(V, 5.0)
     assert dropped == 0.0
-    assert distance(kept, V) == 0.0
+    assert star_norm(kept - V) == 0.0
 
     f = pf(2, {(4, 0): 0.3})
     kept, dropped = truncate_support(f, 3.0)
@@ -235,7 +236,78 @@ def test_support_and_box_radius():
 @settings(max_examples=50)
 def test_json_round_trip(coeffs):
     f = pf(2, coeffs)
-    assert distance(from_json_dict(to_json_dict(f)), f) == 0.0
+    assert star_norm(from_json_dict(to_json_dict(f)) - f) == 0.0
+
+
+# -- box layout against the dict reference ----------------------------
+
+def _coeff_maps(n):
+    freq = st.tuples(*[st.integers(-4, 4)] * n)
+    amp = st.one_of(
+        st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+        # straddles PRUNE_TOL, so pruning of inputs and products is exercised
+        st.complex_numbers(min_magnitude=1e-20, max_magnitude=1e-9),
+    )
+    return st.dictionaries(freq, amp, max_size=8)
+
+
+_map_pairs = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), _coeff_maps(n), _coeff_maps(n))
+)
+_scalars = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@given(_map_pairs, _scalars, st.floats(0.0, 7.0))
+@settings(max_examples=150, deadline=None)
+def test_box_layout_matches_dict_reference(case, s, radius):
+    n, a, b = case
+    f, g = PeriodicFunction(n, a), PeriodicFunction(n, b)
+    rf, rg = ref.DictFunction(n, a), ref.DictFunction(n, b)
+    assert f.coeffs == rf.coeffs and len(f) == len(rf.coeffs)
+
+    assert multiply(f, g).coeffs == ref.multiply(rf, rg).coeffs
+    assert abs_squared(f).coeffs == ref.abs_squared(rf).coeffs
+    assert (f + g).coeffs == (rf + rg).coeffs
+    assert f.scale(s).coeffs == rf.scale(s).coeffs
+    assert f.conj().coeffs == rf.conj().coeffs
+
+    assert star_norm(f) == ref.star_norm(rf)
+    kept, tail = truncate_support(f, radius)
+    ref_kept, ref_tail = ref.truncate_support(rf, radius)
+    assert kept.coeffs == ref_kept.coeffs and tail == ref_tail
+
+    h = f.real_part()
+    ref_h = ref.DictFunction(n, h.coeffs)
+    assert f.is_real_valued() == rf.is_real_valued()
+    assert h.is_real_valued() == ref_h.is_real_valued()
+    shifted, mean = zero_mean_shift(h)
+    ref_shifted, ref_mean = ref.zero_mean_shift(ref_h)
+    assert shifted.coeffs == ref_shifted.coeffs and mean == ref_mean
+
+    doc = to_json_dict(f)
+    assert doc == ref.to_json_dict(rf)
+    assert from_json_dict(doc, n=n) == f
+
+
+def test_from_box_canonical_form():
+    box = np.zeros((5, 5), dtype=complex)
+    box[2, 3] = 2.0
+    box[0, 0] = 1e-30
+    f = PeriodicFunction.from_box(box)
+    assert f.box_radius == 1 and f.box.shape == (3, 3)
+    assert f.coeffs == {(0, 1): 2.0}
+    assert not f.box.flags.writeable
+    assert box[0, 0] == 1e-30      # the caller's array is copied, not pruned
+    with pytest.raises(ContractError):
+        PeriodicFunction.from_box(np.zeros((4, 5)))
+
+
+def test_oversized_box_refused_before_allocation():
+    side = math.isqrt(BOX_SITES_MAX) + 1
+    with pytest.raises(ConfigError):
+        PeriodicFunction(2, {(side // 2, 0): 1.0})
+    with pytest.raises(ConfigError):
+        PeriodicFunction(1, {(10 ** 300,): 1.0})
 
 
 def test_json_empty_requires_dimension():
