@@ -36,9 +36,11 @@ from .lattice import (
     zero_mean_shift,
 )
 from .nonres import (
+    Anchor,
     Exponents,
     NonResonanceReport,
     SphereSampleStats,
+    anchor,
     check_quasimomentum,
     contour_center,
     contour_radius,

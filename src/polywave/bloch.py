@@ -39,14 +39,7 @@ from .lattice import (
     momentum,
     star_norm,
 )
-from .nonres import (
-    NonResonanceReport,
-    contour_center,
-    contour_radius,
-    energy_gaps,
-    exponents,
-    require_nonresonant,
-)
+from .nonres import anchor, energy_gaps, exponents, require_nonresonant
 
 # Relative agreement demanded between two consecutive quadrature resolutions.
 QUAD_RTOL = 1e-10
@@ -113,7 +106,6 @@ class BlochEigenpair:
     tail_bound_column: float = math.inf
     tail_certified: bool = False
     quad_err: float = 0.0
-    admission: Optional[NonResonanceReport] = None
 
     @property
     def e_jj(self) -> float:
@@ -237,7 +229,6 @@ def series_eigenpair(
     j,
     r_max: Optional[int] = None,
     quad_count: Optional[int] = None,
-    want_operator_norms: bool = False,
 ) -> BlochEigenpair:
     """Eigenvalue and projector column from the contour-integral expansion.
 
@@ -251,29 +242,23 @@ def series_eigenpair(
     """
     r_max = ctx.r_max if r_max is None else r_max
     count = ctx.N_q if quad_count is None else quad_count
-    j = tuple(int(c) for c in j)
-    t = tuple(float(c) for c in np.asarray(t, dtype=float))
+    a = anchor(ctx, t, j)
+    t, j, k, center, rho = a.t, a.j, a.k, a.center, a.rho
 
     if W.get((0,) * ctx.n) != 0:
         raise ContractError("series expansion expects a zero-mean perturbation")
     if not W.is_real_valued():
         raise ContractError("perturbation must be real-valued")
 
-    p = momentum(j, t)
-    k = float(np.sqrt(p @ p))
-    center = contour_center(ctx, k)
-    rho = contour_radius(ctx, k)
-
     if len(W) == 0:
         return BlochEigenpair(
             lam=center, lam_gap=0.0, j=j, t=t, k=k, center=center, rho=rho,
             proj_column=PeriodicFunction.constant(ctx.n, 1.0), g_terms=(0.0 + 0.0j,) * r_max,
-            G_norms=(0.0,) * r_max, backend="series", norm_mode="column",
-            tail_bound=0.0, tail_bound_column=0.0, tail_certified=True,
-            quad_err=0.0, admission=None,
+            G_norms=(0.0,) * r_max, tail_bound=0.0, tail_bound_column=0.0,
+            tail_certified=True,
         )
 
-    admission = require_nonresonant(ctx, t, j)
+    require_nonresonant(ctx, t, j)
 
     R = W.box_radius
     gaps = energy_gaps(ctx, t, j, integer_grid(r_max * R, ctx.n))
@@ -312,16 +297,7 @@ def series_eigenpair(
 
     g_terms = tuple(complex(v) for v in g_hi[1:])
     lam_gap = float(lam_gap_hi.real)
-
-    if want_operator_norms:
-        dense = dense_window_series(
-            ctx, W, t, j, r_max=r_max, quad_count=count, radius=(r_max + 1) * R
-        )
-        G_norms = tuple(op_norm_1(Gr) for Gr in dense.order_terms[1:])
-        norm_mode = "operator"
-    else:
-        G_norms = tuple(float(np.abs(col_hi[r]).sum()) for r in range(1, r_max + 1))
-        norm_mode = "column"
+    G_norms = tuple(float(np.abs(col_hi[r]).sum()) for r in range(1, r_max + 1))
 
     # Tail control: fully certified in the high-energy regime where the
     # step-gain exponents are valid and the coupling is small against
@@ -349,13 +325,10 @@ def series_eigenpair(
         proj_column=PeriodicFunction.from_box(total_hi),
         g_terms=g_terms,
         G_norms=G_norms,
-        backend="series",
-        norm_mode=norm_mode,
         tail_bound=tail_lam,
         tail_bound_column=tail_col,
         tail_certified=certified,
         quad_err=quad_err,
-        admission=admission,
     )
 
 
@@ -416,20 +389,15 @@ def dense_window_series(
     """Same contour expansion, brute-forced with dense resolvent products."""
     r_max = ctx.r_max if r_max is None else r_max
     count = ctx.N_q if quad_count is None else quad_count
-    j = tuple(int(c) for c in j)
     if radius is None:
         radius = (r_max + 1) * max(W.box_radius, 1)
+    a = anchor(ctx, t, j)
 
-    p = momentum(j, t)
-    k = float(np.sqrt(p @ p))
-    center = contour_center(ctx, k)
-    rho = contour_radius(ctx, k)
-
-    offsets, gaps, Wmat = _window(ctx, W, t, j, radius)
+    offsets, gaps, Wmat = _window(ctx, W, a.t, a.j, radius)
     dim = len(offsets)
     center_index = dim // 2
 
-    zeta_nodes, weights = ContourSpec(center, rho, count).nodes()
+    zeta_nodes, weights = ContourSpec(a.center, a.rho, count).nodes()
     terms = [np.zeros((dim, dim), dtype=complex) for _ in range(r_max + 1)]
     g_dense = np.zeros(r_max + 1, dtype=complex)
     for zeta, w in zip(zeta_nodes, weights):
@@ -445,7 +413,7 @@ def dense_window_series(
             g_dense[r] += (w * sign) * zeta * np.trace(M)
 
     return DenseWindowSeries(
-        sites=tuple(tuple(int(c) for c in j + d) for d in offsets),
+        sites=tuple(tuple(int(c) for c in a.j + d) for d in offsets),
         center_index=center_index,
         order_terms=tuple(terms),
         g_dense=tuple(complex(v) for v in g_dense),
@@ -478,17 +446,12 @@ def diagonalize_oracle(
     which restores the accuracy lost to the huge absolute scale of the raw
     eigensolve.
     """
-    j = tuple(int(c) for c in j)
-    t = tuple(float(c) for c in np.asarray(t, dtype=float))
+    a = anchor(ctx, t, j)
+    t, j, k, center, rho = a.t, a.j, a.k, a.center, a.rho
     if not W.is_real_valued():
         raise ContractError("perturbation must be real-valued")
     if W.get((0,) * ctx.n) != 0:
         raise ContractError("oracle expects a zero-mean perturbation")
-
-    p = momentum(j, t)
-    k = float(np.sqrt(p @ p))
-    center = contour_center(ctx, k)
-    rho = contour_radius(ctx, k)
     M = ctx.m_lin(k) if window is None else int(window)
 
     offsets, gaps, Hs = _window(ctx, W, t, j, M)
@@ -530,15 +493,10 @@ def diagonalize_oracle(
         center=center,
         rho=rho,
         proj_column=column,
-        g_terms=(),
-        G_norms=(),
         backend="diag",
         norm_mode="none",
         tail_bound=tail,
         tail_bound_column=tail,
-        tail_certified=False,
-        quad_err=0.0,
-        admission=None,
     )
 
 

@@ -37,14 +37,14 @@ from typing import Callable, Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bloch import BlochEigenpair, diagonalize_oracle, series_eigenpair
+from .bloch import BlochEigenpair
 from .config import RunConfig, parse_config
 from .errors import ConfigError, ContractError, NonConvergence, NumericalFailure, PolywaveError
-from .fixedpoint import Solution, contraction_report, iterate, residual
+from .fixedpoint import Solution, contraction_report, iterate, residual, solve_band
 from .galerkin import compare
 from .iso import sample_surface
 from .lattice import from_json_dict, to_json_dict
-from .nonres import exponents, k1_threshold, sample_directions, sample_nonresonant
+from .nonres import exponents, k1_threshold, sample_nonresonant
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +177,7 @@ def _require(cfg: RunConfig, command: str, **fields):
 
 def _cmd_linear_eig(cfg: RunConfig, out: _OutputDir) -> None:
     _require(cfg, "linear-eig", t=cfg.t, j=cfg.j)
-    if cfg.backend == "series":
-        pair = series_eigenpair(cfg.ctx, cfg.ctx.V, cfg.t, cfg.j)
-    else:
-        pair = diagonalize_oracle(cfg.ctx, cfg.ctx.V, cfg.t, cfg.j)
+    pair = solve_band(cfg.ctx, cfg.ctx.V, cfg.t, cfg.j, cfg.backend)
     out.write_json("eigenpair.json", _eigenpair_dict(pair))
     header = [f"d{a+1}" for a in range(cfg.ctx.n)] + ["re", "im"]
     rows = [list(q) + [c.real, c.imag] for q, c in pair.proj_column.items()]
@@ -190,9 +187,7 @@ def _cmd_linear_eig(cfg: RunConfig, out: _OutputDir) -> None:
 def _cmd_nonres_scan(cfg: RunConfig, out: _OutputDir) -> None:
     _require(cfg, "nonres-scan", k=cfg.k, samples=cfg.samples)
     ctx = cfg.ctx
-    stats = sample_nonresonant(
-        ctx, cfg.k, cfg.samples, keep_reports=True, map_fn=_thread_map
-    )
+    stats = sample_nonresonant(ctx, cfg.k, cfg.samples, map_fn=_thread_map)
     exps = exponents(ctx)
     out.write_json(
         "scan.json",
@@ -218,12 +213,11 @@ def _cmd_nonres_scan(cfg: RunConfig, out: _OutputDir) -> None:
         + ["admitted", "margin_separation", "margin_slack", "margin_pair"]
     )
     rows = []
-    dirs = sample_directions(ctx.n, cfg.samples, ctx.seed)
-    for idx, (omega, rep) in enumerate(zip(dirs, stats.reports)):
+    for idx, (omega, rep) in enumerate(zip(stats.directions, stats.reports)):
         margin_pair = rep.margin_pair if math.isfinite(rep.margin_pair) else float("nan")
         rows.append(
             [idx]
-            + [float(c) for c in omega]
+            + list(omega)
             + list(rep.j)
             + list(rep.t)
             + [rep.admitted, rep.margin_separation, rep.margin_slack, margin_pair]
@@ -327,7 +321,6 @@ def _cmd_verify(cfg: RunConfig, out: _OutputDir) -> None:
             converged=bool(doc["converged"]),
             certified=bool(doc["certified"]),
             backend=str(doc["backend"]),
-            admission=None,
             **{key: float(doc[key]) for key in floats},
         )
         if len(sol.t) != ctx.n or len(sol.j) != ctx.n:

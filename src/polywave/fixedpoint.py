@@ -30,14 +30,14 @@ from .lattice import (
     PeriodicFunction,
     abs_squared,
     integer_grid,
-    momentum,
     multiply,
     star_norm,
     truncate_support,
     zero_mean_shift,
 )
 from .nonres import (
-    NonResonanceReport,
+    anchor,
+    contour_radius,
     energy_gaps,
     exponents,
     k1_threshold,
@@ -52,15 +52,16 @@ from .nonres import (
 NOISE_FLOOR_FACTOR = 10.0
 
 
-def _solve_band(
+def solve_band(
     ctx: ModelContext,
     W_tilde: PeriodicFunction,
     t,
     j,
-    backend: str,
-    r_max: Optional[int],
-    window: Optional[int],
+    backend: str = "series",
+    r_max: Optional[int] = None,
+    window: Optional[int] = None,
 ) -> BlochEigenpair:
+    """Band eigenpair of ``H0 + W_tilde`` at ``t + j`` by the named backend."""
     if backend == "series":
         return series_eigenpair(ctx, W_tilde, t, j, r_max=r_max)
     if backend == "diag":
@@ -85,7 +86,6 @@ class TraceRow:
 @dataclass(frozen=True)
 class FixedPointTrace:
     rows: Tuple[TraceRow, ...]
-    w0_norm: float
     tol_fp: float
     noise_floor: float
     converged_at: Optional[int]
@@ -120,7 +120,6 @@ class Solution:
     converged: bool
     certified: bool
     backend: str
-    admission: Optional[NonResonanceReport]
 
     @property
     def asym_remainder(self) -> float:
@@ -158,7 +157,7 @@ def apply_map(
 ) -> ApplyMapResult:
     W_full, tail = effective_perturbation(ctx, psi)
     W_tilde, w_mean = zero_mean_shift(W_full)
-    pair = _solve_band(ctx, W_tilde, t, j, backend, r_max, window)
+    pair = solve_band(ctx, W_tilde, t, j, backend, r_max, window)
     psi_next = pair.psi(ctx.A)
     return ApplyMapResult(
         w_full=W_full,
@@ -172,8 +171,7 @@ def apply_map(
 
 def contraction_ratio(ctx: ModelContext, k: float) -> float:
     """A-priori contraction factor 8 |sigma| |A|^2 / rho of the map."""
-    rho = k ** (2 * ctx.l - ctx.n - ctx.delta)
-    return 8.0 * abs(ctx.sigma) * abs(ctx.A) ** 2 / rho
+    return 8.0 * abs(ctx.sigma) * abs(ctx.A) ** 2 / contour_radius(ctx, k)
 
 
 def iterate(
@@ -192,95 +190,75 @@ def iterate(
     budget runs out before the increments drop below tolerance.  Admission of
     the quasi-momentum and the coupling smallness bound are enforced up
     front (admission is vacuous when the potential is absent, since then the
-    effective perturbation never acquires off-diagonal terms).
+    effective perturbation never acquires off-diagonal terms).  Step ``m``
+    is one ``apply_map`` to the wave of step ``m - 1``; its perturbation
+    increment ``d_w`` is measured against the previous step's ``W``.
     """
     m_max = ctx.m_max if m_max is None else m_max
     tol = ctx.tol_fp_value if tol_fp is None else tol_fp
-    j = tuple(int(c) for c in j)
-    t = tuple(float(c) for c in np.asarray(t, dtype=float))
+    a = anchor(ctx, t, j)
+    ctx.check_smallness(a.k)
+    if len(ctx.V):
+        require_nonresonant(ctx, a.t, a.j)
 
-    p = momentum(j, t)
-    k = float(np.sqrt(p @ p))
-    center = k ** (2 * ctx.l)
-    ctx.check_smallness(k)
-    admission = require_nonresonant(ctx, t, j) if len(ctx.V) else None
+    def step(psi: PeriodicFunction) -> ApplyMapResult:
+        return apply_map(ctx, psi, a.t, a.j, backend, r_max, window)
 
-    sigma_abs2 = ctx.sigma * abs(ctx.A) ** 2
-
-    psi_prev = PeriodicFunction.constant(ctx.n, ctx.A)
-    W_prev, _ = effective_perturbation(ctx, psi_prev)
-    w0_norm = star_norm(W_prev)
-    noise_floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * w0_norm
-
-    W_tilde_prev, w_mean_prev = zero_mean_shift(W_prev)
-    pair_prev = _solve_band(ctx, W_tilde_prev, t, j, backend, r_max, window)
-    col_prev = pair_prev.proj_column
-    psi_prev = pair_prev.psi(ctx.A)
-
+    prev = step(PeriodicFunction.constant(ctx.n, ctx.A))
+    noise_floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * star_norm(prev.w_full)
     rows = []
-    converged_at: Optional[int] = None
     solution: Optional[Solution] = None
 
     for m in range(1, m_max + 1):
-        W_m, tail_m = effective_perturbation(ctx, psi_prev)
-        d_w = star_norm(W_m - W_prev)
-        W_tilde_m, w_mean_m = zero_mean_shift(W_m)
-        pair_m = _solve_band(ctx, W_tilde_m, t, j, backend, r_max, window)
-        col_m = pair_m.proj_column
-        psi_m = pair_m.psi(ctx.A)
-
-        e_jj = pair_m.e_jj
-        if not 0.0 < e_jj < 2.0:
+        cur = step(prev.psi_next)
+        pair = cur.eigenpair
+        if not 0.0 < pair.e_jj < 2.0:
             raise NumericalFailure(
-                f"projector diagonal {e_jj:.6g} escaped (0, 2) at step {m}; "
+                f"projector diagonal {pair.e_jj:.6g} escaped (0, 2) at step {m}; "
                 "the band solve is not trustworthy here"
             )
 
-        lam_gap_total = pair_m.lam_gap + w_mean_m
-        d_col = star_norm(col_m - col_prev)
+        d_w = star_norm(cur.w_full - prev.w_full)
+        lam_gap_total = pair.lam_gap + cur.w_mean
+        d_col = star_norm(pair.proj_column - prev.eigenpair.proj_column)
         rows.append(
             TraceRow(
                 m=m,
                 d_w=d_w,
-                lam=float(center + lam_gap_total),
+                lam=float(a.center + lam_gap_total),
                 lam_gap=float(lam_gap_total),
                 d_col=d_col,
                 d_psi=abs(ctx.A) * d_col,
-                tail=tail_m,
-                w=W_m,
+                tail=cur.tail,
+                w=cur.w_full,
             )
         )
 
         if d_w <= tol:
-            converged_at = m
-            certified = contraction_ratio(ctx, k) < 1.0
             solution = Solution(
-                t=t,
-                j=j,
-                k=k,
-                center=center,
-                lam=float(center + lam_gap_total),
+                t=a.t,
+                j=a.j,
+                k=a.k,
+                center=a.center,
+                lam=float(a.center + lam_gap_total),
                 lam_gap=float(lam_gap_total),
-                psi=psi_m,
-                eigenpair=pair_m,
-                w_mean=w_mean_m,
-                sigma_abs2=sigma_abs2,
+                psi=cur.psi_next,
+                eigenpair=pair,
+                w_mean=cur.w_mean,
+                sigma_abs2=ctx.sigma * abs(ctx.A) ** 2,
                 steps=m,
                 converged=True,
-                certified=certified,
+                certified=contraction_ratio(ctx, a.k) < 1.0,
                 backend=backend,
-                admission=admission,
             )
             break
-
-        W_prev, col_prev, psi_prev = W_m, col_m, psi_m
+        prev = cur
 
     trace = FixedPointTrace(
         rows=tuple(rows),
-        w0_norm=w0_norm,
         tol_fp=tol,
         noise_floor=noise_floor,
-        converged_at=converged_at,
+        converged_at=solution.steps if solution else None,
     )
     return solution, trace
 
@@ -306,7 +284,6 @@ class ContractionReport:
     steps: Tuple[int, ...]
     increments: Tuple[float, ...]
     ratios: Tuple[Optional[float], ...]   # ratio at m -> dW_{m+1}/dW_m
-    measurable: Tuple[bool, ...]
     ratio_bound: float
     ratio_status: Tuple[str, ...]
     drifts: Tuple[float, ...]             # ||W~_m - V||_* per step
@@ -316,11 +293,6 @@ class ContractionReport:
     col_bounds: Tuple[float, ...]
     col_status: Tuple[str, ...]
     noise_floor: float
-
-    @property
-    def max_measured_ratio(self) -> Optional[float]:
-        vals = [r for r, ok in zip(self.ratios, self.measurable) if ok and r is not None]
-        return max(vals) if vals else None
 
     @property
     def violated(self) -> bool:
@@ -351,17 +323,14 @@ def contraction_report(ctx: ModelContext, trace: FixedPointTrace, k: float) -> C
     incs = [row.d_w for row in trace.rows]
     ratio_bound = contraction_ratio(ctx, k)
     ratios: list = []
-    measurable: list = []
     ratio_status: list = []
     for a, b in zip(incs, incs[1:]):
         if a > trace.noise_floor and b > trace.noise_floor:
             r = b / a
             ratios.append(r)
-            measurable.append(True)
             ratio_status.append(_compare(r, ratio_bound, claimed, 0.0))
         else:
             ratios.append(None)
-            measurable.append(False)
             ratio_status.append("not-applicable")
 
     drift_bound = 8.0 * coupling * ctx.v_star * k ** -exps.gamma2 if exps.valid else math.inf
@@ -398,7 +367,6 @@ def contraction_report(ctx: ModelContext, trace: FixedPointTrace, k: float) -> C
         steps=tuple(row.m for row in trace.rows),
         increments=tuple(incs),
         ratios=tuple(ratios),
-        measurable=tuple(measurable),
         ratio_bound=ratio_bound,
         ratio_status=tuple(ratio_status),
         drifts=tuple(drifts),
@@ -434,7 +402,8 @@ def defect(
 def residual(ctx: ModelContext, sol: Solution) -> float:
     """Exact residual of the nonlinear equation at the reported solution:
     the summed magnitudes of its ``defect``, scaled by the wave amplitude."""
+    a = anchor(ctx, sol.t, sol.j)
     if not len(sol.psi):
         raise ContractError("solution wave is empty")
-    box = defect(ctx, sol.t, sol.j, sol.psi, sol.lam_gap)
+    box = defect(ctx, a.t, a.j, sol.psi, sol.lam_gap)
     return math.fsum(map(abs, box.ravel().tolist())) / abs(ctx.A)

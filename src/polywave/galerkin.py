@@ -27,15 +27,8 @@ import numpy as np
 
 from .errors import ContractError, NewtonFailure
 from .fixedpoint import Solution, defect
-from .lattice import (
-    ModelContext,
-    PeriodicFunction,
-    abs_squared,
-    momentum,
-    multiply,
-    star_norm,
-)
-from .nonres import energy_gaps
+from .lattice import ModelContext, PeriodicFunction, abs_squared, multiply, star_norm
+from .nonres import anchor, energy_gaps
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_STEPS = 20
@@ -58,8 +51,8 @@ def newton_solve(
     raises ``NewtonFailure`` on a singular Jacobian, a failed line search,
     or an exhausted step budget.
     """
-    j = tuple(int(c) for c in j)
-    t = tuple(float(c) for c in np.asarray(t, dtype=float))
+    a = anchor(ctx, t, j)
+    t, j = a.t, a.j
     zero = (0,) * ctx.n
     if abs(psi_init.get(zero)) == 0.0:
         raise ContractError("anchor coefficient psi_0 must be nonzero for gauge pinning")
@@ -81,9 +74,6 @@ def newton_solve(
     at_diff = middle + lin[:, None] - lin[None, :]
     at_sum = middle + lin[:, None] + lin[None, :]
 
-    p = momentum(j, t)
-    k = float(np.sqrt(p @ p))
-    center = k ** (2 * ctx.l)
     amp = abs(ctx.A) if ctx.A else 1.0
 
     def projected(psi: PeriodicFunction, dlam: float) -> np.ndarray:
@@ -156,9 +146,9 @@ def newton_solve(
     sol = Solution(
         t=t,
         j=j,
-        k=k,
-        center=center,
-        lam=float(center + dlam),
+        k=a.k,
+        center=a.center,
+        lam=float(a.center + dlam),
         lam_gap=float(dlam),
         psi=psi,
         eigenpair=None,
@@ -168,7 +158,6 @@ def newton_solve(
         converged=True,
         certified=False,
         backend="galerkin",
-        admission=None,
     )
     return sol, steps
 

@@ -65,6 +65,18 @@ def _times(c: complex, box: np.ndarray) -> np.ndarray:
     return out
 
 
+def _above_prune_tol(box: np.ndarray) -> np.ndarray:
+    """Mask of entries with modulus above ``PRUNE_TOL``, as Python's ``abs``
+    decides it: numpy's complex modulus can differ in the last bit, so
+    entries within a few ulps of the tolerance are re-checked one by one."""
+    mod = np.abs(box)
+    keep = mod > PRUNE_TOL
+    near = np.flatnonzero(np.abs(mod - PRUNE_TOL) <= 1e-14 * PRUNE_TOL)
+    flat = box.ravel()
+    keep.ravel()[near] = [abs(complex(flat[i])) > PRUNE_TOL for i in near]
+    return keep
+
+
 def integer_grid(radius: int, n: int) -> np.ndarray:
     """All integer vectors with sup-norm <= radius, shape (2r+1,)*n + (n,)."""
     side = _box_shape(radius, n)[0]
@@ -125,7 +137,7 @@ class PeriodicFunction:
         box = np.array(arr, dtype=complex)
         if box.ndim < 1 or box.shape[0] % 2 == 0 or len(set(box.shape)) != 1:
             raise ContractError(f"box of shape {box.shape} is not origin-centred")
-        box[~(np.abs(box) > PRUNE_TOL)] = 0.0
+        box[~_above_prune_tol(box)] = 0.0
         nonzero = np.argwhere(box) - box.shape[0] // 2
         out = cls.__new__(cls)
         out.n = box.ndim

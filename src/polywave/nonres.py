@@ -73,6 +73,43 @@ def contour_center(ctx: ModelContext, k: float) -> float:
 
 
 @dataclass(frozen=True)
+class Anchor:
+    """Quasi-momentum ``p = t + j`` with ``k = |p|``, the unperturbed energy
+    ``center = k^{2l}`` and the contour radius ``rho = k^{2l-n-delta}``."""
+
+    t: Tuple[float, ...]
+    j: LatticeIndex
+    k: float
+    center: float
+    rho: float
+
+
+def anchor(ctx: ModelContext, t, j) -> Anchor:
+    """Normalise ``(t, j)`` and derive ``k``, ``center`` and ``rho`` once.
+
+    Raises ``ConfigError`` when ``|t + j|`` or ``k^{2l}`` overflows, or when
+    ``k = 0`` leaves a negative-power contour radius undefined, so no stage
+    downstream forms a power of ``k`` that is out of range.
+    """
+    t = tuple(float(c) for c in np.asarray(t, dtype=float))
+    j = tuple(int(c) for c in j)
+    k = math.inf
+    try:
+        p = momentum(j, t)
+        with np.errstate(over="ignore"):
+            k = float(np.sqrt(p @ p))
+        center, rho = contour_center(ctx, k), contour_radius(ctx, k)
+    except (OverflowError, ZeroDivisionError):
+        center = math.inf
+    if not math.isfinite(center):
+        raise ConfigError(
+            f"momentum magnitude |t + j| = {k:.6g} gives no finite k^{2 * ctx.l} "
+            "and contour radius"
+        )
+    return Anchor(t=t, j=j, k=k, center=center, rho=rho)
+
+
+@dataclass(frozen=True)
 class NonResonanceReport:
     """Outcome of the admission tests for one quasi-momentum."""
 
@@ -117,29 +154,22 @@ def energy_gaps(ctx: ModelContext, t, j, offsets: np.ndarray) -> np.ndarray:
 
 def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
     """Run all admission tests for the quasi-momentum ``p = t + j``."""
-    t = tuple(float(c) for c in np.asarray(t, dtype=float))
-    j = tuple(int(c) for c in j)
+    a = anchor(ctx, t, j)
+    t, j, k, rho = a.t, a.j, a.k, a.rho
     if any(not 0.0 <= c < 1.0 for c in t):
         raise ConfigError(f"t must lie in [0,1)^n, got {t}")
-    p = momentum(j, t)
-    k = float(np.sqrt(p @ p))
     if k < ctx.k0:
         raise ConfigError(f"momentum magnitude {k:.6g} is below the working floor k0 = {ctx.k0}")
-    if not math.isfinite(k):
-        raise ConfigError("momentum magnitude |t + j| overflows")
 
     # Any site with |t+i| > 2k has |mu_i - c| >= (4^l - 1) k^{2l} >> 2*rho,
     # and any product of two such distances dwarfs k^{2*gamma2}; so a box of
     # sup-norm radius ceil(2k) + 2 around the origin contains every candidate
-    # violator, with symmetric pair lookups handled by padding.  The box is
-    # built (or refused as too large) before any power of k can overflow.
+    # violator, with symmetric pair lookups handled by padding.
     box_radius = int(math.ceil(2.0 * k)) + 2
     pad = int(math.ceil(k ** ctx.beta))
     grid = integer_grid(box_radius + pad, ctx.n)
 
     exps = exponents(ctx)
-    rho = contour_radius(ctx, k)
-    center = contour_center(ctx, k)
     gaps = energy_gaps(ctx, t, j, grid - np.asarray(j))
     dist = np.abs(np.abs(gaps) - rho)
 
@@ -183,7 +213,7 @@ def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
         k=k,
         t=t,
         j=j,
-        center=center,
+        center=a.center,
         rho=rho,
         box_radius=box_radius,
         cond_separation=margin_sep > 0.0,
@@ -223,7 +253,7 @@ def require_nonresonant(ctx: ModelContext, t, j) -> NonResonanceReport:
 class SphereSampleStats:
     """Summary of an admission sweep over random directions at fixed k.
 
-    When reports were requested they appear in draw order, one per sample,
+    ``directions`` and ``reports`` are in draw order, one per sample,
     admitted or not.
     """
 
@@ -233,6 +263,7 @@ class SphereSampleStats:
     failed_separation: int
     failed_slack: int
     failed_pair: int
+    directions: Tuple[Tuple[float, ...], ...]
     reports: Tuple[NonResonanceReport, ...]
 
     @property
@@ -259,7 +290,6 @@ def sample_nonresonant(
     k: float,
     samples: int,
     seed: Optional[int] = None,
-    keep_reports: bool = False,
     map_fn: Callable = map,
 ) -> SphereSampleStats:
     """Sample momenta of magnitude k in random directions and test admission.
@@ -277,7 +307,8 @@ def sample_nonresonant(
         j, t = decompose(k * omega)
         return check_quasimomentum(ctx, t, j)
 
-    reports = tuple(map_fn(probe, list(sample_directions(ctx.n, samples, seed))))
+    directions = sample_directions(ctx.n, samples, seed)
+    reports = tuple(map_fn(probe, list(directions)))
     admitted = 0
     fails = {"separation": 0, "slack": 0, "pair": 0}
     for report in reports:
@@ -296,5 +327,6 @@ def sample_nonresonant(
         failed_separation=fails["separation"],
         failed_slack=fails["slack"],
         failed_pair=fails["pair"],
-        reports=reports if keep_reports else (),
+        directions=tuple(map(tuple, directions.tolist())),
+        reports=reports,
     )

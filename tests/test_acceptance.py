@@ -293,7 +293,7 @@ def test_criterion_07_remainder_decay():
     rems = []
     t0 = time.perf_counter()
     for k in (8.0, 12.0, 16.0, 24.0):
-        stats = sample_nonresonant(ctx, k, 400, seed=0, keep_reports=True)
+        stats = sample_nonresonant(ctx, k, 400, seed=0)
         rep = _diagonal_first(stats.reports)[0]
         sol, _ = iterate(ctx, rep.t, rep.j)
         assert sol is not None
@@ -325,7 +325,7 @@ def test_criterion_08_surface_decay_and_symmetry():
     for kt in (8.0, 12.0, 16.0, 24.0):
         lam = kt ** 6
         ktilde, _ = reference_radius(ctx, lam)
-        stats = sample_nonresonant(ctx, ktilde, 400, seed=0, keep_reports=True)
+        stats = sample_nonresonant(ctx, ktilde, 400, seed=0)
         rep = _diagonal_first(stats.reports)[0]
         p = momentum(rep.j, rep.t)
         nu = p / np.linalg.norm(p)

@@ -249,6 +249,9 @@ def test_config_errors_exit_2(tmp_path):
     text_psi.write_text(json.dumps({**good, "psi": {"0,0": ["a", "b"]}}))
     flat_psi = tmp_path / "flat_psi.json"
     flat_psi.write_text(json.dumps({**good, "psi": {"0": [1.0, 0.0]}}))
+    huge_j = tmp_path / "huge_j.json"
+    huge_j.write_text(json.dumps({**good, "j": [1e80, 0], "psi": {"0,0": [0.03, 0.0]}}))
+    huge = "\nt = 0.5,0.5\nj = 1" + "0" * 80 + ",0"
     rows = [
         ("linear-eig", "n = 2\nl = 3\nwild = 1"),
         ("linear-eig", MODEL_L3),
@@ -268,6 +271,14 @@ def test_config_errors_exit_2(tmp_path):
         ("nonres-scan", MODEL_L3 + "\nk = 1e300\nsamples = 1"),
         ("isoenergetic", MODEL_L3 + "\nlambda = 1e300\nsamples = 1"),
         ("linear-eig", MODEL_L3 + "\nt = 0.5,0.5\nj = 100000000,0"),
+        # momenta whose k^{2l} overflows
+        ("linear-eig", MODEL_L3 + huge),
+        ("linear-eig", MODEL_L3 + huge + "\nbackend = diag"),
+        ("fixed-point", MODEL_L3_NL + huge),
+        ("verify", MODEL_L3_NL + f"\nsolution = {huge_j}"),
+        # zero momentum, where the l = 1 contour radius k^(-delta) is undefined
+        ("linear-eig", "n = 2\nl = 1\ndelta = 0.25\nv.1,0 = 1.0\nv.-1,0 = 1.0"
+                       "\nt = 0.0,0.0\nj = 0,0"),
     ]
     for idx, (command, body) in enumerate(rows):
         cfg = write_config(tmp_path, body, f"row{idx}.cfg")

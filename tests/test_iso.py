@@ -23,7 +23,7 @@ def ctx_iso():
 @pytest.fixture(scope="module")
 def admitted_direction(ctx_iso):
     """A direction whose base momentum at ktilde = 8 passes admission."""
-    stats = sample_nonresonant(ctx_iso, 8.0, 400, seed=0, keep_reports=True)
+    stats = sample_nonresonant(ctx_iso, 8.0, 400, seed=0)
     reports = [r for r in stats.reports if r.admitted]
     assert reports, "no admitted direction in 400 draws"
     p = momentum(reports[0].j, reports[0].t)

@@ -119,7 +119,7 @@ def verify_point(l: int, delta: float, j, t, window: int) -> dict:
 
 def find_l3(k: float, seed: int) -> dict:
     lin, _ = _contexts(3, 0.05)
-    stats = sample_nonresonant(lin, k, 400, seed=seed, keep_reports=True)
+    stats = sample_nonresonant(lin, k, 400, seed=seed)
     window = math.ceil(2 * k)
     for rep in stats.reports:
         if not rep.admitted:
