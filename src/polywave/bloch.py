@@ -10,10 +10,13 @@ Two backends produce the same quantities:
 
 * ``series_eigenpair`` evaluates the expansion exactly on the infinite
   lattice.  Each resolvent chain that returns to the anchor site is reduced
-  to scalar weights, and the off-anchor propagation is a sequence of sparse
-  convolutions whose support is tracked exactly, so no lattice truncation
-  enters; the only approximations are the series order ``r_max`` and the
-  trapezoid contour quadrature, both of which are controlled and reported.
+  to scalar weights, and the off-anchor propagation applies ``W`` as a
+  stencil of shifted slices on windows that hold its exact support, so no
+  lattice truncation enters; the only approximations are the series order
+  ``r_max`` and the trapezoid contour quadrature, both of which are
+  controlled and reported.  All nodes of a contour ring are evaluated in one
+  pass with the nodes on a leading axis, in blocks of bounded memory, and a
+  doubled ring reuses the sums of the ring it contains.
 * ``diagonalize_oracle`` builds the dense operator on a finite window and
   calls a packed Hermitian eigensolver, then polishes the eigenvalue with a
   shift-stabilized Rayleigh quotient.  It is slower and window-limited but
@@ -28,7 +31,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 
 from .errors import ConfigError, ContractError, NumericalFailure, ResonanceError
 from .lattice import (
@@ -39,7 +41,7 @@ from .lattice import (
     momentum,
     star_norm,
 )
-from .nonres import anchor, energy_gaps, exponents, require_nonresonant
+from .nonres import Anchor, anchor, energy_gaps, exponents, require_nonresonant
 
 # Relative agreement demanded between two consecutive quadrature resolutions.
 QUAD_RTOL = 1e-10
@@ -53,6 +55,9 @@ NOISE_REL = 1e-13
 # Empirical tails are refused once the observed ratio exceeds this.
 EMPIRICAL_RATIO_MAX = 0.8
 EMPIRICAL_SAFETY = 4.0
+# Byte budget of the chain vectors of one block of contour nodes, so the
+# working set of a band solve does not grow with grid size times node count.
+NODE_BLOCK_BYTES = 2 * 2**20
 # Resource guard for the dense window backend.
 DENSE_DIM_MAX = 12000
 
@@ -87,7 +92,8 @@ class BlochEigenpair:
     is dominated by the huge unperturbed energy.  ``proj_column`` stores the
     projector column in offset coordinates: coefficient ``d`` belongs to
     lattice site ``j + d``, so ``proj_column.get(0)`` is the diagonal entry
-    ``E_jj``.
+    ``E_jj``.  ``quad_err`` and ``quad_nodes`` are the relative disagreement
+    and the node count of the accepted contour ring (0 where none ran).
     """
 
     lam: float
@@ -106,6 +112,7 @@ class BlochEigenpair:
     tail_bound_column: float = math.inf
     tail_certified: bool = False
     quad_err: float = 0.0
+    quad_nodes: int = 0
 
     @property
     def e_jj(self) -> float:
@@ -120,14 +127,27 @@ class BlochEigenpair:
 # series backend
 # ---------------------------------------------------------------------------
 
+def _stencil(W: PeriodicFunction, size: int):
+    """``(c, dst, src)`` per nonzero coefficient ``c = w_q``: adding
+    ``c * u[src]`` into ``y[dst]`` over boxes of side ``size`` in the trailing
+    axes forms ``y[x] = sum_q w_q u[x - q]``, dropping what leaves the box."""
+    offsets, amps = W.nonzero()
+    terms = []
+    for q, c in zip(offsets.tolist(), amps.tolist()):
+        dst = (Ellipsis,) + tuple(slice(max(qa, 0), size + min(qa, 0)) for qa in q)
+        src = (Ellipsis,) + tuple(slice(max(-qa, 0), size - max(qa, 0)) for qa in q)
+        terms.append((c, dst, src))
+    return terms
+
+
 def _chain_series(
-    ctx: ModelContext,
     gaps: np.ndarray,
     W: PeriodicFunction,
     r_max: int,
-    contour: ContourSpec,
+    zeta_nodes: np.ndarray,
+    weights: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Evaluate the expansion at one quadrature resolution.
+    """Weighted sums of the expansion over the given contour nodes.
 
     Returns ``(g_terms, columns)`` where ``g_terms[r]`` is the order-r
     eigenvalue correction and ``columns[r]`` the order-r projector column on
@@ -136,65 +156,87 @@ def _chain_series(
     weights ``a_b = (W (S W)^b)_{anchor,anchor}``, the outward tail gives the
     vectors ``(S W)^c e_anchor``, and both are assembled with the loop
     generating function ``log(1 + g * sum_b (-1)^b a_b)`` for the eigenvalue.
+
+    Nodes sit on a leading axis and are processed in blocks whose chain
+    vectors fit ``NODE_BLOCK_BYTES``; ``W`` is applied as a sum of shifted
+    slices, one per nonzero coefficient.
     """
     grid_shape = gaps.shape
-    center_idx = tuple(s // 2 for s in grid_shape)
-    zeta_nodes, weights = contour.nodes()
+    R = W.box_radius
+    full = grid_shape[0] // 2
+    anchor_idx = (Ellipsis,) + (full,) * gaps.ndim
+    orders = np.arange(r_max + 1)
+    sign = np.where(orders % 2, -1.0, 1.0)            # (-1)^r
+    lag = orders[:, None] - orders[None, :]           # lag[r, c] = r - c
+
+    # Chain step b maps us[b], held within sup-norm b*R of the anchor, into
+    # the window of radius (b+1)*R; nothing reaches past it, so each step
+    # works on its own window and drops nothing.
+    radii = [(b + 1) * R for b in range(r_max)]
+    windows = [(Ellipsis,) + (slice(full - rad, full + rad + 1),) * gaps.ndim for rad in radii]
+    stencils = [_stencil(W, 2 * rad + 1) for rad in radii]
 
     g_terms = np.zeros(r_max + 1, dtype=complex)
-    columns = np.zeros((r_max + 1,) + grid_shape, dtype=complex)
-    delta = np.zeros(grid_shape, dtype=complex)
-    delta[center_idx] = 1.0
+    columns = np.zeros((r_max + 1, gaps.size), dtype=complex)
 
     # First chain application is just the kernel centred on the anchor;
     # embedding it directly keeps the return weight a_0 = W_jj exactly zero
     # for zero-mean input, where a transform-based convolution of the delta
     # would backfill it with dust that the contour integral then reports as
     # a spurious order-1 eigenvalue term.
-    y_first = W.to_box(grid_shape[0] // 2)
+    y_first = W.to_box(R)
 
-    for zeta, w in zip(zeta_nodes, weights):
+    block = max(1, NODE_BLOCK_BYTES // ((r_max + 1) * gaps.size * 16))
+    for lo in range(0, len(zeta_nodes), block):
+        zeta = zeta_nodes[lo:lo + block]
+        w = weights[lo:lo + block]
+        nodes = zeta.size
         g = -1.0 / zeta
-        S = 1.0 / (gaps - zeta)
-        S[center_idx] = 0.0
+        S = 1.0 / (gaps - zeta.reshape((nodes,) + (1,) * gaps.ndim))
+        S[anchor_idx] = 0.0
 
-        # Outward chain and anchor-return weights in one sweep.
-        a = np.zeros(r_max, dtype=complex)
-        us = [delta]
-        u = delta
-        for b in range(r_max):
-            y = y_first if b == 0 else scipy.signal.convolve(u, W.box, mode="same")
-            a[b] = y[center_idx]
-            u = S * y
-            us.append(u)
+        # Outward chain us[c] = (S W)^c e_anchor and anchor-return weights.
+        us = np.zeros((r_max + 1, nodes) + grid_shape, dtype=complex)
+        us[0][anchor_idx] = 1.0
+        a = np.zeros((nodes, r_max), dtype=complex)
+        for b, (rad, win, stencil) in enumerate(zip(radii, windows, stencils)):
+            if b == 0:
+                y = y_first
+            else:
+                u = us[b][win]
+                y = np.zeros(u.shape, dtype=complex)
+                for c, dst, src in stencil:
+                    y[dst] += c * u[src]
+            a[:, b] = y[(Ellipsis,) + (rad,) * gaps.ndim]
+            np.multiply(S[win], y, out=us[b + 1][win])
 
         # Loop weights D_m: all ways to spend m couplings on closed returns.
-        D = np.zeros(r_max + 1, dtype=complex)
-        D[0] = 1.0
+        D = np.zeros((nodes, r_max + 1), dtype=complex)
+        D[:, 0] = 1.0
         for m in range(1, r_max + 1):
-            acc = 0.0 + 0.0j
-            for b in range(m):
-                acc += a[b] * D[m - 1 - b]
-            D[m] = g * acc
+            D[:, m] = g * np.einsum("nb,nb->n", a[:, :m], D[:, m - 1::-1])
 
-        for r in range(1, r_max + 1):
-            acc_col = np.zeros(grid_shape, dtype=complex)
-            for c in range(r + 1):
-                acc_col += us[c] * D[r - c]
-            columns[r] += w * ((-1) ** (r + 1)) * g * acc_col
+        # columns[r] += w (-1)^(r+1) g sum_c D_{r-c} us[c], one contraction
+        # over (c, node).
+        coef = np.where(lag >= 0, D[:, np.maximum(lag, 0)], 0.0)
+        coef[:, 0] = 0.0
+        coef *= (w * g)[:, None, None] * -sign[:, None]
+        columns += np.tensordot(
+            coef.transpose(1, 2, 0), us.reshape(r_max + 1, nodes, -1), axes=2
+        )
 
-        # Eigenvalue terms from powers of the return-weight polynomial.
-        Av = np.array([1.0 + 0.0j])
-        gv = 1.0 + 0.0j
+        # Eigenvalue terms from powers Av of the return-weight polynomial,
+        # truncated products through the Toeplitz matrix of a.
+        taps = lag[:r_max, :r_max]
+        toeplitz = np.where(taps >= 0, a[:, np.maximum(taps, 0)], 0.0)
+        Av = a
+        wg = w
         for v in range(1, r_max + 1):
-            Av = np.convolve(Av, a)[:r_max] if a.size else np.zeros(0, dtype=complex)
-            gv *= g
-            for r in range(v, r_max + 1):
-                s = r - v
-                if s < Av.size:
-                    g_terms[r] += w * ((-1) ** r) * gv * Av[s] / v
-
-    return g_terms, columns
+            if v > 1:
+                Av = np.einsum("nsi,ni->ns", toeplitz, Av)
+            wg = wg * g
+            g_terms[v:] += (wg @ Av[:, :r_max + 1 - v]) / v
+    return sign * g_terms, columns.reshape((r_max + 1,) + grid_shape)
 
 
 def _empirical_tail(values: Sequence[float]) -> Tuple[float, float]:
@@ -237,18 +279,32 @@ def series_eigenpair(
     quadrature resolutions agree to ``QUAD_RTOL`` (relative disagreements are
     dominated by trapezoid aliasing, which a doubling squares away, so the
     escalation terminates fast whenever the contour clears the nearest pole);
-    admission of the quasi-momentum is verified up front, except in the
-    trivial decoupled case ``W == 0``.
+    each doubled ring reuses the sums of the previous one and evaluates only
+    its new nodes.  Admission of the quasi-momentum is verified up front,
+    except in the trivial decoupled case ``W == 0``.
     """
-    r_max = ctx.r_max if r_max is None else r_max
-    count = ctx.N_q if quad_count is None else quad_count
     a = anchor(ctx, t, j)
-    t, j, k, center, rho = a.t, a.j, a.k, a.center, a.rho
-
     if W.get((0,) * ctx.n) != 0:
         raise ContractError("series expansion expects a zero-mean perturbation")
     if not W.is_real_valued():
         raise ContractError("perturbation must be real-valued")
+    if len(W):
+        require_nonresonant(ctx, a.t, a.j)
+    return _series_eigenpair(ctx, W, a, r_max, quad_count)
+
+
+def _series_eigenpair(
+    ctx: ModelContext,
+    W: PeriodicFunction,
+    a: Anchor,
+    r_max: Optional[int] = None,
+    quad_count: Optional[int] = None,
+) -> BlochEigenpair:
+    """``series_eigenpair`` for a zero-mean real ``W`` at an anchor whose
+    admission the caller has already verified."""
+    r_max = ctx.r_max if r_max is None else r_max
+    count = ctx.N_q if quad_count is None else quad_count
+    t, j, k, center, rho = a.t, a.j, a.k, a.center, a.rho
 
     if len(W) == 0:
         return BlochEigenpair(
@@ -258,19 +314,17 @@ def series_eigenpair(
             tail_certified=True,
         )
 
-    require_nonresonant(ctx, t, j)
-
     R = W.box_radius
     gaps = energy_gaps(ctx, t, j, integer_grid(r_max * R, ctx.n))
 
-    g_lo, col_lo = _chain_series(
-        ctx, gaps, W, r_max, ContourSpec(center=center, rho=rho, count=count)
-    )
+    g_lo, col_lo = _chain_series(gaps, W, r_max, *ContourSpec(center, rho, count).nodes())
     for attempt in range(QUAD_MAX_DOUBLINGS + 1):
-        g_hi, col_hi = _chain_series(
-            ctx, gaps, W, r_max,
-            ContourSpec(center=center, rho=rho, count=2 * count),
-        )
+        # The 2N ring holds the N ring as its even nodes at half the weight,
+        # so only its odd nodes are evaluated.
+        zeta, weights = ContourSpec(center, rho, 2 * count).nodes()
+        g_odd, col_odd = _chain_series(gaps, W, r_max, zeta[1::2], weights[1::2])
+        g_hi = 0.5 * g_lo + g_odd
+        col_hi = 0.5 * col_lo + col_odd
         lam_gap_lo = complex(np.sum(g_lo))
         lam_gap_hi = complex(np.sum(g_hi))
         total_lo = col_lo.sum(axis=0)
@@ -329,6 +383,7 @@ def series_eigenpair(
         tail_bound_column=tail_col,
         tail_certified=certified,
         quad_err=quad_err,
+        quad_nodes=2 * count,
     )
 
 

@@ -82,6 +82,7 @@ def _eigenpair_dict(pair: BlochEigenpair) -> dict:
         "tail_bound_column": _finite(pair.tail_bound_column),
         "tail_certified": pair.tail_certified,
         "quad_err": pair.quad_err,
+        "quad_nodes": pair.quad_nodes,
         "column": to_json_dict(pair.proj_column),
     }
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .bloch import BlochEigenpair, diagonalize_oracle, series_eigenpair
+from .bloch import BlochEigenpair, _series_eigenpair, diagonalize_oracle, series_eigenpair
 from .errors import ConfigError, ContractError, NumericalFailure
 from .lattice import (
     ModelContext,
@@ -155,9 +155,18 @@ def apply_map(
     r_max: Optional[int] = None,
     window: Optional[int] = None,
 ) -> ApplyMapResult:
+    return _map_step(ctx, psi, lambda W: solve_band(ctx, W, t, j, backend, r_max, window))
+
+
+def _map_step(
+    ctx: ModelContext,
+    psi: PeriodicFunction,
+    solve: Callable[[PeriodicFunction], BlochEigenpair],
+) -> ApplyMapResult:
+    """One map application with ``solve`` as the band solver of ``W~``."""
     W_full, tail = effective_perturbation(ctx, psi)
     W_tilde, w_mean = zero_mean_shift(W_full)
-    pair = solve_band(ctx, W_tilde, t, j, backend, r_max, window)
+    pair = solve(W_tilde)
     psi_next = pair.psi(ctx.A)
     return ApplyMapResult(
         w_full=W_full,
@@ -190,9 +199,11 @@ def iterate(
     budget runs out before the increments drop below tolerance.  Admission of
     the quasi-momentum and the coupling smallness bound are enforced up
     front (admission is vacuous when the potential is absent, since then the
-    effective perturbation never acquires off-diagonal terms).  Step ``m``
-    is one ``apply_map`` to the wave of step ``m - 1``; its perturbation
-    increment ``d_w`` is measured against the previous step's ``W``.
+    effective perturbation never acquires off-diagonal terms), once.  Step
+    ``m`` applies the map to the wave of step ``m - 1`` as ``apply_map``
+    does, without repeating the checks ``apply_map`` makes at its boundary;
+    its perturbation increment ``d_w`` is measured against the previous
+    step's ``W``.
     """
     m_max = ctx.m_max if m_max is None else m_max
     tol = ctx.tol_fp_value if tol_fp is None else tol_fp
@@ -201,8 +212,13 @@ def iterate(
     if len(ctx.V):
         require_nonresonant(ctx, a.t, a.j)
 
+    def solve(W_tilde: PeriodicFunction) -> BlochEigenpair:
+        if backend == "series":
+            return _series_eigenpair(ctx, W_tilde, a, r_max)
+        return solve_band(ctx, W_tilde, a.t, a.j, backend, r_max, window)
+
     def step(psi: PeriodicFunction) -> ApplyMapResult:
-        return apply_map(ctx, psi, a.t, a.j, backend, r_max, window)
+        return _map_step(ctx, psi, solve)
 
     prev = step(PeriodicFunction.constant(ctx.n, ctx.A))
     noise_floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * star_norm(prev.w_full)

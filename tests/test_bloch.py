@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polywave.bloch import (
     ContourSpec,
+    _chain_series,
     dense_window_series,
     diagonalize_oracle,
     eigenvalue_gradient,
@@ -18,8 +21,10 @@ from polywave.bloch import (
     series_eigenpair,
 )
 from polywave.errors import ContractError, ResonanceError
-from polywave.lattice import PeriodicFunction, momentum, star_norm
+from polywave.lattice import PeriodicFunction, integer_grid, momentum, star_norm
+from polywave.nonres import energy_gaps
 
+import chain_reference
 from conftest import context_for, make_context
 
 
@@ -119,6 +124,91 @@ def test_projector_column_bound(desk_points):
     psi = pair.psi(A)
     dev = star_norm(psi - PeriodicFunction.constant(2, A))
     assert dev <= abs(A) * math.fsum(G_norms) * (1 + 1e-12)
+
+
+# -- batched chain engine against the per-node reference ---------------
+
+# Fixed from float64 rounding before the batched kernel was written: the two
+# engines sum the same terms in another order.
+LAM_RTOL = 1e-12        # lam_gap, relative
+G_RTOL = 1e-12          # g_terms, absolute per order, in units of max |g_r|
+COL_RTOL = 1e-14        # column sup-norm, in units of its 1-norm
+
+
+def _reference_sums(ctx, W, pair, r_max, count):
+    """Per-node reference pass over a fresh ``count``-node ring at the
+    anchor of ``pair``: (g_terms, total column box)."""
+    gaps = energy_gaps(ctx, pair.t, pair.j, integer_grid(r_max * W.box_radius, ctx.n))
+    contour = ContourSpec(pair.center, pair.rho, count)
+    g, cols = chain_reference._chain_series(ctx, gaps, W, r_max, contour)
+    col = cols.sum(axis=0)
+    col[(r_max * W.box_radius,) * ctx.n] += 1.0
+    return g, col
+
+
+def _assert_matches_reference(ctx, W, pair, r_max):
+    g_ref, col_ref = _reference_sums(ctx, W, pair, r_max, pair.quad_nodes)
+    lam_ref = float(np.sum(g_ref).real)
+    assert abs(pair.lam_gap - lam_ref) <= LAM_RTOL * abs(lam_ref)
+    g_dev = np.abs(np.array(pair.g_terms) - g_ref[1:]).max()
+    assert g_dev <= G_RTOL * np.abs(g_ref).max()
+    col = pair.proj_column.to_box(r_max * W.box_radius)
+    assert np.abs(col - col_ref).max() <= COL_RTOL * np.abs(col_ref).sum()
+
+
+@pytest.mark.parametrize("name", ["l3_k8", "l3_k10", "l1_k8", "l1_k10"])
+def test_chain_engine_matches_reference_on_desks(desk_points, name):
+    point = desk_points[name]
+    ctx = context_for(point, nonlinear=False)
+    pair = series_eigenpair(ctx, ctx.V, point["t"], point["j"])
+    # the accepted resolution is the nested 2N ring, compared with a fresh
+    # 2N-node pass of the reference
+    assert pair.quad_nodes == 2 * ctx.N_q
+    _assert_matches_reference(ctx, ctx.V, pair, ctx.r_max)
+
+
+_offsets = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda q: q != (0, 0))
+_amplitudes = st.complex_numbers(
+    min_magnitude=1e-3, max_magnitude=1.0, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _zero_mean_real(draw):
+    """Zero-mean real W with 2-14 coefficients: 1-7 Hermitian pairs."""
+    coeffs = {}
+    for q, c in draw(st.dictionaries(_offsets, _amplitudes, min_size=1, max_size=7)).items():
+        mq = (-q[0], -q[1])
+        if mq not in coeffs:
+            coeffs[q], coeffs[mq] = c, c.conjugate()
+    return PeriodicFunction(2, coeffs)
+
+
+@given(_zero_mean_real())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_chain_engine_matches_reference_on_drawn_W(desk_points, W):
+    point = desk_points["l3_k8"]
+    ctx = context_for(point, nonlinear=False)
+    assert 2 <= len(W) <= 14 and W.is_real_valued()
+    pair = series_eigenpair(ctx, W, point["t"], point["j"])
+    _assert_matches_reference(ctx, W, pair, ctx.r_max)
+
+    # one ring at a time: the batched kernel against the reference pass
+    gaps = energy_gaps(ctx, pair.t, pair.j, integer_grid(ctx.r_max * W.box_radius, 2))
+    contour = ContourSpec(pair.center, pair.rho, ctx.N_q)
+    g, cols = _chain_series(gaps, W, ctx.r_max, *contour.nodes())
+    g_ref, cols_ref = chain_reference._chain_series(ctx, gaps, W, ctx.r_max, contour)
+    assert np.abs(g - g_ref).max() <= G_RTOL * np.abs(g_ref).max()
+    assert np.abs(cols - cols_ref).max() <= COL_RTOL * np.abs(cols_ref).sum()
+
+
+def test_quad_nodes_records_escalation(desk_points):
+    point = desk_points["l3_k8"]
+    ctx = context_for(point, nonlinear=False)
+    # eight nodes alias far above QUAD_RTOL, so the ring must double
+    pair = series_eigenpair(ctx, ctx.V, point["t"], point["j"], quad_count=8)
+    assert pair.quad_nodes > 2 * 8
+    _assert_matches_reference(ctx, ctx.V, pair, ctx.r_max)
 
 
 def test_series_requires_zero_mean_real_input(ctx_l3_lin):

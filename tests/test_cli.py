@@ -128,6 +128,7 @@ def test_linear_eig_writes_artifacts(tmp_path):
     assert pair["backend"] == "series"
     assert pair["tail_certified"] is True
     assert abs(pair["lam_gap"]) < 1.0
+    assert pair["quad_nodes"] == 2 * 64     # the accepted ring at N_q = 64
 
     lines = (out / "column.csv").read_text().splitlines()
     assert lines[0] == "d1,d2,re,im"
