@@ -423,12 +423,8 @@ def _window(ctx: ModelContext, W: PeriodicFunction, t, j, radius: int):
     offsets = integer_grid(radius, ctx.n).reshape(-1, ctx.n)
     mat = np.zeros((dim, dim), dtype=complex)
     lin = np.arange(dim).reshape((full,) * ctx.n)
-    for q, cval in W.items():
-        if any(abs(qa) >= full for qa in q):
-            continue
-        row_sl = tuple(slice(max(0, qa), full + min(0, qa)) for qa in q)
-        col_sl = tuple(slice(max(0, -qa), full + min(0, -qa)) for qa in q)
-        mat[lin[row_sl].ravel(), lin[col_sl].ravel()] = cval
+    for c, dst, src in _stencil(W, full):
+        mat[lin[dst].ravel(), lin[src].ravel()] = c
     return offsets, energy_gaps(ctx, t, j, offsets), mat
 
 
