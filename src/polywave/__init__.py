@@ -53,14 +53,11 @@ from .nonres import (
 from .bloch import (
     BlochEigenpair,
     ContourSpec,
-    DenseWindowSeries,
     GradientCheck,
-    dense_window_series,
     diagonalize_oracle,
     eigenvalue_gradient,
     eigenvalue_ladder,
     first_order_column,
-    op_norm_1,
     periodic_eigenfunction,
     second_order_eigenvalue_shift,
     series_eigenpair,

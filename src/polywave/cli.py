@@ -14,11 +14,6 @@ digests, and contains no timestamps, so a repeated run with the same
 configuration and seed reproduces the output byte for byte.  Exit codes:
 0 success, 2 configuration problems, 3 numerical failures (including
 admission rejections), 4 exhausted iteration budgets.
-
-The sweep commands call the library sweeps with an order-preserving map
-that runs on ``POLYWAVE_THREADS`` threads (default 1); results are
-aggregated in draw order, so the artifacts do not depend on the thread
-count.
 """
 
 from __future__ import annotations
@@ -28,11 +23,9 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -77,7 +70,6 @@ def _eigenpair_dict(pair: BlochEigenpair) -> dict:
         "e_jj": pair.e_jj,
         "g_terms": [_complex_pair(g) for g in pair.g_terms],
         "G_norms": list(pair.G_norms),
-        "norm_mode": pair.norm_mode,
         "tail_bound": _finite(pair.tail_bound),
         "tail_bound_column": _finite(pair.tail_bound_column),
         "tail_certified": pair.tail_certified,
@@ -151,19 +143,6 @@ class _OutputDir:
         (self.root / "manifest.json").write_bytes(data.encode())
 
 
-def _thread_map(fn: Callable, items: Sequence) -> List:
-    """Map preserving input order; threaded when POLYWAVE_THREADS > 1."""
-    raw = os.environ.get("POLYWAVE_THREADS", "1")
-    try:
-        workers = max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(f"POLYWAVE_THREADS must be an integer, got {raw!r}") from exc
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _require(cfg: RunConfig, command: str, **fields):
     missing = [name for name, value in fields.items() if value is None]
     if missing:
@@ -188,7 +167,7 @@ def _cmd_linear_eig(cfg: RunConfig, out: _OutputDir) -> None:
 def _cmd_nonres_scan(cfg: RunConfig, out: _OutputDir) -> None:
     _require(cfg, "nonres-scan", k=cfg.k, samples=cfg.samples)
     ctx = cfg.ctx
-    stats = sample_nonresonant(ctx, cfg.k, cfg.samples, map_fn=_thread_map)
+    stats = sample_nonresonant(ctx, cfg.k, cfg.samples)
     exps = exponents(ctx)
     out.write_json(
         "scan.json",
@@ -267,10 +246,7 @@ def _cmd_fixed_point(cfg: RunConfig, out: _OutputDir) -> None:
 def _cmd_isoenergetic(cfg: RunConfig, out: _OutputDir) -> None:
     _require(cfg, "isoenergetic", **{"lambda": cfg.lam, "samples": cfg.samples})
     ctx = cfg.ctx
-    scan = sample_surface(
-        ctx, cfg.lam, cfg.samples, solver=cfg.solver, sweep=cfg.sweep,
-        map_fn=_thread_map,
-    )
+    scan = sample_surface(ctx, cfg.lam, cfg.samples, solver=cfg.solver, sweep=cfg.sweep)
     samples = scan.resolved
     kappas = scan.kappa_values
     out.write_json(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import mpmath
 import numpy as np
@@ -232,15 +232,13 @@ def sample_surface(
     solver: str = "series",
     r_max: Optional[int] = None,
     sweep: bool = False,
-    map_fn: Callable = map,
 ) -> SurfaceScan:
     """Resolve surface points over random directions (or a uniform sweep).
 
     ``sweep=True`` spaces directions uniformly in angle (planar models
     only); otherwise directions come from the deterministic per-index
     sampler.  Admission failures count as holes; they are part of the
-    geometry, not errors.  ``map_fn(fn, items)`` runs the solves and must
-    return results in input order (a thread-pool map qualifies).
+    geometry, not errors.
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
@@ -261,7 +259,7 @@ def sample_surface(
             return SurfaceDraw(direction, status, error=type(exc).__name__)
         return SurfaceDraw(direction, "ok", sample=sample)
 
-    return SurfaceScan(lam_target=float(lam), draws=tuple(map_fn(solve, list(dirs))))
+    return SurfaceScan(lam_target=float(lam), draws=tuple(map(solve, dirs)))
 
 
 @dataclass(frozen=True)

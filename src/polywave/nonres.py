@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -290,13 +290,8 @@ def sample_nonresonant(
     k: float,
     samples: int,
     seed: Optional[int] = None,
-    map_fn: Callable = map,
 ) -> SphereSampleStats:
-    """Sample momenta of magnitude k in random directions and test admission.
-
-    ``map_fn(fn, items)`` runs the checks and must return results in input
-    order (a thread-pool map qualifies).
-    """
+    """Sample momenta of magnitude k in random directions and test admission."""
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     if k < ctx.k0:
@@ -308,7 +303,7 @@ def sample_nonresonant(
         return check_quasimomentum(ctx, t, j)
 
     directions = sample_directions(ctx.n, samples, seed)
-    reports = tuple(map_fn(probe, list(directions)))
+    reports = tuple(map(probe, directions))
     admitted = 0
     fails = {"separation": 0, "slack": 0, "pair": 0}
     for report in reports:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from polywave.bloch import (
-    dense_window_series,
     diagonalize_oracle,
     eigenvalue_gradient,
     first_order_column,
@@ -36,6 +35,7 @@ from polywave.lattice import (
 from polywave.nonres import check_quasimomentum, sample_directions, sample_nonresonant
 
 from conftest import COUPLING, context_for, make_context
+from dense_reference import dense_window_series
 
 
 _DISABLE_CAPTURE = None

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from polywave.bloch import (
     ContourSpec,
     _chain_series,
-    dense_window_series,
     diagonalize_oracle,
     eigenvalue_gradient,
     eigenvalue_ladder,
     first_order_column,
-    op_norm_1,
     periodic_eigenfunction,
     second_order_eigenvalue_shift,
     series_eigenpair,
@@ -25,6 +23,8 @@ from polywave.lattice import PeriodicFunction, integer_grid, momentum, star_norm
 from polywave.nonres import energy_gaps
 
 import chain_reference
+import dense_reference
+from dense_reference import dense_window_series, op_norm_1
 from conftest import context_for, make_context
 
 
@@ -234,7 +234,7 @@ def test_oracle_matches_series_within_tail(desk_points):
     assert pair.tail_certified
     diag = diagonalize_oracle(ctx, ctx.V, t, j)
     assert abs(pair.lam_gap - diag.lam_gap) <= pair.tail_bound + 1e-9
-    assert diag.backend == "diag" and diag.norm_mode == "none"
+    assert diag.backend == "diag"
     # projector columns agree to the column tail
     assert star_norm(pair.proj_column - diag.proj_column) <= pair.tail_bound_column + 1e-9
 
@@ -251,6 +251,53 @@ def test_oracle_flags_degenerate_window(ctx_l3_lin):
     # lattice point: several unperturbed energies collide inside the ring
     with pytest.raises(ResonanceError):
         diagonalize_oracle(ctx_l3_lin, ctx_l3_lin.V, (0.0, 0.0), (5, 0))
+
+
+# -- sparse oracle against the dense eigh reference ---------------------
+
+# Fixed before the sparse oracle was written, from the dense solve's rounding:
+# its column carries ~1e-15 dust on every window site.
+ORACLE_LAM_RTOL = 1e-13     # lam_gap, relative
+ORACLE_COL_ATOL = 1e-10     # star norm of the column difference
+
+
+@pytest.mark.parametrize("extra", [0, 4])
+@pytest.mark.parametrize("name", ["l3_k8", "l3_k10", "l1_k8", "l1_k10"])
+def test_sparse_oracle_matches_dense_reference(desk_points, name, extra):
+    point = desk_points[name]
+    ctx = context_for(point, nonlinear=False)
+    t, j = point["t"], point["j"]
+    window = ctx.m_lin(point["k"]) + extra
+    sparse = diagonalize_oracle(ctx, ctx.V, t, j, window=window)
+    dense = dense_reference.diagonalize_oracle(ctx, ctx.V, t, j, window=window)
+    assert abs(sparse.lam_gap - dense.lam_gap) <= ORACLE_LAM_RTOL * abs(dense.lam_gap)
+    assert star_norm(sparse.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
+
+
+@pytest.mark.parametrize("window", [None, 14])
+def test_both_oracles_flag_degenerate_window(ctx_l3_lin, window):
+    for oracle in (diagonalize_oracle, dense_reference.diagonalize_oracle):
+        with pytest.raises(ResonanceError):
+            oracle(ctx_l3_lin, ctx_l3_lin.V, (0.0, 0.0), (5, 0), window=window)
+
+
+def test_oracle_decoupled_case(desk_points):
+    point = desk_points["l3_k8"]
+    ctx = context_for(point, nonlinear=False)
+    # H = diag(gaps) is exactly singular at the shift, so no factorisation runs
+    pair = diagonalize_oracle(ctx, PeriodicFunction.zero(2), point["t"], point["j"])
+    assert pair.lam_gap == 0.0
+    assert star_norm(pair.proj_column - PeriodicFunction.constant(2, 1.0)) == 0.0
+
+
+def test_oracle_ignores_harmonics_wider_than_window(desk_points):
+    point = desk_points["l3_k8"]
+    ctx = context_for(point, nonlinear=False)
+    far = PeriodicFunction(2, {(4, 0): 0.5, (-4, 0): 0.5})
+    near = diagonalize_oracle(ctx, ctx.V, point["t"], point["j"], window=1)
+    both = diagonalize_oracle(ctx, ctx.V + far, point["t"], point["j"], window=1)
+    assert both.lam_gap == near.lam_gap
+    assert star_norm(both.proj_column - near.proj_column) == 0.0
 
 
 # -- operator norm helper ---------------------------------------------

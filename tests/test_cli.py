@@ -205,6 +205,34 @@ def test_fixed_point_and_verify_round_trip(tmp_path):
     assert report["newton_d_psi"] < 1e-9
 
 
+def test_diag_solution_verifies(tmp_path):
+    cfg = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
+    out = tmp_path / "fp"
+    assert run_cli("fixed-point", "--config", cfg, "--out", str(out), "--backend", "diag") == 0
+    vcfg = write_config(
+        tmp_path,
+        MODEL_L3_NL + "\nsolution = " + str(out / "solution.json"),
+        "verify.cfg",
+    )
+    vout = tmp_path / "verify"
+    assert run_cli("verify", "--config", vcfg, "--out", str(vout)) == 0
+    report = json.loads((vout / "verify.json").read_text())
+    assert report["newton_d_lam_gap"] < 1e-9
+    assert report["newton_d_psi"] < 1e-9
+
+
+def test_diag_runs_are_bytewise_repeatable(tmp_path):
+    cfg = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
+    for command in ("linear-eig", "fixed-point"):
+        outs = [tmp_path / f"{command}-{run}" for run in range(2)]
+        for out in outs:
+            assert run_cli(command, "--config", cfg, "--out", str(out), "--backend", "diag") == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_solution_json_round_trip_is_exact(tmp_path):
     from polywave.fixedpoint import iterate
     from polywave.lattice import from_json_dict, star_norm
@@ -265,6 +293,8 @@ def test_config_errors_exit_2(tmp_path):
         ("verify", MODEL_L3_NL + f"\nsolution = {flat_psi}"),
         # negative model controls
         ("linear-eig", MODEL_L3 + desk + "\nM_lin = -3\nbackend = diag"),
+        # an oracle window of one site, below what the eigensolve needs
+        ("linear-eig", MODEL_L3 + desk + "\nM_lin = 0\nbackend = diag"),
         ("fixed-point", MODEL_L3_NL + desk + "\nM_W = -1"),
         ("nonres-scan", MODEL_L3 + "\nk = 6.0\nsamples = 2\nseed = -1"),
         # admission boxes too large to build
@@ -299,14 +329,6 @@ def test_isoenergetic_surface_accounting(tmp_path):
     lines = (out / "surface.csv").read_text().splitlines()
     assert len(lines) == 3
     assert [line.split(",")[1] for line in lines[1:]] == ["hole", "hole"]
-
-
-def test_thread_pool_env(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, MODEL_L3 + "\nk = 6.0\nsamples = 8\n")
-    monkeypatch.setenv("POLYWAVE_THREADS", "2")
-    assert run_cli("nonres-scan", "--config", cfg, "--out", str(tmp_path / "ok")) == 0
-    monkeypatch.setenv("POLYWAVE_THREADS", "zippy")
-    assert run_cli("nonres-scan", "--config", cfg, "--out", str(tmp_path / "bad")) == 2
 
 
 # -- config fuzzing ---------------------------------------------------

@@ -5,8 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from concurrent.futures import ThreadPoolExecutor
-
 from polywave.errors import ConfigError, HoleBoundary, NonConvergence, ResonanceError
 from polywave.iso import h_gradient, kappa_solve, reference_radius, sample_surface
 from polywave.lattice import ModelContext, cosine_potential, decompose, momentum
@@ -99,10 +97,6 @@ def test_sample_surface_accounts_every_direction(ctx_iso):
     scan = sample_surface(ctx_iso, 8.0 ** 6, 6, seed=0)
     assert scan.requested == 6
     assert len(scan.resolved) + scan.holes + scan.failures == 6
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        repeat = sample_surface(ctx_iso, 8.0 ** 6, 6, seed=0, map_fn=pool.map)
-    assert repeat.draws == scan.draws
-    assert np.array_equal(repeat.kappa_values, scan.kappa_values)
     # every seed-0 direction has a base momentum the admission tests reject
     for draw in scan.draws:
         j, t = decompose(8.0 * np.asarray(draw.direction))

@@ -13,7 +13,7 @@ Two families are needed:
   unit-coupled neighbors with nearly equal energy gaps hybridize, and the
   split level frequently lands inside the spectral window even though every
   individual gap clears the threshold.  Survivors are then verified against
-  the dense-window oracle at two window radii, the series backend, the
+  the sparse window oracle at two window radii, the series backend, the
   self-consistency loop, and its Newton refinement, so every stored point
   is known to work end to end.
 
