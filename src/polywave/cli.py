@@ -267,7 +267,7 @@ def _cmd_isoenergetic(cfg: RunConfig, out: _OutputDir) -> None:
     header = (
         ["draw", "status"]
         + [f"dir{a+1}" for a in range(ctx.n)]
-        + ["kappa", "h", "f_at_root", "evals"]
+        + ["kappa", "h", "f_at_root", "evals", "error"]
     )
     rows = []
     for idx, draw in enumerate(scan.draws):
@@ -276,7 +276,7 @@ def _cmd_isoenergetic(cfg: RunConfig, out: _OutputDir) -> None:
             root = [math.nan, math.nan, math.nan, 0]
         else:
             root = [s.kappa, s.h, s.f_at_root, s.evals]
-        rows.append([idx, draw.status] + list(draw.direction) + root)
+        rows.append([idx, draw.status] + list(draw.direction) + root + [draw.error or ""])
     out.write_csv("surface.csv", header, rows)
 
 

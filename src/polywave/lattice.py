@@ -25,8 +25,8 @@ PRUNE_TOL = 1e-18
 # Relative tolerance for "is this function real-valued" checks.
 HERMITIAN_RTOL = 1e-13
 # Largest box of lattice sites any stage allocates; larger requests are
-# refused before allocation.  The biggest box in regular use is the n=3,
-# k=16 admission screen with 77^3 sites.
+# refused before allocation.  For the admission screen it bounds the
+# (n-1)-dimensional column grid, of side 2*(ceil(2k) + 2 + ceil(k^beta)) + 1.
 BOX_SITES_MAX = 1 << 22
 
 LatticeIndex = Tuple[int, ...]

@@ -10,10 +10,10 @@ distance from the spectral window centered at ``c = k^{2l}``:
 * pair condition: products of distances to the contour, taken along all
   short lattice offsets, stay above an explicit power of ``k``.
 
-All three are checked by exact enumeration over a box that provably
-contains every site able to violate them; outside the box the conditions
-hold by a coarse a-priori bound, so no sampling or cut-off heuristics are
-involved.
+Only a thin shell ``|mu_i - c| <= G`` around ``|t + i| = k`` can set the
+minima: the check enumerates it column by column, never the whole box, and
+grows ``G`` until the minima certifiably lie on it, so the result equals
+exact enumeration over the box without sampling or cut-off heuristics.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, ResonanceError
-from .lattice import LatticeIndex, ModelContext, decompose, integer_grid, momentum
+from .lattice import BOX_SITES_MAX, LatticeIndex, ModelContext, decompose, integer_grid, momentum
 
 # Safety factor in the pair condition: 200 * d_i * d_{i+q} > k^{2*gamma2}.
 PAIR_FACTOR = 200.0
@@ -152,6 +152,62 @@ def energy_gaps(ctx: ModelContext, t, j, offsets: np.ndarray) -> np.ndarray:
     return g2 * acc
 
 
+def _shell(ctx: ModelContext, a: Anchor, radius: int, G: float):
+    """Sites ``|i|_inf <= radius`` with ``|mu_i - mu_j| <= G`` in lexicographic
+    order, and their gaps.  A column ``(i_1, ..., i_{n-1})`` meets the shell
+    in two runs of ``i_n``, solved from the bounding radii widened so that
+    rounding drops no site; ``energy_gaps`` is the exact filter."""
+    n, tn = ctx.n, a.t[-1]
+    cols = integer_grid(radius, n - 1).reshape(-1, n - 1) if n > 1 else np.zeros((1, 0), int)
+    hi2 = ((a.center + G) * (1.0 + 1e-9)) ** (1.0 / ctx.l)
+    lo2 = (max(a.center - G, 0.0) * (1.0 - 1e-9)) ** (1.0 / ctx.l)
+    r2 = np.sum((np.asarray(a.t[:-1]) + cols) ** 2, axis=1)
+    cols, r2 = cols[r2 <= hi2], r2[r2 <= hi2]
+    s_hi, s_lo = np.sqrt(hi2 - r2), np.sqrt(np.maximum(lo2 - r2, 0.0))
+    first = np.clip(np.floor(-tn - s_hi) - 1.0, -radius, radius + 1)
+    last = np.clip(np.ceil(-tn + s_hi) + 1.0, -radius - 1, radius)
+    # i_n in [hole_lo, hole_hi] lies strictly inside the inner sphere
+    hole_lo = np.ceil(-tn - s_lo) + 1.0
+    hole_hi = np.maximum(np.floor(-tn + s_lo) - 1.0, hole_lo - 1.0)
+    starts = np.stack([first, np.maximum(first, hole_hi + 1.0)], 1).ravel().astype(np.int64)
+    ends = np.stack([np.minimum(last, hole_lo - 1.0), last], 1).ravel().astype(np.int64)
+    lengths = np.maximum(ends - starts + 1, 0)
+    total = int(lengths.sum())
+    if total > BOX_SITES_MAX:
+        raise ConfigError(f"admission shell of {total} sites exceeds {BOX_SITES_MAX}")
+    last_index = np.arange(total) + np.repeat(starts + lengths - np.cumsum(lengths), lengths)
+    sites = np.column_stack([np.repeat(cols, lengths.reshape(-1, 2).sum(1), axis=0), last_index])
+    gaps = energy_gaps(ctx, a.t, a.j, sites - np.asarray(a.j))
+    return sites[np.abs(gaps) <= G], gaps[np.abs(gaps) <= G]
+
+
+def _pair_condition(ctx, a, sites, q_list, box_radius, threshold):
+    """Least ``200 d_i d_{i+q} - k^{2 gamma2}`` and its pair over ``i`` in the
+    box with ``i`` or ``i + q`` in ``sites``: within each ``q`` the first
+    lexicographic argmin of the product, across ``q`` the first least value."""
+    if 2 * len(sites) * len(q_list) > BOX_SITES_MAX:
+        raise ConfigError(f"admission pair pass exceeds {BOX_SITES_MAX} pairs")
+
+    def dist(points):
+        gaps = energy_gaps(ctx, a.t, a.j, points.reshape(-1, ctx.n) - np.asarray(a.j))
+        return np.abs(np.abs(gaps) - a.rho).reshape(points.shape[:-1])
+
+    d_site, behind = dist(sites)[:, None], sites[:, None] - q_list
+    prod = np.concatenate([
+        np.where(np.all(np.abs(sites) <= box_radius, axis=1)[:, None],
+                 PAIR_FACTOR * d_site * dist(sites[:, None] + q_list), np.inf),
+        np.where(np.all(np.abs(behind) <= box_radius, axis=2),
+                 PAIR_FACTOR * dist(behind) * d_site, np.inf),
+    ])
+    worst = np.append(prod.min(axis=0) - threshold, math.inf)   # the sentinel answers q_list = []
+    qi = int(np.argmin(worst))
+    if not worst[qi] < math.inf:
+        return math.inf, (a.j, a.j)
+    tied = np.concatenate([sites, behind[:, qi]])[prod[:, qi] == prod[:, qi].min()]
+    i_worst = min(tuple(int(c) for c in row) for row in tied)
+    return float(worst[qi]), (i_worst, tuple(c + int(d) for c, d in zip(i_worst, q_list[qi])))
+
+
 def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
     """Run all admission tests for the quasi-momentum ``p = t + j``."""
     a = anchor(ctx, t, j)
@@ -161,54 +217,38 @@ def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
     if k < ctx.k0:
         raise ConfigError(f"momentum magnitude {k:.6g} is below the working floor k0 = {ctx.k0}")
 
-    # Any site with |t+i| > 2k has |mu_i - c| >= (4^l - 1) k^{2l} >> 2*rho,
-    # and any product of two such distances dwarfs k^{2*gamma2}; so a box of
-    # sup-norm radius ceil(2k) + 2 around the origin contains every candidate
-    # violator, with symmetric pair lookups handled by padding.
+    # Sites with |t+i| > 2k have |mu_i - c| >= (4^l - 1) k^{2l} >> 2*rho and pair
+    # products far above k^{2*gamma2}: the box of sup-norm radius ceil(2k) + 2
+    # holds every candidate violator, and padding it by ceil(k^beta) every partner.
     box_radius = int(math.ceil(2.0 * k)) + 2
     pad = int(math.ceil(k ** ctx.beta))
-    grid = integer_grid(box_radius + pad, ctx.n)
-
-    exps = exponents(ctx)
-    gaps = energy_gaps(ctx, t, j, grid - np.asarray(j))
-    dist = np.abs(np.abs(gaps) - rho)
-
-    side = 2 * box_radius + 1
-    inner = tuple(slice(pad, pad + side) for _ in range(ctx.n))
-    gaps_box = gaps[inner]
-    grid_box = grid[inner]
-
-    # Separation conditions exclude the chosen site itself.
-    self_mask = np.all(grid_box == np.asarray(j), axis=-1)
-    abs_gaps = np.where(self_mask, np.inf, np.abs(gaps_box))
-    flat = int(np.argmin(abs_gaps))
-    min_gap = float(abs_gaps.flat[flat])
-    worst_sep = tuple(int(c) for c in grid_box.reshape(-1, ctx.n)[flat])
-
-    margin_sep = min_gap - rho
-    margin_slack = min_gap - 2.0 * rho
-
-    # Pair condition over short offsets 0 < |q| < k^beta.
-    threshold = k ** (2.0 * exps.gamma2)
     q_grid = integer_grid(max(pad, 1), ctx.n).reshape(-1, ctx.n)
     q_norms2 = np.sum(q_grid * q_grid, axis=1)
     q_list = q_grid[(q_norms2 > 0) & (q_norms2 < k ** (2.0 * ctx.beta))]
+    try:
+        threshold = k ** (2.0 * exponents(ctx).gamma2)
+    except OverflowError:
+        raise ConfigError(f"k = {k:.6g} gives no finite pair threshold k^(2*gamma2)") from None
 
-    dist_box = dist[inner]
-    margin_pair = math.inf
-    worst_pair = (j, j)
-    for q in q_list:
-        shifted = tuple(slice(pad + int(c), pad + int(c) + side) for c in q)
-        prod = PAIR_FACTOR * dist_box * dist[shifted]
-        flat = int(np.argmin(prod))
-        worst = float(prod.flat[flat]) - threshold
-        if worst < margin_pair:
-            margin_pair = worst
-            i_worst = tuple(int(c) for c in grid_box.reshape(-1, ctx.n)[flat])
-            worst_pair = (i_worst, tuple(int(a + b) for a, b in zip(i_worst, q)))
-    if not len(q_list):
-        margin_pair = math.inf
+    # Grow the shell until it certifies itself: a site off it has d_i > G - rho,
+    # so once some i != j lies strictly inside it and the least pair is strictly
+    # below any product of two off-shell distances, no site or pair outside can
+    # attain or tie either minimum.  At G = inf the shell is the padded box.
+    G = 4.0 * rho + math.sqrt(threshold / PAIR_FACTOR)
+    while True:
+        sites, gaps = _shell(ctx, a, box_radius + pad, G)
+        inner = np.all(np.abs(sites) <= box_radius, axis=1) & np.any(sites != j, axis=1)
+        abs_gaps = np.abs(gaps[inner])
+        if G == math.inf or abs_gaps.size and abs_gaps.min() < G:
+            margin_pair, worst_pair = _pair_condition(ctx, a, sites, q_list, box_radius, threshold)
+            off_shell = PAIR_FACTOR * (G - rho) * (G - rho) - threshold
+            if G == math.inf or not len(q_list) or margin_pair < off_shell:
+                break
+        G *= 4.0
 
+    flat = int(np.argmin(abs_gaps))
+    margin_sep = float(abs_gaps[flat]) - rho
+    margin_slack = float(abs_gaps[flat]) - 2.0 * rho
     return NonResonanceReport(
         k=k,
         t=t,
@@ -222,7 +262,7 @@ def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
         margin_separation=margin_sep,
         margin_slack=margin_slack,
         margin_pair=margin_pair,
-        worst_separation=worst_sep,
+        worst_separation=tuple(int(c) for c in sites[inner][flat]),
         worst_pair=worst_pair,
     )
 

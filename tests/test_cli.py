@@ -328,7 +328,9 @@ def test_isoenergetic_surface_accounting(tmp_path):
     assert surface["resolved"] == 0
     lines = (out / "surface.csv").read_text().splitlines()
     assert len(lines) == 3
-    assert [line.split(",")[1] for line in lines[1:]] == ["hole", "hole"]
+    assert lines[0].split(",")[-1] == "error"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(row[1], row[-1]) for row in rows] == [("hole", "ResonanceError")] * 2
 
 
 # -- config fuzzing ---------------------------------------------------

@@ -1,6 +1,8 @@
 """Admission tests for quasi-momenta: exponents, margins, sphere sampling."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polywave.errors import ConfigError, ResonanceError
-from polywave.lattice import ModelContext, PeriodicFunction, cosine_potential, momentum
+from polywave.lattice import (
+    ModelContext,
+    PeriodicFunction,
+    cosine_potential,
+    decompose,
+    momentum,
+)
 from polywave.nonres import (
     PAIR_FACTOR,
     check_quasimomentum,
@@ -22,7 +30,10 @@ from polywave.nonres import (
     sample_nonresonant,
 )
 
+import admission_reference
 from conftest import context_for, make_context
+
+SCREEN_POOL = Path(__file__).parents[1] / "perfbench" / "screen_reference.json"
 
 
 # -- exponent arithmetic ----------------------------------------------
@@ -199,6 +210,97 @@ def test_report_covariant_under_axis_swap():
     assert math.isclose(a.margin_slack, b.margin_slack, abs_tol=1e-9 * scale)
     assert math.isclose(a.margin_pair, b.margin_pair, rel_tol=1e-9)
     assert b.worst_separation == a.worst_separation[::-1]
+
+
+# -- shell screen against the full-box reference ------------------------
+
+_REPORT_FIELDS = (
+    "admitted", "cond_separation", "cond_slack", "cond_pair",
+    "margin_separation", "margin_slack", "margin_pair",
+    "worst_separation", "worst_pair", "box_radius",
+)
+
+
+def assert_matches_box(ctx, t, j):
+    """The shell screen must reproduce the full-box report bit for bit."""
+    got = check_quasimomentum(ctx, t, j)
+    want = admission_reference.check_quasimomentum(ctx, t, j)
+    for name in _REPORT_FIELDS:
+        assert getattr(got, name) == getattr(want, name), (name, t, j)
+
+
+def cosine_context(n, l):
+    return ModelContext(n=n, l=l, sigma=0.0, A=0.0, V=cosine_potential(n, (1.0,) * n))
+
+
+def test_shell_matches_box_on_desk_points(desk_points):
+    for point in desk_points.values():
+        assert_matches_box(context_for(point, nonlinear=False), point["t"], point["j"])
+
+
+def test_shell_matches_box_on_screen_pool():
+    """Every momentum of the benchmark's recorded n = 3, k = 16 and k = 6 pools."""
+    doc = json.loads(SCREEN_POOL.read_text())
+    ctx = cosine_context(3, 3)
+    for size in ("full", "tiny"):
+        for entry in doc[size]["entries"]:
+            assert_matches_box(ctx, entry["t"], entry["j"])
+
+
+@pytest.mark.parametrize("n, l", [(2, 1), (2, 3), (3, 3)])
+def test_shell_matches_box_on_symmetric_momenta(n, l):
+    """Symmetric t ties products exactly: the first lexicographic i must win."""
+    ctx = cosine_context(n, l)
+    for t in [(0.0,) * n, (0.5,) * n, (0.5,) + (0.0,) * (n - 1)]:
+        for j in [(5, 0, 0), (3, 4, 0), (-6, 2, 0), (4, -4, 0)]:
+            assert_matches_box(ctx, t, j[:n])
+
+
+@given(
+    nl=st.sampled_from([(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]),
+    k=st.floats(2.5, 16.0),
+    direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_shell_matches_box_on_random_momenta(nl, k, direction):
+    n, l = nl
+    v = np.asarray(direction[:n])
+    norm = np.linalg.norm(v)
+    if norm < 1e-3:
+        v, norm = np.eye(n)[0], 1.0
+    j, t = decompose(k * v / norm)
+    assert_matches_box(cosine_context(n, l), t, j)
+
+
+@pytest.mark.parametrize("t, j", [
+    ((0.29430236870833326, 0.4045655493382547), (-5, -23)),
+    ((0.5184806625260254, 0.8108163755257163), (13, -5)),
+])
+def test_shell_grows_until_certified(t, j):
+    """Momenta whose first shell misses the least pair: stopping there
+    reports a larger margin_pair and another worst pair."""
+    assert_matches_box(cosine_context(2, 3), t, j)
+
+
+def test_shell_reaches_beyond_the_box_guard():
+    """n = 3, k = 40: the padded box (175^3 sites) was refused, the shell is not."""
+    ctx = cosine_context(3, 3)
+    j, t = decompose(40.0 * np.array([0.48, -0.6, 0.64]))
+    with pytest.raises(ConfigError):
+        admission_reference.check_quasimomentum(ctx, t, j)
+    rep = check_quasimomentum(ctx, t, j)
+    assert rep.k == pytest.approx(40.0)
+    assert all(math.isfinite(m) for m in (rep.margin_separation, rep.margin_pair))
+
+
+@pytest.mark.parametrize("n, l, k", [
+    (3, 3, 600.0),    # column grid of side 2431: 2431^2 > 2^22 sites
+    (2, 20, 2e4),     # k^(2l) is finite, the pair threshold k^(2*gamma2) is not
+])
+def test_shell_refuses_what_it_cannot_hold(n, l, k):
+    j, t = decompose(k * np.array({2: (0.6, 0.8), 3: (0.48, -0.6, 0.64)}[n]))
+    with pytest.raises(ConfigError):
+        check_quasimomentum(cosine_context(n, l), t, j)
 
 
 # -- sphere sampling --------------------------------------------------
