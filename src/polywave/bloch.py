@@ -274,8 +274,6 @@ def series_eigenpair(
     W: PeriodicFunction,
     t,
     j,
-    r_max: Optional[int] = None,
-    quad_count: Optional[int] = None,
 ) -> BlochEigenpair:
     """Eigenvalue and projector column from the contour-integral expansion.
 
@@ -295,20 +293,13 @@ def series_eigenpair(
         raise ContractError("perturbation must be real-valued")
     if len(W):
         require_nonresonant(ctx, a.t, a.j)
-    return _series_eigenpair(ctx, W, a, r_max, quad_count)
+    return _series_eigenpair(ctx, W, a)
 
 
-def _series_eigenpair(
-    ctx: ModelContext,
-    W: PeriodicFunction,
-    a: Anchor,
-    r_max: Optional[int] = None,
-    quad_count: Optional[int] = None,
-) -> BlochEigenpair:
+def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> BlochEigenpair:
     """``series_eigenpair`` for a zero-mean real ``W`` at an anchor whose
     admission the caller has already verified."""
-    r_max = ctx.r_max if r_max is None else r_max
-    count = ctx.N_q if quad_count is None else quad_count
+    r_max, count = ctx.r_max, ctx.N_q
     t, j, k, center, rho = a.t, a.j, a.k, a.center, a.rho
 
     if len(W) == 0:
@@ -542,7 +533,6 @@ def eigenvalue_gradient(
     t,
     j,
     step: float = 1e-3,
-    r_max: Optional[int] = None,
 ) -> GradientCheck:
     """Quasi-momentum gradient of the band eigenvalue, by central differences.
 
@@ -559,8 +549,8 @@ def eigenvalue_gradient(
     for s in range(ctx.n):
         shift = np.zeros(ctx.n)
         shift[s] = step
-        hi = series_eigenpair(ctx, W, t0 + shift, j, r_max=r_max)
-        lo = series_eigenpair(ctx, W, t0 - shift, j, r_max=r_max)
+        hi = series_eigenpair(ctx, W, t0 + shift, j)
+        lo = series_eigenpair(ctx, W, t0 - shift, j)
         grad[s] = (hi.lam - lo.lam) / (2.0 * step)
     p = momentum(j, t0)
     free = 2.0 * ctx.l * p * float(p @ p) ** (ctx.l - 1)

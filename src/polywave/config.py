@@ -22,7 +22,7 @@ fields; the run keys parameterize individual CLI commands.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 from .errors import ConfigError
@@ -38,10 +38,8 @@ _INT_TUPLE_KEYS = {"j"}
 _STR_KEYS = {"backend", "solver", "solution"}
 _BOOL_KEYS = {"sweep"}
 
-_MODEL_KEYS = {
-    "n", "l", "sigma", "A", "delta", "beta", "M_lin", "M_W", "r_max",
-    "N_q", "tol_fp", "tol_root", "m_max", "k0", "seed",
-}
+# Every ModelContext field but the potential, which ``v.<q>`` lines set.
+_MODEL_KEYS = {f.name for f in fields(ModelContext)} - {"V"}
 _RUN_KEYS = {
     "k", "lambda", "samples", "t", "j", "backend", "solver", "solution", "sweep",
 }
@@ -148,17 +146,8 @@ def parse_config(text: str) -> RunConfig:
         if len(q) != n:
             raise ConfigError(f"potential frequency {q} does not have dimension {n}")
 
-    ctx_kwargs = {
-        "n": n,
-        "l": values["l"],
-        "sigma": float(values.get("sigma", 0.0)),
-        "A": complex(values.get("A", 1.0)),
-        "V": PeriodicFunction(n, coeffs),
-    }
-    for key in ("delta", "beta", "M_lin", "M_W", "r_max", "N_q",
-                "tol_fp", "tol_root", "m_max", "k0", "seed"):
-        if key in values:
-            ctx_kwargs[key] = values[key]
+    ctx_kwargs = {"sigma": 0.0, "A": 1.0 + 0.0j, "V": PeriodicFunction(n, coeffs)}
+    ctx_kwargs.update((key, values[key]) for key in _MODEL_KEYS if key in values)
     ctx = ModelContext(**ctx_kwargs)
 
     backend = values.get("backend", "series")

@@ -58,14 +58,12 @@ def solve_band(
     t,
     j,
     backend: str = "series",
-    r_max: Optional[int] = None,
-    window: Optional[int] = None,
 ) -> BlochEigenpair:
     """Band eigenpair of ``H0 + W_tilde`` at ``t + j`` by the named backend."""
     if backend == "series":
-        return series_eigenpair(ctx, W_tilde, t, j, r_max=r_max)
+        return series_eigenpair(ctx, W_tilde, t, j)
     if backend == "diag":
-        return diagonalize_oracle(ctx, W_tilde, t, j, window=window)
+        return diagonalize_oracle(ctx, W_tilde, t, j)
     raise ConfigError(f"unknown backend {backend!r}; expected 'series' or 'diag'")
 
 
@@ -152,10 +150,8 @@ def apply_map(
     t,
     j,
     backend: str = "series",
-    r_max: Optional[int] = None,
-    window: Optional[int] = None,
 ) -> ApplyMapResult:
-    return _map_step(ctx, psi, lambda W: solve_band(ctx, W, t, j, backend, r_max, window))
+    return _map_step(ctx, psi, lambda W: solve_band(ctx, W, t, j, backend))
 
 
 def _map_step(
@@ -183,20 +179,27 @@ def contraction_ratio(ctx: ModelContext, k: float) -> float:
     return 8.0 * abs(ctx.sigma) * abs(ctx.A) ** 2 / contour_radius(ctx, k)
 
 
+def check_smallness(ctx: ModelContext, k: float) -> None:
+    """Enforce |sigma| |A|^2 < k^(gamma0 - delta) for the active k."""
+    bound = k ** (exponents(ctx).gamma0 - ctx.delta)
+    small = abs(ctx.sigma) * abs(ctx.A) ** 2
+    if not small < bound:
+        raise ConfigError(
+            f"|sigma||A|^2 = {small:.6g} must stay below k^(gamma0-delta) = {bound:.6g}"
+        )
+
+
 def iterate(
     ctx: ModelContext,
     t,
     j,
     backend: str = "series",
-    r_max: Optional[int] = None,
-    window: Optional[int] = None,
-    m_max: Optional[int] = None,
-    tol_fp: Optional[float] = None,
 ) -> Tuple[Optional[Solution], FixedPointTrace]:
     """Run the self-consistency loop from the plane-wave seed.
 
     Returns ``(solution, trace)``; the solution is ``None`` when the step
-    budget runs out before the increments drop below tolerance.  Admission of
+    budget ``ctx.m_max`` runs out before the increments drop below
+    ``ctx.tol_fp_value``.  Admission of
     the quasi-momentum and the coupling smallness bound are enforced up
     front (admission is vacuous when the potential is absent, since then the
     effective perturbation never acquires off-diagonal terms), once.  Step
@@ -205,28 +208,24 @@ def iterate(
     its perturbation increment ``d_w`` is measured against the previous
     step's ``W``.
     """
-    m_max = ctx.m_max if m_max is None else m_max
-    tol = ctx.tol_fp_value if tol_fp is None else tol_fp
+    tol = ctx.tol_fp_value
     a = anchor(ctx, t, j)
-    ctx.check_smallness(a.k)
+    check_smallness(ctx, a.k)
     if len(ctx.V):
         require_nonresonant(ctx, a.t, a.j)
 
     def solve(W_tilde: PeriodicFunction) -> BlochEigenpair:
         if backend == "series":
-            return _series_eigenpair(ctx, W_tilde, a, r_max)
-        return solve_band(ctx, W_tilde, a.t, a.j, backend, r_max, window)
+            return _series_eigenpair(ctx, W_tilde, a)
+        return solve_band(ctx, W_tilde, a.t, a.j, backend)
 
-    def step(psi: PeriodicFunction) -> ApplyMapResult:
-        return _map_step(ctx, psi, solve)
-
-    prev = step(PeriodicFunction.constant(ctx.n, ctx.A))
+    prev = _map_step(ctx, PeriodicFunction.constant(ctx.n, ctx.A), solve)
     noise_floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * star_norm(prev.w_full)
     rows = []
     solution: Optional[Solution] = None
 
-    for m in range(1, m_max + 1):
-        cur = step(prev.psi_next)
+    for m in range(1, ctx.m_max + 1):
+        cur = _map_step(ctx, prev.psi_next, solve)
         pair = cur.eigenpair
         if not 0.0 < pair.e_jj < 2.0:
             raise NumericalFailure(

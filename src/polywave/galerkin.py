@@ -41,8 +41,6 @@ def newton_solve(
     j,
     psi_init: PeriodicFunction,
     lam_gap_init: float,
-    tol: float = NEWTON_TOL,
-    max_steps: int = NEWTON_MAX_STEPS,
 ) -> Tuple[Solution, int]:
     """Refine (psi, lam) by a damped least-squares Newton iteration.
 
@@ -85,12 +83,12 @@ def newton_solve(
     steps = 0
 
     while True:
-        if math.fsum(np.abs(F)) / amp < tol:
+        if math.fsum(np.abs(F)) / amp < NEWTON_TOL:
             break
-        if steps >= max_steps:
+        if steps >= NEWTON_MAX_STEPS:
             raise NewtonFailure(
-                f"residual {math.fsum(np.abs(F)) / amp:.3e} still above {tol:.1e} "
-                f"after {max_steps} steps"
+                f"residual {math.fsum(np.abs(F)) / amp:.3e} still above {NEWTON_TOL:.1e} "
+                f"after {NEWTON_MAX_STEPS} steps"
             )
         steps += 1
 
@@ -172,9 +170,9 @@ class RefinementComparison:
     steps: int
 
 
-def compare(ctx: ModelContext, sol: Solution, tol: float = NEWTON_TOL) -> RefinementComparison:
+def compare(ctx: ModelContext, sol: Solution) -> RefinementComparison:
     """Refine ``sol`` and report the displacement; small means confirmed."""
-    refined, steps = newton_solve(ctx, sol.t, sol.j, sol.psi, sol.lam_gap, tol=tol)
+    refined, steps = newton_solve(ctx, sol.t, sol.j, sol.psi, sol.lam_gap)
     d_lam = abs(refined.lam_gap - sol.lam_gap)
     denom = max(abs(refined.lam_gap), abs(sol.lam_gap), 1e-300)
     return RefinementComparison(

@@ -11,7 +11,7 @@ search runs entirely in the ``h`` coordinate:
   ``h * sum_s kappa^s ktilde^{2l-1-s}``, which is smooth in ``h`` down to
   arbitrarily small values;
 * the rounding committed when ``ktilde`` was squeezed into a float is
-  captured once, in extended precision, as the constant ``c0``;
+  captured once, in exact rational arithmetic, as the constant ``c0``;
 * the spectral correction is evaluated at the rounded momentum, where its
   own variation over one float spacing is negligible.
 
@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple
 
-import mpmath
 import numpy as np
 
 from .bloch import series_eigenpair
@@ -52,17 +52,29 @@ MAX_ROOT_EVALS = 8
 def reference_radius(ctx: ModelContext, lam: float) -> Tuple[float, float]:
     """Free-wave radius for the target eigenvalue, plus its rounding defect.
 
-    Returns ``(ktilde, c0)`` where ``c0 = ktilde^{2l} - (lam - sigma|A|^2)``
-    is evaluated in extended precision: it is the exact amount by which the
-    rounded float ``ktilde`` misses the target, and the root search must
-    account for it because the corrections being resolved are smaller.
+    Returns ``(ktilde, c0)``: ``ktilde`` is the float nearest to
+    ``base^(1/2l)`` with ``base = lam - sigma|A|^2``, and ``c0 =
+    ktilde^{2l} - base`` rounded once from its exact rational value.  ``c0``
+    is the amount by which the rounded float ``ktilde`` misses the target,
+    and the root search must account for it because the corrections being
+    resolved are smaller.
     """
     base = lam - ctx.sigma * abs(ctx.A) ** 2
     if base <= 0.0:
         raise ConfigError(f"target eigenvalue {lam} sits below the cubic shift")
-    with mpmath.workdps(50):
-        kt = float(mpmath.power(base, mpmath.mpf(1) / (2 * ctx.l)))
-        c0 = float(mpmath.mpf(kt) ** (2 * ctx.l) - mpmath.mpf(base))
+    two_l = 2 * ctx.l
+    exact = Fraction(base)
+    # Step to the float kt with kt^{2l} <= base < next(kt)^{2l}, then round
+    # by the exact midpoint; a midpoint has too many bits to tie.
+    kt = base ** (1.0 / two_l)
+    while Fraction(kt) ** two_l > exact:
+        kt = math.nextafter(kt, 0.0)
+    up = math.nextafter(kt, math.inf)
+    while Fraction(up) ** two_l <= exact:
+        kt, up = up, math.nextafter(up, math.inf)
+    if ((Fraction(kt) + Fraction(up)) / 2) ** two_l < exact:
+        kt = up
+    c0 = float(Fraction(kt) ** two_l - exact)
     if kt < ctx.k0:
         raise ConfigError(f"reference radius {kt:.6g} is below the working floor")
     return kt, c0
@@ -73,16 +85,15 @@ def _gap_total(
     kappa: float,
     nu: np.ndarray,
     solver: str,
-    r_max: Optional[int],
 ) -> float:
     """lam(kappa * nu) - kappa^{2l}, by the requested solver."""
     j, t = decompose(kappa * nu)
     if solver == "series":
-        pair = series_eigenpair(ctx, ctx.V, t, j, r_max=r_max)
+        pair = series_eigenpair(ctx, ctx.V, t, j)
         col_sq = math.fsum(abs(c) ** 2 for c in pair.proj_column.box.ravel().tolist())
         return pair.lam_gap + ctx.sigma * abs(ctx.A) ** 2 * col_sq
     if solver == "fixedpoint":
-        sol, trace = iterate(ctx, t, j, backend="series", r_max=r_max)
+        sol, trace = iterate(ctx, t, j)
         if sol is None:
             raise NonConvergence(
                 f"self-consistency loop did not settle at kappa={kappa!r}"
@@ -112,8 +123,6 @@ def kappa_solve(
     lam: float,
     direction,
     solver: str = "series",
-    r_max: Optional[int] = None,
-    tol_root: Optional[float] = None,
 ) -> IsoSurfaceSample:
     """Radius of the isoenergetic surface along one direction.
 
@@ -123,7 +132,7 @@ def kappa_solve(
     spectral correction ``lam(kappa * nu) - kappa^{2l}``.  ``P`` dominates
     ``dF/dh`` at high energy, so the iteration is Newton with that slope:
     ``h <- h - F(h) / P(h)`` from ``h = 0``.  It stops at the first
-    evaluated ``h`` whose residual is below ``tol_root`` (default
+    evaluated ``h`` whose residual is below ``ctx.tol_root`` (default
     ``1e-9 * |lam|``) and whose step is below ``H_REL_WIDTH * |h|``; that
     residual is the certificate stored in ``f_at_root``.  The search raises
     ``NonConvergence`` after ``MAX_ROOT_EVALS`` evaluations.
@@ -141,8 +150,7 @@ def kappa_solve(
 
     kt, c0 = reference_radius(ctx, lam)
     sig2 = ctx.sigma * abs(ctx.A) ** 2
-    if tol_root is None:
-        tol_root = ctx.tol_root if ctx.tol_root is not None else 1e-9 * abs(lam)
+    tol_root = ctx.tol_root if ctx.tol_root is not None else 1e-9 * abs(lam)
     two_l = 2 * ctx.l
 
     def slope(h: float) -> float:
@@ -152,7 +160,7 @@ def kappa_solve(
     h = 0.0
     for evals in range(1, MAX_ROOT_EVALS + 1):
         p = slope(h)
-        f = h * p + c0 + (_gap_total(ctx, kt + h, nu, solver, r_max) - sig2)
+        f = h * p + c0 + (_gap_total(ctx, kt + h, nu, solver) - sig2)
         step = f / p
         if abs(f) <= tol_root and abs(step) <= H_REL_WIDTH * abs(h):
             break
@@ -228,9 +236,7 @@ def sample_surface(
     ctx: ModelContext,
     lam: float,
     count: int,
-    seed: Optional[int] = None,
     solver: str = "series",
-    r_max: Optional[int] = None,
     sweep: bool = False,
 ) -> SurfaceScan:
     """Resolve surface points over random directions (or a uniform sweep).
@@ -248,12 +254,12 @@ def sample_surface(
         theta = 2.0 * np.pi * np.arange(count) / count
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     else:
-        dirs = sample_directions(ctx.n, count, ctx.seed if seed is None else seed)
+        dirs = sample_directions(ctx.n, count, ctx.seed)
 
     def solve(nu) -> SurfaceDraw:
         direction = tuple(float(c) for c in nu)
         try:
-            sample = kappa_solve(ctx, lam, nu, solver=solver, r_max=r_max)
+            sample = kappa_solve(ctx, lam, nu, solver=solver)
         except (NonConvergence, NumericalFailure) as exc:
             status = "hole" if isinstance(exc, ResonanceError) else "failure"
             return SurfaceDraw(direction, status, error=type(exc).__name__)
@@ -283,7 +289,6 @@ def h_gradient(
     step: float = 1e-3,
     tangent=None,
     solver: str = "series",
-    r_max: Optional[int] = None,
 ) -> GradientSample:
     """d kappa / d angle along a great circle through ``direction``.
 
@@ -307,12 +312,12 @@ def h_gradient(
             raise ConfigError("tangent vector is parallel to the direction")
         tau = tau / nt
 
-    center = kappa_solve(ctx, lam, nu, solver=solver, r_max=r_max)
+    center = kappa_solve(ctx, lam, nu, solver=solver)
     sides = []
     for sgn in (+1.0, -1.0):
         nu_side = math.cos(step) * nu + sgn * math.sin(step) * tau
         try:
-            sides.append(kappa_solve(ctx, lam, nu_side, solver=solver, r_max=r_max))
+            sides.append(kappa_solve(ctx, lam, nu_side, solver=solver))
         except ResonanceError as exc:
             raise HoleBoundary(
                 f"surface hole within one step ({step:.1e}) of the direction; "

@@ -320,7 +320,9 @@ class ModelContext:
     ``V`` is the periodic potential (real-valued, zero mean), ``sigma`` the
     cubic coupling and ``A`` the amplitude of the unperturbed plane wave.
     ``delta``/``beta`` steer the admission thresholds, and the remaining
-    fields are numerical controls with the documented defaults.
+    fields are numerical controls with the documented defaults.  Stages read
+    their controls from here alone (``diagonalize_oracle(window=)`` aside),
+    so a variant is ``dataclasses.replace(ctx, r_max=...)``.
     """
 
     n: int
@@ -390,18 +392,6 @@ class ModelContext:
         if self.M_W is not None:
             return self.M_W
         return (8.0 + self.r_max) * self.V.support_radius
-
-    def gamma0(self) -> float:
-        return 2 * self.l - self.n - 2 * self.delta
-
-    def check_smallness(self, k: float) -> None:
-        """Enforce |sigma| |A|^2 < k^(gamma0 - delta) for the active k."""
-        bound = k ** (self.gamma0() - self.delta)
-        small = abs(self.sigma) * abs(self.A) ** 2
-        if not small < bound:
-            raise ConfigError(
-                f"|sigma||A|^2 = {small:.6g} must stay below k^(gamma0-delta) = {bound:.6g}"
-            )
 
 
 def cosine_potential(n: int, amplitudes) -> PeriodicFunction:

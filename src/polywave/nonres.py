@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -329,20 +329,18 @@ def sample_nonresonant(
     ctx: ModelContext,
     k: float,
     samples: int,
-    seed: Optional[int] = None,
 ) -> SphereSampleStats:
     """Sample momenta of magnitude k in random directions and test admission."""
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     if k < ctx.k0:
         raise ConfigError(f"k = {k} is below the working floor k0 = {ctx.k0}")
-    seed = ctx.seed if seed is None else seed
 
     def probe(omega) -> NonResonanceReport:
         j, t = decompose(k * omega)
         return check_quasimomentum(ctx, t, j)
 
-    directions = sample_directions(ctx.n, samples, seed)
+    directions = sample_directions(ctx.n, samples, ctx.seed)
     reports = tuple(map(probe, directions))
     admitted = 0
     fails = {"separation": 0, "slack": 0, "pair": 0}

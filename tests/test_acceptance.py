@@ -9,6 +9,7 @@ wall-clock guards for the slow paths.
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,12 +109,13 @@ def test_criterion_02_linear_equivalence(desk_points):
     for name in ("l1_k8", "l1_k10", "l3_k8", "l3_k10"):
         point = desk_points[name]
         ctx = context_for(point, nonlinear=False)
-        r_max = 14 if point["l"] == 1 else None
+        if point["l"] == 1:
+            ctx = replace(ctx, r_max=14)
         t, j = point["t"], point["j"]
 
         t_case = time.perf_counter()
-        pair = series_eigenpair(ctx, ctx.V, t, j, r_max=r_max)
-        sol, _ = iterate(ctx, t, j, r_max=r_max)
+        pair = series_eigenpair(ctx, ctx.V, t, j)
+        sol, _ = iterate(ctx, t, j)
         ok &= sol is not None and sol.lam_gap == pair.lam_gap
 
         M = ctx.m_lin(point["k"])
@@ -259,7 +261,7 @@ def test_criterion_06_gross_pitaevskii_desk(desk_points):
     # second-order dispersion converges too slowly in perturbation orders for
     # a 1e-8 residual; the desk case therefore runs on the dense window
     sol, trace = iterate(
-        ctx, point["t"], point["j"], backend="diag", window=point["window"]
+        replace(ctx, M_lin=point["window"]), point["t"], point["j"], backend="diag"
     )
     res = residual(ctx, sol) if sol is not None else math.inf
     ref = compare(ctx, sol) if sol is not None else None
@@ -289,11 +291,11 @@ def test_criterion_06_gross_pitaevskii_desk(desk_points):
 # ---------------------------------------------------------------------
 
 def test_criterion_07_remainder_decay():
-    ctx = make_context(3, 0.05, sigma=1.0, amp2=COUPLING)
+    ctx = make_context(3, 0.05, sigma=1.0, amp2=COUPLING, seed=0)
     rems = []
     t0 = time.perf_counter()
     for k in (8.0, 12.0, 16.0, 24.0):
-        stats = sample_nonresonant(ctx, k, 400, seed=0)
+        stats = sample_nonresonant(ctx, k, 400)
         rep = _diagonal_first(stats.reports)[0]
         sol, _ = iterate(ctx, rep.t, rep.j)
         assert sol is not None
@@ -317,7 +319,7 @@ def test_criterion_07_remainder_decay():
 # ---------------------------------------------------------------------
 
 def test_criterion_08_surface_decay_and_symmetry():
-    ctx = make_context(3, 0.05)
+    ctx = make_context(3, 0.05, seed=0)
     hs = []
     certs = 0
     base_dirs = {}
@@ -325,12 +327,12 @@ def test_criterion_08_surface_decay_and_symmetry():
     for kt in (8.0, 12.0, 16.0, 24.0):
         lam = kt ** 6
         ktilde, _ = reference_radius(ctx, lam)
-        stats = sample_nonresonant(ctx, ktilde, 400, seed=0)
+        stats = sample_nonresonant(ctx, ktilde, 400)
         rep = _diagonal_first(stats.reports)[0]
         p = momentum(rep.j, rep.t)
         nu = p / np.linalg.norm(p)
         base_dirs[kt] = nu
-        sample = kappa_solve(ctx, lam, nu, tol_root=1e-13 * lam)
+        sample = kappa_solve(replace(ctx, tol_root=1e-13 * lam), lam, nu)
         hs.append(abs(sample.h))
         certs += abs(sample.f_at_root) <= 1e-13 * lam
 
@@ -340,9 +342,8 @@ def test_criterion_08_surface_decay_and_symmetry():
         (b, a), (-b, a), (b, -a), (-b, -a),
     ]
     lam12 = 12.0 ** 6
-    kappas = [
-        kappa_solve(ctx, lam12, img, tol_root=1e-13 * lam12).kappa for img in orbit
-    ]
+    ctx12 = replace(ctx, tol_root=1e-13 * lam12)
+    kappas = [kappa_solve(ctx12, lam12, img).kappa for img in orbit]
     spread = max(kappas) - min(kappas)
     dt = time.perf_counter() - t0
 
@@ -358,11 +359,9 @@ def test_criterion_08_surface_decay_and_symmetry():
 # ---------------------------------------------------------------------
 
 def test_criterion_09_admitted_fraction_trend():
-    ctx = make_context(3, 0.05)
+    ctx = make_context(3, 0.05, seed=1)
     t0 = time.perf_counter()
-    fractions = [
-        sample_nonresonant(ctx, k, 400, seed=1).fraction for k in (10.0, 20.0, 40.0)
-    ]
+    fractions = [sample_nonresonant(ctx, k, 400).fraction for k in (10.0, 20.0, 40.0)]
     dt = time.perf_counter() - t0
     ok = True
     for cur, nxt in zip(fractions, fractions[1:]):

@@ -1,6 +1,7 @@
 """Contour-series band solver against closed forms and dense references."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ def test_dense_window_cross_checks_chain_engine(desk_points):
     point = desk_points["l3_k8"]
     ctx = context_for(point, nonlinear=False)
     t, j = point["t"], point["j"]
-    pair = series_eigenpair(ctx, ctx.V, t, j, r_max=4)
+    pair = series_eigenpair(replace(ctx, r_max=4), ctx.V, t, j)
     dense = dense_window_series(ctx, ctx.V, t, j, r_max=4)
     for r in range(4):
         assert pair.g_terms[r] == pytest.approx(dense.g_dense[r + 1], rel=1e-9, abs=1e-12)
@@ -206,7 +207,7 @@ def test_quad_nodes_records_escalation(desk_points):
     point = desk_points["l3_k8"]
     ctx = context_for(point, nonlinear=False)
     # eight nodes alias far above QUAD_RTOL, so the ring must double
-    pair = series_eigenpair(ctx, ctx.V, point["t"], point["j"], quad_count=8)
+    pair = series_eigenpair(replace(ctx, N_q=8), ctx.V, point["t"], point["j"])
     assert pair.quad_nodes > 2 * 8
     _assert_matches_reference(ctx, ctx.V, pair, ctx.r_max)
 

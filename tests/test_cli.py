@@ -205,6 +205,26 @@ def test_fixed_point_and_verify_round_trip(tmp_path):
     assert report["newton_d_psi"] < 1e-9
 
 
+def test_verify_measures_a_perturbed_coefficient(tmp_path):
+    cfg = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
+    out = tmp_path / "fp"
+    assert run_cli("fixed-point", "--config", cfg, "--out", str(out)) == 0
+    doc = json.loads((out / "solution.json").read_text())
+    # move one coefficient off the solution; Newton must pull it back by as much
+    kick = 1e-8
+    doc["psi"]["1,0"][0] += kick
+    perturbed = tmp_path / "perturbed.json"
+    perturbed.write_text(json.dumps(doc))
+
+    vcfg = write_config(tmp_path, MODEL_L3_NL + f"\nsolution = {perturbed}", "verify.cfg")
+    vout = tmp_path / "verify"
+    assert run_cli("verify", "--config", vcfg, "--out", str(vout)) == 0
+    report = json.loads((vout / "verify.json").read_text())
+    assert report["residual"] > report["stored_residual"]
+    assert report["newton_steps"] >= 1
+    assert report["newton_d_psi"] == pytest.approx(kick, rel=1e-3)
+
+
 def test_diag_solution_verifies(tmp_path):
     cfg = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
     out = tmp_path / "fp"

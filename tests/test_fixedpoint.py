@@ -1,6 +1,7 @@
 """Self-consistency loop: map identities, traces, contraction audits."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -67,7 +68,7 @@ def test_first_increment_is_the_modulus_defect(desk_points):
     point = desk_points["l1_k8"]
     ctx = context_for(point, nonlinear=True)
     t, j = point["t"], point["j"]
-    _, trace = iterate(ctx, t, j, m_max=2)
+    _, trace = iterate(replace(ctx, m_max=2), t, j)
 
     pair0 = series_eigenpair(ctx, ctx.V, t, j)
     psi0 = pair0.psi(ctx.A)
@@ -107,7 +108,7 @@ def test_iterate_desk_converges_and_traces_shrink(desk_points):
 def test_iterate_budget_exhaustion_returns_trace(desk_points):
     point = desk_points["l3_k8"]
     ctx = context_for(point, nonlinear=True)
-    sol, trace = iterate(ctx, point["t"], point["j"], m_max=1)
+    sol, trace = iterate(replace(ctx, m_max=1), point["t"], point["j"])
     assert sol is None
     assert not trace.converged
     assert len(trace.rows) == 1

@@ -1,9 +1,13 @@
 """Isoenergetic surface: reference radius, root solves, scans, gradients."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polywave.errors import ConfigError, HoleBoundary, NonConvergence, ResonanceError
 from polywave.iso import h_gradient, kappa_solve, reference_radius, sample_surface
@@ -21,7 +25,7 @@ def ctx_iso():
 @pytest.fixture(scope="module")
 def admitted_direction(ctx_iso):
     """A direction whose base momentum at ktilde = 8 passes admission."""
-    stats = sample_nonresonant(ctx_iso, 8.0, 400, seed=0)
+    stats = sample_nonresonant(replace(ctx_iso, seed=0), 8.0, 400)
     reports = [r for r in stats.reports if r.admitted]
     assert reports, "no admitted direction in 400 draws"
     p = momentum(reports[0].j, reports[0].t)
@@ -46,6 +50,28 @@ def test_reference_radius_rounding_defect_is_small(ctx_iso):
     # amplified by d(kt^6)/dkt, i.e. a factor 2l on the scale of lam
     assert abs(c0) <= 6 * np.spacing(lam)
     assert kt ** 6 == pytest.approx(lam + c0, rel=1e-15)
+
+
+@given(
+    st.sampled_from((1, 2, 3)),
+    st.sampled_from((0.0, 1.0)),
+    st.floats(min_value=100.0, max_value=1e18),
+)
+@example(3, 0.0, 8.0 ** 6)      # the criterion-08 surface energies
+@example(3, 0.0, 12.0 ** 6)
+@example(3, 0.0, 16.0 ** 6)
+@example(3, 0.0, 24.0 ** 6)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_reference_radius_is_exact(l, sigma, lam):
+    """ktilde is the float nearest base^(1/2l); c0 is ktilde^{2l} - base rounded once."""
+    ctx = make_context(l, 0.05, sigma=sigma, amp2=1e-3)
+    kt, c0 = reference_radius(ctx, lam)
+    two_l = 2 * ctx.l
+    base = Fraction(lam - ctx.sigma * abs(ctx.A) ** 2)
+    below = (Fraction(math.nextafter(kt, 0.0)) + Fraction(kt)) / 2
+    above = (Fraction(kt) + Fraction(math.nextafter(kt, math.inf))) / 2
+    assert below ** two_l < base < above ** two_l
+    assert c0 == float(Fraction(kt) ** two_l - base)
 
 
 def test_reference_radius_guards():
@@ -77,7 +103,7 @@ def test_kappa_solve_certifies_and_repeats(ctx_iso, admitted_direction):
     assert fp.h == pytest.approx(s.h, rel=1e-9)
     # a certificate no residual can meet exhausts the evaluation cap
     with pytest.raises(NonConvergence):
-        kappa_solve(ctx_iso, lam, admitted_direction, tol_root=-1.0)
+        kappa_solve(replace(ctx_iso, tol_root=-1.0), lam, admitted_direction)
 
 
 def test_kappa_solve_refuses_resonant_axis(ctx_iso):
@@ -94,7 +120,7 @@ def test_kappa_solve_unknown_solver(ctx_iso, admitted_direction):
 # -- scans ------------------------------------------------------------
 
 def test_sample_surface_accounts_every_direction(ctx_iso):
-    scan = sample_surface(ctx_iso, 8.0 ** 6, 6, seed=0)
+    scan = sample_surface(replace(ctx_iso, seed=0), 8.0 ** 6, 6)
     assert scan.requested == 6
     assert len(scan.resolved) + scan.holes + scan.failures == 6
     # every seed-0 direction has a base momentum the admission tests reject

@@ -1,6 +1,10 @@
 """Frequency-map algebra, momentum bookkeeping and context validation."""
 
+import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -8,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dict_reference as ref
+import polywave
 from polywave.errors import ConfigError, ContractError
+from polywave.fixedpoint import check_smallness
 from polywave.lattice import (
     BOX_SITES_MAX,
     ModelContext,
@@ -24,6 +30,7 @@ from polywave.lattice import (
     truncate_support,
     zero_mean_shift,
 )
+from polywave.nonres import exponents
 
 from conftest import make_context
 
@@ -346,17 +353,34 @@ def test_context_rejects_bad_potential():
 def test_context_derived_quantities():
     ctx = make_context(3, 0.05)
     assert ctx.v_star == 4.0
-    assert ctx.gamma0() == pytest.approx(3.9)
+    assert exponents(ctx).gamma0 == pytest.approx(3.9)
     assert ctx.m_lin(10.0) == 20
     assert ctx.m_lin(10.1) == 21
     assert ctx.m_w() == 14.0  # (8 + r_max) * support radius 1
     assert ctx.tol_fp_value == pytest.approx(4e-12)
 
 
+def test_controls_are_set_only_on_the_context():
+    """No public stage taking ``ctx`` also takes a copy of one of its fields."""
+    fields = {f.name for f in dataclasses.fields(ModelContext)}
+    overrides = []
+    for info in pkgutil.iter_modules(polywave.__path__):
+        module = importlib.import_module(f"polywave.{info.name}")
+        for name, fn in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(fn):
+                continue
+            if fn.__module__ != module.__name__:
+                continue
+            params = list(inspect.signature(fn).parameters)
+            if params[:1] == ["ctx"]:
+                overrides += [f"{module.__name__}.{name}({p})" for p in params if p in fields]
+    assert overrides == []
+
+
 def test_check_smallness_gate():
     # l=1 has gamma0 - delta = -0.75 < 0, so the coupling ceiling k^(gamma0-delta)
     # decays with k: the same coupling is legal at desk scale, illegal far out.
     ctx = make_context(1, 0.25, sigma=1.0, amp2=1e-3)
-    ctx.check_smallness(8.0)
+    check_smallness(ctx, 8.0)
     with pytest.raises(ConfigError):
-        ctx.check_smallness(1e5)
+        check_smallness(ctx, 1e5)

@@ -320,9 +320,9 @@ def test_sample_nonresonant_guards():
 
 
 def test_sample_nonresonant_deterministic_and_accounted():
-    ctx = make_context(3, 0.05)
-    a = sample_nonresonant(ctx, 6.0, 60, seed=3)
-    b = sample_nonresonant(ctx, 6.0, 60, seed=3)
+    ctx = make_context(3, 0.05, seed=3)
+    a = sample_nonresonant(ctx, 6.0, 60)
+    b = sample_nonresonant(ctx, 6.0, 60)
     assert a.admitted == b.admitted
     assert a.fraction == b.fraction
     assert [r.t for r in a.reports] == [r.t for r in b.reports]

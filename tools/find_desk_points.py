@@ -29,6 +29,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -84,8 +85,8 @@ def verify_point(l: int, delta: float, j, t, window: int) -> dict:
     if window_drift > 1e-9:
         raise NumericalFailure(f"window drift {window_drift:.3e} exceeds 1e-9")
 
-    r_max = SERIES_ORDER if l == 1 else None
-    sp = series_eigenpair(lin, lin.V, t, j, r_max=r_max)
+    series_ctx = replace(lin, r_max=SERIES_ORDER) if l == 1 else lin
+    sp = series_eigenpair(series_ctx, lin.V, t, j)
     series_vs_diag = abs(sp.lam_gap - dg2.lam_gap)
     if not math.isfinite(sp.tail_bound):
         raise NumericalFailure("series tail did not certify at this point")
@@ -95,7 +96,7 @@ def verify_point(l: int, delta: float, j, t, window: int) -> dict:
         )
 
     backend = "diag" if l == 1 else "series"
-    sol, trace = iterate(non, t, j, backend=backend, window=window)
+    sol, trace = iterate(replace(non, M_lin=window), t, j, backend=backend)
     if sol is None:
         raise NumericalFailure("self-consistency loop did not converge")
     res = residual(non, sol)
@@ -119,7 +120,7 @@ def verify_point(l: int, delta: float, j, t, window: int) -> dict:
 
 def find_l3(k: float, seed: int) -> dict:
     lin, _ = _contexts(3, 0.05)
-    stats = sample_nonresonant(lin, k, 400, seed=seed)
+    stats = sample_nonresonant(replace(lin, seed=seed), k, 400)
     window = math.ceil(2 * k)
     for rep in stats.reports:
         if not rep.admitted:
