@@ -18,10 +18,12 @@ Two backends produce the same quantities:
   pass with the nodes on a leading axis, in blocks of bounded memory, and a
   doubled ring reuses the sums of the ring it contains.
 * ``diagonalize_oracle`` builds the operator as a sparse matrix on a finite
-  window, finds the two eigenvalues nearest ``c`` by shift-invert Lanczos,
-  and polishes the band eigenvalue with a shift-stabilized Rayleigh
-  quotient.  It is window-limited but entirely independent of the series
-  algebra.  Dense cross-checks of both backends live in the test suite.
+  window, finds the two eigenvalues nearest ``c`` by shift-invert on one
+  symmetric-ordered sparse LU (Lanczos when ``W`` is even, so the matrix is
+  real symmetric; Arnoldi when it is complex Hermitian), and polishes the
+  band eigenvalue with a shift-stabilized Rayleigh quotient.  It is
+  window-limited but entirely independent of the series algebra.  Dense
+  cross-checks of both backends live in the test suite.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericalFailure, ResonanceError
+from .errors import ConfigError, ContractError, NonConvergence, NumericalFailure, ResonanceError
 from .lattice import (
     LatticeIndex,
     ModelContext,
@@ -60,9 +62,10 @@ EMPIRICAL_SAFETY = 4.0
 NODE_BLOCK_BYTES = 2 * 2**20
 # Resource guard for the oracle window, in lattice sites.  Memory is bounded
 # by the fill of the sparse LU factor, not by the non-zeros of the window
-# operator: at n = 3 with a cosine potential, 2197 sites factor into 0.46 M
-# entries, 9261 sites into 4.9 M (75 MiB, 2.5-3.2 s) and 24389 into 22.5 M
-# (344 MiB, 30-44 s; one core of a 2-vCPU host).
+# operator: at n = 3 with a cosine potential (real, 8 bytes an entry), 2197
+# sites factor into 0.21 M entries (0.01 s), 9261 into 2.2 M (16.5 MiB,
+# 0.5 s; peak process RSS 116 MiB) and 24389 into 10.4 M (79 MiB, 11 s; peak
+# RSS 299 MiB); one core of a 2-vCPU host.
 ORACLE_SITES_MAX = 12000
 
 
@@ -399,12 +402,17 @@ def diagonalize_oracle(
     The window (sup-norm radius ``ceil(2k)`` by default) contains every site
     whose unperturbed energy can approach the spectral window, so exactly one
     eigenvalue of the windowed operator must fall inside ``(c - rho, c + rho)``;
-    anything else raises ``ResonanceError``.  Shift-invert Lanczos at the
-    centre of the shift-stabilized matrix ``H = diag(mu_i - c) + W`` returns
-    its two eigenvalues nearest ``c``, which settles that count exactly.  The
-    eigenvalue is reported as a gap from ``c`` via a Rayleigh quotient over
-    ``H``, which restores the accuracy lost to the huge absolute scale of the
-    raw eigensolve.
+    anything else raises ``ResonanceError``.  Shift-invert at the centre of
+    the shift-stabilized matrix ``H = diag(mu_i - c) + W`` returns its two
+    eigenvalues nearest ``c``, which settles that count exactly.  ``H`` is
+    factored once by SuperLU with a minimum-degree ordering of its symmetric
+    pattern; ARPACK then runs Lanczos when every coefficient of ``W`` is real
+    (``W`` even, ``H`` real symmetric) and Arnoldi when ``H`` is complex
+    Hermitian.  The eigenvalue is reported as a gap from ``c`` via a Rayleigh
+    quotient over ``H``, which restores the accuracy lost to the huge
+    absolute scale of the raw eigensolve.  A singular factorisation raises
+    ``NumericalFailure`` and an eigensolve that does not converge
+    ``NonConvergence``.
     """
     # Imported here so the series path never loads scipy (~0.3 s, ~28 MiB).
     import scipy.sparse
@@ -434,15 +442,34 @@ def diagonalize_oracle(
         rows.append(lin[dst].ravel())
         cols.append(lin[src].ravel())
         data.append(np.full(rows[-1].size, c, dtype=complex))
+    values = np.concatenate(data)
+    if not W.box.imag.any():
+        values = values.real    # W even: H is real symmetric
     H = scipy.sparse.csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(sites, sites)
+        (values, (np.concatenate(rows), np.concatenate(cols))), shape=(sites, sites)
     )
 
     if len(W):
+        # H has a symmetric pattern, so order by minimum degree on H + H^T and
+        # prefer diagonal pivots: at n = 3 that halves the fill of the default
+        # COLAMD ordering (see ORACLE_SITES_MAX).  Threshold pivoting stays on.
+        try:
+            lu = scipy.sparse.linalg.splu(
+                H,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.1,
+                options=dict(SymmetricMode=True),
+            )
+        except RuntimeError as exc:
+            raise NumericalFailure(f"oracle factorisation failed: {exc}") from exc
+        inverse = scipy.sparse.linalg.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
         # A fixed start vector keeps ARPACK off its random one, so runs repeat.
-        start = np.zeros(sites, dtype=complex)
+        start = np.zeros(sites, dtype=H.dtype)
         start[center_index] = 1.0
-        vals, vecs = scipy.sparse.linalg.eigsh(H, k=2, sigma=0.0, v0=start)
+        try:
+            vals, vecs = scipy.sparse.linalg.eigsh(H, k=2, sigma=0.0, v0=start, OPinv=inverse)
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise NonConvergence(f"oracle eigensolve: {exc}") from exc
     else:
         # H = diag(gaps) is singular at the shift; its eigenvectors are sites.
         nearest = np.argsort(np.abs(gaps), kind="stable")[:2]

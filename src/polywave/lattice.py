@@ -372,6 +372,12 @@ class ModelContext:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
+        if self.m_max < 1:
+            raise ConfigError(f"m_max must be >= 1, got {self.m_max}")
+        for name in ("tol_fp", "tol_root"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
     # -- derived quantities -------------------------------------------
 

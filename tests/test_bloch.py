@@ -20,6 +20,7 @@ from polywave.bloch import (
     series_eigenpair,
 )
 from polywave.errors import ContractError, ResonanceError
+from polywave.fixedpoint import apply_map
 from polywave.lattice import PeriodicFunction, integer_grid, momentum, star_norm
 from polywave.nonres import energy_gaps
 
@@ -271,6 +272,38 @@ def test_sparse_oracle_matches_dense_reference(desk_points, name, extra):
     window = ctx.m_lin(point["k"]) + extra
     sparse = diagonalize_oracle(ctx, ctx.V, t, j, window=window)
     dense = dense_reference.diagonalize_oracle(ctx, ctx.V, t, j, window=window)
+    assert abs(sparse.lam_gap - dense.lam_gap) <= ORACLE_LAM_RTOL * abs(dense.lam_gap)
+    assert star_norm(sparse.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
+
+
+def nonlinear_perturbation(point):
+    """Zero-mean ``W = V + sigma |psi|^2`` of the second fixed-point step at a
+    desk point, the matrix the diag backend factors once ``psi`` has spread."""
+    ctx = context_for(point, nonlinear=True)
+    t, j = point["t"], point["j"]
+    seed = apply_map(ctx, PeriodicFunction.constant(2, ctx.A), t, j, backend="diag")
+    return ctx, apply_map(ctx, seed.psi_next, t, j, backend="diag").w_tilde
+
+
+# sin(x1 + x2): odd, so H is complex Hermitian rather than real symmetric
+ODD_HARMONIC = PeriodicFunction(2, {(1, 1): 0.3j, (-1, -1): -0.3j})
+
+
+@pytest.mark.parametrize(
+    "name, odd, coefficients",
+    [("l1_k8", False, 288), ("l1_k8", True, 288), ("l3_k8", False, 12)],
+)
+def test_sparse_oracle_matches_dense_reference_on_nonlinear_W(
+    desk_points, name, odd, coefficients
+):
+    point = desk_points[name]
+    ctx, W = nonlinear_perturbation(point)
+    assert len(W) == coefficients and not W.box.imag.any()
+    if odd:
+        W = W + ODD_HARMONIC
+    t, j = point["t"], point["j"]
+    sparse = diagonalize_oracle(ctx, W, t, j)
+    dense = dense_reference.diagonalize_oracle(ctx, W, t, j)
     assert abs(sparse.lam_gap - dense.lam_gap) <= ORACLE_LAM_RTOL * abs(dense.lam_gap)
     assert star_norm(sparse.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
 

@@ -8,6 +8,7 @@ import math
 import tempfile
 
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,6 +98,9 @@ def test_parse_comments_and_blanks():
         ("n = 2\nl = 3\nM_lin = -3", "M_lin must be >= 0"),
         ("n = 2\nl = 3\nM_W = -1", "M_W must be >= 0"),
         ("n = 2\nl = 3\nseed = -1", "seed must be >= 0"),
+        ("n = 2\nl = 3\nm_max = 0", "m_max must be >= 1"),
+        ("n = 2\nl = 3\ntol_fp = -1.0", "tol_fp must be finite and > 0"),
+        ("n = 2\nl = 3\ntol_root = 0", "tol_root must be finite and > 0"),
     ],
 )
 def test_parse_rejects_with_location(body, fragment):
@@ -283,6 +287,28 @@ def test_resonant_point_exits_3(tmp_path):
     assert run_cli("linear-eig", "--config", cfg, "--out", str(tmp_path / "out")) == 3
 
 
+@pytest.mark.parametrize(
+    "name, error, code",
+    [
+        ("splu", RuntimeError("Factor is exactly singular"), 3),
+        ("eigsh", scipy.sparse.linalg.ArpackNoConvergence("No convergence", [], []), 4),
+    ],
+)
+def test_oracle_failures_exit_with_typed_codes(tmp_path, monkeypatch, name, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(scipy.sparse.linalg, name, fail)
+    cfg = write_config(tmp_path, MODEL_L3 + "\n" + "\n".join(desk_lines()))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code_seen = run_cli(
+            "linear-eig", "--config", cfg, "--out", str(tmp_path / "o"), "--backend", "diag"
+        )
+    assert code_seen == code
+    assert "Traceback" not in err.getvalue()
+
+
 def test_config_errors_exit_2(tmp_path):
     desk = "\n" + "\n".join(desk_lines())
     not_json = tmp_path / "not.json"
@@ -317,6 +343,12 @@ def test_config_errors_exit_2(tmp_path):
         ("linear-eig", MODEL_L3 + desk + "\nM_lin = 0\nbackend = diag"),
         ("fixed-point", MODEL_L3_NL + desk + "\nM_W = -1"),
         ("nonres-scan", MODEL_L3 + "\nk = 6.0\nsamples = 2\nseed = -1"),
+        # controls that cannot be met or spent
+        ("fixed-point", MODEL_L3_NL + desk + "\ntol_fp = -1.0"),
+        ("fixed-point", MODEL_L3_NL + desk + "\nm_max = 0"),
+        ("fixed-point", MODEL_L3_NL + desk + "\nm_max = -3"),
+        ("isoenergetic", MODEL_L3 + "\nlambda = 262144.0\nsamples = 4\ntol_root = -1.0"),
+        ("isoenergetic", MODEL_L3 + "\nlambda = 262144.0\nsamples = 4\ntol_root = 0"),
         # admission boxes too large to build
         ("nonres-scan", MODEL_L3 + "\nk = 1e7\nsamples = 1"),
         ("nonres-scan", MODEL_L3 + "\nk = 1e300\nsamples = 1"),
@@ -375,7 +407,9 @@ _FUZZ_VALUES = {
     "seed": ["-1", "0", "7"],
     "r_max": ["1", "4"],
     "N_q": ["4", "16"],
-    "m_max": ["0", "1"],
+    "m_max": ["0", "1", "-3"],
+    "tol_fp": ["-1.0", "0", "inf", "1e-9"],
+    "tol_root": ["-1.0", "0", "inf", "1e-3"],
     "k": ["-1", "1e7", "1e300", "abc", "20"],
     "lambda": ["1e300", "-5", "0", "1e9"],
     "samples": ["0", "-3", "1"],

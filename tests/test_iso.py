@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polywave import iso
 from polywave.errors import ConfigError, HoleBoundary, NonConvergence, ResonanceError
 from polywave.iso import h_gradient, kappa_solve, reference_radius, sample_surface
 from polywave.lattice import ModelContext, cosine_potential, decompose, momentum
@@ -84,7 +85,7 @@ def test_reference_radius_guards():
 
 # -- single root solves -----------------------------------------------
 
-def test_kappa_solve_certifies_and_repeats(ctx_iso, admitted_direction):
+def test_kappa_solve_certifies_and_repeats(ctx_iso, admitted_direction, monkeypatch):
     lam = 8.0 ** 6
     s = kappa_solve(ctx_iso, lam, admitted_direction)
     assert abs(s.f_at_root) <= 1e-9 * lam
@@ -101,9 +102,11 @@ def test_kappa_solve_certifies_and_repeats(ctx_iso, admitted_direction):
     assert abs(fp.f_at_root) <= 1e-9 * lam
     assert fp.evals <= 4
     assert fp.h == pytest.approx(s.h, rel=1e-9)
-    # a certificate no residual can meet exhausts the evaluation cap
+    # one evaluation cannot certify a step (it must be 0 at h = 0), so a cap
+    # of one is exhausted
+    monkeypatch.setattr(iso, "MAX_ROOT_EVALS", 1)
     with pytest.raises(NonConvergence):
-        kappa_solve(replace(ctx_iso, tol_root=-1.0), lam, admitted_direction)
+        kappa_solve(ctx_iso, lam, admitted_direction)
 
 
 def test_kappa_solve_refuses_resonant_axis(ctx_iso):

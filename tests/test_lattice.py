@@ -341,6 +341,26 @@ def test_context_validation_rejects_bad_shapes():
         ModelContext(n=1, l=1, sigma=0.0, A=0.0, V=pf(1, {(1,): 1.0, (-1,): 1.0}), delta=0.0)
 
 
+@pytest.mark.parametrize(
+    "control",
+    [
+        {"m_max": 0},
+        {"m_max": -3},
+        {"tol_fp": -1.0},
+        {"tol_fp": 0.0},
+        {"tol_fp": math.nan},
+        {"tol_fp": math.inf},
+        {"tol_root": -1.0},
+        {"tol_root": 0.0},
+        {"tol_root": math.nan},
+        {"tol_root": math.inf},
+    ],
+)
+def test_context_rejects_controls_that_cannot_be_met(control):
+    with pytest.raises(ConfigError):
+        make_context(3, 0.05, **control)
+
+
 def test_context_rejects_bad_potential():
     with pytest.raises(ConfigError):
         ModelContext(n=2, l=3, sigma=0.0, A=0.0, V=pf(1, {(1,): 1.0, (-1,): 1.0}))
