@@ -43,8 +43,11 @@ from .lattice import (
     momentum,
     star_norm,
 )
-from .nonres import Anchor, anchor, energy_gaps, exponents, require_nonresonant
+from .nonres import K0, Anchor, anchor, energy_gaps, exponents, require_nonresonant
 
+# Nodes of the first contour ring; the ring doubles from here until two
+# consecutive resolutions agree to QUAD_RTOL.
+QUAD_NODES = 64
 # Relative agreement demanded between two consecutive quadrature resolutions.
 QUAD_RTOL = 1e-10
 # How many times the node count may double before giving up.  Each doubling
@@ -302,7 +305,7 @@ def series_eigenpair(
 def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> BlochEigenpair:
     """``series_eigenpair`` for a zero-mean real ``W`` at an anchor whose
     admission the caller has already verified."""
-    r_max, count = ctx.r_max, ctx.N_q
+    r_max, count = ctx.r_max, QUAD_NODES
     t, j, k, center, rho = a.t, a.j, a.k, a.center, a.rho
 
     if len(W) == 0:
@@ -359,7 +362,7 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
     w_norm = star_norm(W)
     x_lam = 4.0 * w_norm * k ** (-exps.gamma2) if exps.gamma2 > 0 else math.inf
     x_col = 2.0 * w_norm * k ** (-exps.gamma2) if exps.gamma2 > 0 else math.inf
-    certified = exps.valid and k >= ctx.k0 and x_lam <= 0.25
+    certified = exps.valid and k >= K0 and x_lam <= 0.25
     if certified:
         tail_lam = rho * x_lam ** (r_max + 1) / ((r_max + 1) * (1.0 - x_lam))
         tail_col = x_col ** (r_max + 1) / (1.0 - x_col)
@@ -572,6 +575,8 @@ def eigenvalue_gradient(
     t0 = np.asarray(t, dtype=float)
     if t0.shape != (ctx.n,):
         raise ConfigError(f"quasi-momentum shape {t0.shape} does not match n={ctx.n}")
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"step must be finite and > 0, got {step}")
     grad = np.zeros(ctx.n)
     for s in range(ctx.n):
         shift = np.zeros(ctx.n)

@@ -338,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a key=value run file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument(
             "--backend", choices=("series", "diag"), default=None,
             help="override the spectral backend",
@@ -354,10 +353,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"config file {config_path} does not exist")
         text = config_path.read_text()
         cfg = parse_config(text)
-        if args.seed is not None:
-            cfg = dataclasses.replace(
-                cfg, ctx=dataclasses.replace(cfg.ctx, seed=args.seed)
-            )
         if args.backend is not None:
             cfg = dataclasses.replace(cfg, backend=args.backend)
 

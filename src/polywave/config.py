@@ -28,14 +28,11 @@ from typing import Dict, Optional, Tuple
 from .errors import ConfigError
 from .lattice import ModelContext, PeriodicFunction
 
-_INT_KEYS = {"n", "l", "M_lin", "r_max", "N_q", "m_max", "seed", "samples"}
-_FLOAT_KEYS = {
-    "sigma", "delta", "beta", "M_W", "tol_fp", "tol_root", "k0", "k", "lambda",
-}
+_INT_KEYS = {"n", "l", "M_lin", "r_max", "seed", "samples"}
+_FLOAT_KEYS = {"sigma", "delta", "beta", "tol_root", "k", "lambda"}
 _COMPLEX_KEYS = {"A"}
 _FLOAT_TUPLE_KEYS = {"t"}
 _INT_TUPLE_KEYS = {"j"}
-_STR_KEYS = {"backend", "solver", "solution"}
 _BOOL_KEYS = {"sweep"}
 
 # Every ModelContext field but the potential, which ``v.<q>`` lines set.

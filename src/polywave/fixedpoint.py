@@ -50,6 +50,9 @@ from .nonres import (
 # factor is kept small; the true jitter of the increment norm is far lower
 # because the bare potential cancels exactly in every W difference.
 NOISE_FLOOR_FACTOR = 10.0
+# Step budget of the self-consistency loop; the weakly coupled l = 3 desks
+# settle in two steps, so running out means the map is not contracting.
+M_MAX = 50
 
 
 def solve_band(
@@ -73,7 +76,6 @@ class TraceRow:
 
     m: int
     d_w: float            # ||W_m - W_{m-1}||_* including the mean part
-    lam: float            # full eigenvalue estimate at this step
     lam_gap: float        # lam - center, resolved to full precision
     d_col: float          # ||column_m - column_{m-1}||_1
     d_psi: float          # |A| * d_col
@@ -198,7 +200,7 @@ def iterate(
     """Run the self-consistency loop from the plane-wave seed.
 
     Returns ``(solution, trace)``; the solution is ``None`` when the step
-    budget ``ctx.m_max`` runs out before the increments drop below
+    budget ``M_MAX`` runs out before the increments drop below
     ``ctx.tol_fp_value``.  Admission of
     the quasi-momentum and the coupling smallness bound are enforced up
     front (admission is vacuous when the potential is absent, since then the
@@ -224,7 +226,7 @@ def iterate(
     rows = []
     solution: Optional[Solution] = None
 
-    for m in range(1, ctx.m_max + 1):
+    for m in range(1, M_MAX + 1):
         cur = _map_step(ctx, prev.psi_next, solve)
         pair = cur.eigenpair
         if not 0.0 < pair.e_jj < 2.0:
@@ -240,7 +242,6 @@ def iterate(
             TraceRow(
                 m=m,
                 d_w=d_w,
-                lam=float(a.center + lam_gap_total),
                 lam_gap=float(lam_gap_total),
                 d_col=d_col,
                 d_psi=abs(ctx.A) * d_col,

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .fixedpoint import iterate
 from .lattice import ModelContext, decompose
-from .nonres import sample_directions
+from .nonres import K0, sample_directions
 
 # Newton stops once its step is below this fraction of |h|.
 H_REL_WIDTH = 1e-4
@@ -59,6 +59,8 @@ def reference_radius(ctx: ModelContext, lam: float) -> Tuple[float, float]:
     and the root search must account for it because the corrections being
     resolved are smaller.
     """
+    if not math.isfinite(lam):
+        raise ConfigError(f"target eigenvalue {lam} is not finite")
     base = lam - ctx.sigma * abs(ctx.A) ** 2
     if base <= 0.0:
         raise ConfigError(f"target eigenvalue {lam} sits below the cubic shift")
@@ -75,7 +77,7 @@ def reference_radius(ctx: ModelContext, lam: float) -> Tuple[float, float]:
     if ((Fraction(kt) + Fraction(up)) / 2) ** two_l < exact:
         kt = up
     c0 = float(Fraction(kt) ** two_l - exact)
-    if kt < ctx.k0:
+    if kt < K0:
         raise ConfigError(f"reference radius {kt:.6g} is below the working floor")
     return kt, c0
 
@@ -118,6 +120,16 @@ class IsoSurfaceSample:
     solver: str
 
 
+def _unit(ctx: ModelContext, vector) -> np.ndarray:
+    """``vector`` scaled to unit length; refuses a zero, non-finite or
+    wrong-dimension vector."""
+    v = np.asarray(vector, dtype=float)
+    norm = float(np.linalg.norm(v))
+    if v.shape != (ctx.n,) or not 0.0 < norm < math.inf:
+        raise ConfigError(f"need a nonzero finite vector of dimension {ctx.n}, got {v.tolist()}")
+    return v / norm
+
+
 def kappa_solve(
     ctx: ModelContext,
     lam: float,
@@ -140,14 +152,7 @@ def kappa_solve(
     A momentum that fails the admission tests raises ``ResonanceError``
     unchanged: the direction is a hole of the surface, not a failed solve.
     """
-    nu = np.asarray(direction, dtype=float)
-    norm = float(np.linalg.norm(nu))
-    if norm == 0.0:
-        raise ConfigError("direction must be a nonzero vector")
-    nu = nu / norm
-    if nu.shape != (ctx.n,):
-        raise ConfigError(f"direction must have dimension {ctx.n}")
-
+    nu = _unit(ctx, direction)
     kt, c0 = reference_radius(ctx, lam)
     sig2 = ctx.sigma * abs(ctx.A) ** 2
     tol_root = ctx.tol_root if ctx.tol_root is not None else 1e-9 * abs(lam)
@@ -297,15 +302,16 @@ def h_gradient(
     the derivative does not exist along this arc and ``HoleBoundary`` is
     raised, carrying no numerical value.
     """
-    nu = np.asarray(direction, dtype=float)
-    nu = nu / np.linalg.norm(nu)
+    nu = _unit(ctx, direction)
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"step must be finite and > 0, got {step}")
     if tangent is None:
         probe = np.zeros(ctx.n)
         probe[int(np.argmin(np.abs(nu)))] = 1.0
         tau = probe - (probe @ nu) * nu
         tau = tau / np.linalg.norm(tau)
     else:
-        tau = np.asarray(tangent, dtype=float)
+        tau = _unit(ctx, tangent)
         tau = tau - (tau @ nu) * nu
         nt = float(np.linalg.norm(tau))
         if nt < 1e-12:

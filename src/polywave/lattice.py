@@ -319,8 +319,9 @@ class ModelContext:
 
     ``V`` is the periodic potential (real-valued, zero mean), ``sigma`` the
     cubic coupling and ``A`` the amplitude of the unperturbed plane wave.
-    ``delta``/``beta`` steer the admission thresholds, and the remaining
-    fields are numerical controls with the documented defaults.  Stages read
+    ``delta``/``beta`` steer the admission thresholds, and ``M_lin``,
+    ``r_max``, ``tol_root`` and ``seed`` are the numerical controls a caller
+    sets; the others are module constants or derived here.  Stages read
     their controls from here alone (``diagonalize_oracle(window=)`` aside),
     so a variant is ``dataclasses.replace(ctx, r_max=...)``.
     """
@@ -333,13 +334,8 @@ class ModelContext:
     delta: float = 0.05
     beta: float = 0.4
     M_lin: Optional[int] = None          # None: ceil(2k) at point of use
-    M_W: Optional[float] = None          # None: (8 + r_max) * support_radius(V)
     r_max: int = 6
-    N_q: int = 64
-    tol_fp: Optional[float] = None       # None: 1e-12 * star_norm(V)
     tol_root: Optional[float] = None     # None: 1e-9 * target eigenvalue
-    m_max: int = 50
-    k0: float = 2.0
     seed: int = 42
 
     def __post_init__(self):
@@ -366,18 +362,12 @@ class ModelContext:
             raise ConfigError("potential must be real-valued (Hermitian coefficients)")
         if self.r_max < 2:
             raise ConfigError("r_max must be >= 2")
-        if self.N_q < 8:
-            raise ConfigError("N_q must be >= 8")
-        for name in ("M_lin", "M_W", "seed"):
+        for name in ("M_lin", "seed"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
-        if self.m_max < 1:
-            raise ConfigError(f"m_max must be >= 1, got {self.m_max}")
-        for name in ("tol_fp", "tol_root"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if self.tol_root is not None and not 0.0 < self.tol_root < math.inf:
+            raise ConfigError(f"tol_root must be finite and > 0, got {self.tol_root}")
 
     # -- derived quantities -------------------------------------------
 
@@ -387,16 +377,14 @@ class ModelContext:
 
     @property
     def tol_fp_value(self) -> float:
-        if self.tol_fp is not None:
-            return self.tol_fp
+        """Fixed-point stopping tolerance on the increment of ``W``."""
         return 1e-12 * self.v_star
 
     def m_lin(self, k: float) -> int:
         return self.M_lin if self.M_lin is not None else int(math.ceil(2.0 * k))
 
     def m_w(self) -> float:
-        if self.M_W is not None:
-            return self.M_W
+        """Truncation radius of ``W``; the star norm it drops is traced."""
         return (8.0 + self.r_max) * self.V.support_radius
 
 

@@ -29,6 +29,9 @@ from .lattice import BOX_SITES_MAX, LatticeIndex, ModelContext, decompose, integ
 
 # Safety factor in the pair condition: 200 * d_i * d_{i+q} > k^{2*gamma2}.
 PAIR_FACTOR = 200.0
+# Working floor of the momentum magnitude k: admission checks and sweeps
+# refuse momenta below it, and the certified tail bounds start at it.
+K0 = 2.0
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ def k1_threshold(ctx: ModelContext) -> float:
         return math.inf
     v = ctx.v_star
     if v == 0.0:
-        return ctx.k0
-    return max((16.0 * v) ** (1.0 / exps.gamma2), ctx.k0)
+        return K0
+    return max((16.0 * v) ** (1.0 / exps.gamma2), K0)
 
 
 def contour_radius(ctx: ModelContext, k: float) -> float:
@@ -214,8 +217,8 @@ def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
     t, j, k, rho = a.t, a.j, a.k, a.rho
     if any(not 0.0 <= c < 1.0 for c in t):
         raise ConfigError(f"t must lie in [0,1)^n, got {t}")
-    if k < ctx.k0:
-        raise ConfigError(f"momentum magnitude {k:.6g} is below the working floor k0 = {ctx.k0}")
+    if k < K0:
+        raise ConfigError(f"momentum magnitude {k:.6g} is below the working floor K0 = {K0}")
 
     # Sites with |t+i| > 2k have |mu_i - c| >= (4^l - 1) k^{2l} >> 2*rho and pair
     # products far above k^{2*gamma2}: the box of sup-norm radius ceil(2k) + 2
@@ -333,8 +336,8 @@ def sample_nonresonant(
     """Sample momenta of magnitude k in random directions and test admission."""
     if samples < 1:
         raise ConfigError("samples must be >= 1")
-    if k < ctx.k0:
-        raise ConfigError(f"k = {k} is below the working floor k0 = {ctx.k0}")
+    if not K0 <= k < math.inf:
+        raise ConfigError(f"k = {k} must be finite and at least the working floor K0 = {K0}")
 
     def probe(omega) -> NonResonanceReport:
         j, t = decompose(k * omega)

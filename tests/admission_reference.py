@@ -14,7 +14,7 @@ import numpy as np
 
 from polywave.errors import ConfigError
 from polywave.lattice import ModelContext, integer_grid
-from polywave.nonres import PAIR_FACTOR, NonResonanceReport, anchor, energy_gaps, exponents
+from polywave.nonres import K0, PAIR_FACTOR, NonResonanceReport, anchor, energy_gaps, exponents
 
 
 def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
@@ -23,8 +23,8 @@ def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
     t, j, k, rho = a.t, a.j, a.k, a.rho
     if any(not 0.0 <= c < 1.0 for c in t):
         raise ConfigError(f"t must lie in [0,1)^n, got {t}")
-    if k < ctx.k0:
-        raise ConfigError(f"momentum magnitude {k:.6g} is below the working floor k0 = {ctx.k0}")
+    if k < K0:
+        raise ConfigError(f"momentum magnitude {k:.6g} is below the working floor K0 = {K0}")
 
     # Any site with |t+i| > 2k has |mu_i - c| >= (4^l - 1) k^{2l} >> 2*rho,
     # and any product of two such distances dwarfs k^{2*gamma2}; so a box of

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from polywave.bloch import ORACLE_SITES_MAX, BlochEigenpair, ContourSpec, _stencil
+from polywave.bloch import ORACLE_SITES_MAX, QUAD_NODES, BlochEigenpair, ContourSpec, _stencil
 from polywave.errors import ConfigError, ContractError, ResonanceError
 from polywave.lattice import (
     LatticeIndex,
@@ -75,7 +75,7 @@ def dense_window_series(
 ) -> DenseWindowSeries:
     """Same contour expansion, brute-forced with dense resolvent products."""
     r_max = ctx.r_max if r_max is None else r_max
-    count = ctx.N_q if quad_count is None else quad_count
+    count = QUAD_NODES if quad_count is None else quad_count
     if radius is None:
         radius = (r_max + 1) * max(W.box_radius, 1)
     a = anchor(ctx, t, j)

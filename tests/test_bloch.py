@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polywave import bloch
 from polywave.bloch import (
     ContourSpec,
     _chain_series,
@@ -165,7 +166,7 @@ def test_chain_engine_matches_reference_on_desks(desk_points, name):
     pair = series_eigenpair(ctx, ctx.V, point["t"], point["j"])
     # the accepted resolution is the nested 2N ring, compared with a fresh
     # 2N-node pass of the reference
-    assert pair.quad_nodes == 2 * ctx.N_q
+    assert pair.quad_nodes == 2 * bloch.QUAD_NODES
     _assert_matches_reference(ctx, ctx.V, pair, ctx.r_max)
 
 
@@ -197,18 +198,19 @@ def test_chain_engine_matches_reference_on_drawn_W(desk_points, W):
 
     # one ring at a time: the batched kernel against the reference pass
     gaps = energy_gaps(ctx, pair.t, pair.j, integer_grid(ctx.r_max * W.box_radius, 2))
-    contour = ContourSpec(pair.center, pair.rho, ctx.N_q)
+    contour = ContourSpec(pair.center, pair.rho, bloch.QUAD_NODES)
     g, cols = _chain_series(gaps, W, ctx.r_max, *contour.nodes())
     g_ref, cols_ref = chain_reference._chain_series(ctx, gaps, W, ctx.r_max, contour)
     assert np.abs(g - g_ref).max() <= G_RTOL * np.abs(g_ref).max()
     assert np.abs(cols - cols_ref).max() <= COL_RTOL * np.abs(cols_ref).sum()
 
 
-def test_quad_nodes_records_escalation(desk_points):
+def test_quad_nodes_records_escalation(desk_points, monkeypatch):
     point = desk_points["l3_k8"]
     ctx = context_for(point, nonlinear=False)
     # eight nodes alias far above QUAD_RTOL, so the ring must double
-    pair = series_eigenpair(replace(ctx, N_q=8), ctx.V, point["t"], point["j"])
+    monkeypatch.setattr(bloch, "QUAD_NODES", 8)
+    pair = series_eigenpair(ctx, ctx.V, point["t"], point["j"])
     assert pair.quad_nodes > 2 * 8
     _assert_matches_reference(ctx, ctx.V, pair, ctx.r_max)
 

@@ -12,6 +12,8 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polywave import fixedpoint
+from polywave.bloch import QUAD_NODES
 from polywave.cli import main
 from polywave.config import parse_config
 from polywave.errors import ConfigError
@@ -96,11 +98,14 @@ def test_parse_comments_and_blanks():
         ("n = 2\nl = 3\ndirection = 1,0", "unknown key 'direction'"),
         ("n = 2\nl = 3\ntol_tail = 1e-9", "unknown key 'tol_tail'"),
         ("n = 2\nl = 3\nM_lin = -3", "M_lin must be >= 0"),
-        ("n = 2\nl = 3\nM_W = -1", "M_W must be >= 0"),
         ("n = 2\nl = 3\nseed = -1", "seed must be >= 0"),
-        ("n = 2\nl = 3\nm_max = 0", "m_max must be >= 1"),
-        ("n = 2\nl = 3\ntol_fp = -1.0", "tol_fp must be finite and > 0"),
         ("n = 2\nl = 3\ntol_root = 0", "tol_root must be finite and > 0"),
+        # numerical controls that are module constants, not settings
+        ("n = 2\nl = 3\nM_W = -1", "line 3: unknown key 'M_W'"),
+        ("n = 2\nl = 3\nm_max = 0", "line 3: unknown key 'm_max'"),
+        ("n = 2\nl = 3\ntol_fp = -1.0", "line 3: unknown key 'tol_fp'"),
+        ("n = 2\nl = 3\nN_q = 64", "line 3: unknown key 'N_q'"),
+        ("n = 2\nl = 3\nk0 = 2.0", "line 3: unknown key 'k0'"),
     ],
 )
 def test_parse_rejects_with_location(body, fragment):
@@ -110,9 +115,9 @@ def test_parse_rejects_with_location(body, fragment):
 
 
 def test_parse_model_overrides():
-    cfg = parse_config(MODEL_L3 + "\nr_max = 4\nN_q = 32\nseed = 7\ndelta = 0.1\n")
+    cfg = parse_config(MODEL_L3 + "\nr_max = 4\nM_lin = 12\nseed = 7\ndelta = 0.1\n")
     assert cfg.ctx.r_max == 4
-    assert cfg.ctx.N_q == 32
+    assert cfg.ctx.M_lin == 12
     assert cfg.ctx.seed == 7
     assert cfg.ctx.delta == 0.1
 
@@ -132,7 +137,7 @@ def test_linear_eig_writes_artifacts(tmp_path):
     assert pair["backend"] == "series"
     assert pair["tail_certified"] is True
     assert abs(pair["lam_gap"]) < 1.0
-    assert pair["quad_nodes"] == 2 * 64     # the accepted ring at N_q = 64
+    assert pair["quad_nodes"] == 2 * QUAD_NODES     # the accepted ring
 
     lines = (out / "column.csv").read_text().splitlines()
     assert lines[0] == "d1,d2,re,im"
@@ -167,14 +172,10 @@ def test_nonres_scan_counts_and_seed_override(tmp_path):
     assert scan["gamma2"] == pytest.approx(4.25)
     assert len((out_a / "draws.csv").read_text().splitlines()) == 25
 
-    # --seed must behave exactly like a seed line in the config
-    out_b = tmp_path / "b"
-    out_c = tmp_path / "c"
-    cfg9 = write_config(tmp_path, MODEL_L3 + "\nk = 6.0\nsamples = 24\nseed = 9\n", "s9.cfg")
-    assert run_cli("nonres-scan", "--config", cfg, "--out", str(out_b), "--seed", "9") == 0
-    assert run_cli("nonres-scan", "--config", cfg9, "--out", str(out_c)) == 0
-    assert (out_b / "draws.csv").read_bytes() == (out_c / "draws.csv").read_bytes()
-    assert (out_b / "scan.json").read_bytes() == (out_c / "scan.json").read_bytes()
+    # the seed is set by the config alone: there is no --seed flag
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("nonres-scan", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "9")
+    assert exit_info.value.code == 2
 
 
 def test_fixed_point_and_verify_round_trip(tmp_path):
@@ -274,8 +275,9 @@ def test_solution_json_round_trip_is_exact(tmp_path):
     assert star_norm(from_json_dict(doc["psi"], n=2) - sol.psi) == 0.0
 
 
-def test_fixed_point_budget_exhaustion_exits_4(tmp_path):
-    cfg = write_config(tmp_path, MODEL_L3_NL + "\nm_max = 1\n" + "\n".join(desk_lines()))
+def test_fixed_point_budget_exhaustion_exits_4(tmp_path, monkeypatch):
+    monkeypatch.setattr(fixedpoint, "M_MAX", 1)
+    cfg = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
     out = tmp_path / "out"
     assert run_cli("fixed-point", "--config", cfg, "--out", str(out)) == 4
     # the partial trace is still on disk for diagnosis
@@ -341,12 +343,13 @@ def test_config_errors_exit_2(tmp_path):
         ("linear-eig", MODEL_L3 + desk + "\nM_lin = -3\nbackend = diag"),
         # an oracle window of one site, below what the eigensolve needs
         ("linear-eig", MODEL_L3 + desk + "\nM_lin = 0\nbackend = diag"),
-        ("fixed-point", MODEL_L3_NL + desk + "\nM_W = -1"),
         ("nonres-scan", MODEL_L3 + "\nk = 6.0\nsamples = 2\nseed = -1"),
-        # controls that cannot be met or spent
+        # numerical controls that are module constants, not config keys
+        ("fixed-point", MODEL_L3_NL + desk + "\nM_W = -1"),
         ("fixed-point", MODEL_L3_NL + desk + "\ntol_fp = -1.0"),
         ("fixed-point", MODEL_L3_NL + desk + "\nm_max = 0"),
         ("fixed-point", MODEL_L3_NL + desk + "\nm_max = -3"),
+        # a root tolerance that cannot be met
         ("isoenergetic", MODEL_L3 + "\nlambda = 262144.0\nsamples = 4\ntol_root = -1.0"),
         ("isoenergetic", MODEL_L3 + "\nlambda = 262144.0\nsamples = 4\ntol_root = 0"),
         # admission boxes too large to build
@@ -403,12 +406,8 @@ _FUZZ_VALUES = {
     "A": ["1", "1e10", "1+1j"],
     "delta": ["0", "0.5", "0.1"],
     "M_lin": ["-3", "0", "4"],
-    "M_W": ["-1", "0", "20"],
     "seed": ["-1", "0", "7"],
     "r_max": ["1", "4"],
-    "N_q": ["4", "16"],
-    "m_max": ["0", "1", "-3"],
-    "tol_fp": ["-1.0", "0", "inf", "1e-9"],
     "tol_root": ["-1.0", "0", "inf", "1e-3"],
     "k": ["-1", "1e7", "1e300", "abc", "20"],
     "lambda": ["1e300", "-5", "0", "1e9"],

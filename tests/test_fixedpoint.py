@@ -1,10 +1,10 @@
 """Self-consistency loop: map identities, traces, contraction audits."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
+from polywave import fixedpoint
 from polywave.bloch import series_eigenpair
 from polywave.errors import ConfigError, ContractError
 from polywave.fixedpoint import (
@@ -63,12 +63,13 @@ def test_apply_map_linear_case_is_stationary(desk_points):
     assert second.eigenpair.lam_gap == first.eigenpair.lam_gap
 
 
-def test_first_increment_is_the_modulus_defect(desk_points):
+def test_first_increment_is_the_modulus_defect(desk_points, monkeypatch):
     """|| M W0 - W0 ||_* must equal sigma * || |psi0|^2 - |A|^2 ||_*."""
     point = desk_points["l1_k8"]
     ctx = context_for(point, nonlinear=True)
     t, j = point["t"], point["j"]
-    _, trace = iterate(replace(ctx, m_max=2), t, j)
+    monkeypatch.setattr(fixedpoint, "M_MAX", 2)
+    _, trace = iterate(ctx, t, j)
 
     pair0 = series_eigenpair(ctx, ctx.V, t, j)
     psi0 = pair0.psi(ctx.A)
@@ -105,10 +106,11 @@ def test_iterate_desk_converges_and_traces_shrink(desk_points):
     assert abs(sol.asym_remainder) < 1e-4
 
 
-def test_iterate_budget_exhaustion_returns_trace(desk_points):
+def test_iterate_budget_exhaustion_returns_trace(desk_points, monkeypatch):
     point = desk_points["l3_k8"]
     ctx = context_for(point, nonlinear=True)
-    sol, trace = iterate(replace(ctx, m_max=1), point["t"], point["j"])
+    monkeypatch.setattr(fixedpoint, "M_MAX", 1)
+    sol, trace = iterate(ctx, point["t"], point["j"])
     assert sol is None
     assert not trace.converged
     assert len(trace.rows) == 1

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polywave import iso
+from polywave.bloch import eigenvalue_gradient
 from polywave.errors import ConfigError, HoleBoundary, NonConvergence, ResonanceError
 from polywave.iso import h_gradient, kappa_solve, reference_radius, sample_surface
 from polywave.lattice import ModelContext, cosine_potential, decompose, momentum
@@ -151,3 +152,38 @@ def test_h_gradient_finite_and_small(ctx_iso, admitted_direction):
     # a wide stencil leaves the admitted cell of the base direction
     with pytest.raises(HoleBoundary):
         h_gradient(ctx_iso, 8.0 ** 6, admitted_direction, step=0.05)
+
+
+# -- typed errors at the library boundary -------------------------------
+
+_LAM = 8.0 ** 6
+_BAD_CALLS = {
+    "reference_radius-lam-nan": lambda ctx, nu, desk: reference_radius(ctx, math.nan),
+    "reference_radius-lam-inf": lambda ctx, nu, desk: reference_radius(ctx, math.inf),
+    "kappa_solve-lam-nan": lambda ctx, nu, desk: kappa_solve(ctx, math.nan, nu),
+    "kappa_solve-lam-inf": lambda ctx, nu, desk: kappa_solve(ctx, math.inf, nu),
+    "sample_surface-lam-nan": lambda ctx, nu, desk: sample_surface(ctx, math.nan, 2),
+    "sample_surface-lam-inf": lambda ctx, nu, desk: sample_surface(ctx, math.inf, 2),
+    "kappa_solve-direction-nan": lambda ctx, nu, desk: kappa_solve(ctx, _LAM, (math.nan, 1.0)),
+    "kappa_solve-direction-inf": lambda ctx, nu, desk: kappa_solve(ctx, _LAM, (math.inf, 1.0)),
+    "h_gradient-direction-zero": lambda ctx, nu, desk: h_gradient(ctx, _LAM, (0.0, 0.0)),
+    "h_gradient-direction-3d": lambda ctx, nu, desk: h_gradient(ctx, _LAM, (1.0, 0.5, 0.1)),
+    "h_gradient-direction-nan": lambda ctx, nu, desk: h_gradient(ctx, _LAM, (math.nan, 1.0)),
+    "h_gradient-step-0": lambda ctx, nu, desk: h_gradient(ctx, _LAM, nu, step=0.0),
+    "h_gradient-tangent-nan": lambda ctx, nu, desk: h_gradient(
+        ctx, _LAM, nu, tangent=(math.nan, 1.0)
+    ),
+    "sample_nonresonant-k-nan": lambda ctx, nu, desk: sample_nonresonant(ctx, math.nan, 2),
+    "sample_nonresonant-k-inf": lambda ctx, nu, desk: sample_nonresonant(ctx, math.inf, 2),
+    "eigenvalue_gradient-step-0": lambda ctx, nu, desk: eigenvalue_gradient(
+        ctx, ctx.V, desk["t"], desk["j"], step=0.0
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(_BAD_CALLS.values()), ids=list(_BAD_CALLS))
+def test_bad_input_raises_config_error(ctx_iso, admitted_direction, desk_points, call):
+    # the step and tangent cases start from an admitted momentum, so only the
+    # bad input can end them
+    with pytest.raises(ConfigError):
+        call(ctx_iso, admitted_direction, desk_points["l3_k8"])

@@ -344,12 +344,6 @@ def test_context_validation_rejects_bad_shapes():
 @pytest.mark.parametrize(
     "control",
     [
-        {"m_max": 0},
-        {"m_max": -3},
-        {"tol_fp": -1.0},
-        {"tol_fp": 0.0},
-        {"tol_fp": math.nan},
-        {"tol_fp": math.inf},
         {"tol_root": -1.0},
         {"tol_root": 0.0},
         {"tol_root": math.nan},

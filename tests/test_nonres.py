@@ -18,6 +18,7 @@ from polywave.lattice import (
     momentum,
 )
 from polywave.nonres import (
+    K0,
     PAIR_FACTOR,
     check_quasimomentum,
     contour_center,
@@ -64,12 +65,12 @@ def test_exponent_validity_boundary():
 def test_k1_threshold_values():
     assert k1_threshold(make_context(3, 0.05)) == pytest.approx(64.0 ** (1 / 4.25))
     assert k1_threshold(make_context(1, 0.05)) == pytest.approx(64.0 ** 4)
-    # k0 dominates when the potential is tiny
+    # the working floor K0 dominates when the potential is tiny
     tiny = ModelContext(
         n=2, l=3, sigma=0.0, A=0.0,
         V=cosine_potential(2, (1e-9, 1e-9)), delta=0.05,
     )
-    assert k1_threshold(tiny) == tiny.k0
+    assert k1_threshold(tiny) == K0
 
 
 def test_contour_geometry():
