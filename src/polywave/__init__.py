@@ -56,7 +56,6 @@ from .bloch import (
     GradientCheck,
     diagonalize_oracle,
     eigenvalue_gradient,
-    eigenvalue_ladder,
     first_order_column,
     periodic_eigenfunction,
     second_order_eigenvalue_shift,

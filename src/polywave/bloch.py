@@ -405,7 +405,14 @@ def diagonalize_oracle(
     The window (sup-norm radius ``ceil(2k)`` by default) contains every site
     whose unperturbed energy can approach the spectral window, so exactly one
     eigenvalue of the windowed operator must fall inside ``(c - rho, c + rho)``;
-    anything else raises ``ResonanceError``.  Shift-invert at the centre of
+    anything else raises ``ResonanceError``.  Where that default exceeds
+    ``ORACLE_SITES_MAX`` sites and ``||W||_* < rho``, the window is clipped to
+    the largest radius within the budget once ``(t, j)`` passes admission:
+    the slack condition puts every other gap at ``>= 2 rho`` and
+    ``||PWP|| <= ||W||_*``, so by Weyl's inequality exactly one eigenvalue
+    lies inside on any window that holds ``j``.  The isolation count then
+    rests on the admission screen, and the window only sets the accuracy of
+    the column, which the leak tail reports.  Shift-invert at the centre of
     the shift-stabilized matrix ``H = diag(mu_i - c) + W`` returns its two
     eigenvalues nearest ``c``, which settles that count exactly.  ``H`` is
     factored once by SuperLU with a minimum-degree ordering of its symmetric
@@ -427,7 +434,13 @@ def diagonalize_oracle(
         raise ContractError("perturbation must be real-valued")
     if W.get((0,) * ctx.n) != 0:
         raise ContractError("oracle expects a zero-mean perturbation")
+    w_star = star_norm(W)
     M = ctx.m_lin(k) if window is None else int(window)
+    if window is None and (2 * M + 1) ** ctx.n > ORACLE_SITES_MAX and w_star < rho:
+        require_nonresonant(ctx, t, j)
+        M = 0
+        while (2 * M + 3) ** ctx.n <= ORACLE_SITES_MAX:
+            M += 1
     full = 2 * M + 1
     sites = full ** ctx.n
     if sites > ORACLE_SITES_MAX:
@@ -503,7 +516,7 @@ def diagonalize_oracle(
 
     boundary = np.max(np.abs(offsets), axis=1) == M
     leak = float(np.max(np.abs(phi[boundary]))) if boundary.any() else 0.0
-    tail = star_norm(W) * leak
+    tail = w_star * leak
 
     return BlochEigenpair(
         lam=float(center + lam_gap),
@@ -538,12 +551,6 @@ def first_order_column(ctx: ModelContext, W: PeriodicFunction, t, j) -> Periodic
     return PeriodicFunction(
         ctx.n, {tuple(q): -a / g for q, a, g in zip(offsets.tolist(), amps.tolist(), gaps)}
     )
-
-
-def eigenvalue_ladder(ctx: ModelContext, t, j, radius: int) -> np.ndarray:
-    """Sorted energy gaps mu_i - mu_j over a window; a diagnostics helper."""
-    offsets = integer_grid(radius, ctx.n).reshape(-1, ctx.n)
-    return np.sort(energy_gaps(ctx, t, j, offsets))
 
 
 @dataclass(frozen=True)

@@ -246,7 +246,7 @@ def _cmd_fixed_point(cfg: RunConfig, out: _OutputDir) -> None:
 def _cmd_isoenergetic(cfg: RunConfig, out: _OutputDir) -> None:
     _require(cfg, "isoenergetic", **{"lambda": cfg.lam, "samples": cfg.samples})
     ctx = cfg.ctx
-    scan = sample_surface(ctx, cfg.lam, cfg.samples, solver=cfg.solver, sweep=cfg.sweep)
+    scan = sample_surface(ctx, cfg.lam, cfg.samples, solver=cfg.solver)
     samples = scan.resolved
     kappas = scan.kappa_values
     out.write_json(

@@ -28,18 +28,15 @@ from typing import Dict, Optional, Tuple
 from .errors import ConfigError
 from .lattice import ModelContext, PeriodicFunction
 
-_INT_KEYS = {"n", "l", "M_lin", "r_max", "seed", "samples"}
+_INT_KEYS = {"n", "l", "r_max", "seed", "samples"}
 _FLOAT_KEYS = {"sigma", "delta", "beta", "tol_root", "k", "lambda"}
 _COMPLEX_KEYS = {"A"}
 _FLOAT_TUPLE_KEYS = {"t"}
 _INT_TUPLE_KEYS = {"j"}
-_BOOL_KEYS = {"sweep"}
 
 # Every ModelContext field but the potential, which ``v.<q>`` lines set.
 _MODEL_KEYS = {f.name for f in fields(ModelContext)} - {"V"}
-_RUN_KEYS = {
-    "k", "lambda", "samples", "t", "j", "backend", "solver", "solution", "sweep",
-}
+_RUN_KEYS = {"k", "lambda", "samples", "t", "j", "backend", "solver", "solution"}
 _ALL_KEYS = _MODEL_KEYS | _RUN_KEYS
 
 
@@ -56,7 +53,6 @@ class RunConfig:
     backend: str = "series"
     solver: str = "series"
     solution: Optional[str] = None
-    sweep: bool = False
 
 
 def _fail(lineno: int, message: str) -> ConfigError:
@@ -82,13 +78,6 @@ def _parse_scalar(key: str, raw: str, lineno: int):
             return tuple(_finite(float(p), key, lineno) for p in raw.split(","))
         if key in _INT_TUPLE_KEYS:
             return tuple(int(p) for p in raw.split(","))
-        if key in _BOOL_KEYS:
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError as exc:
         raise _fail(lineno, f"invalid value {raw!r} for key {key!r}") from exc
@@ -171,5 +160,4 @@ def parse_config(text: str) -> RunConfig:
         backend=backend,
         solver=solver,
         solution=values.get("solution"),
-        sweep=bool(values.get("sweep", False)),
     )

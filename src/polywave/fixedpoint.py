@@ -103,7 +103,9 @@ class Solution:
     ``lam = center + lam_gap`` solves the full nonlinear problem.
     ``asym_remainder`` is what survives after removing the explicit cubic
     shift ``sigma |A|^2``; it decays with a known power of k and is the
-    quantity of interest for high-energy asymptotics.
+    quantity of interest for high-energy asymptotics.  ``certified`` holds
+    when the a-priori bounds do: ``k >= k1``, a contraction ratio below one
+    and, on the series backend, a certified band tail.
     """
 
     t: Tuple[float, ...]
@@ -264,7 +266,11 @@ def iterate(
                 sigma_abs2=ctx.sigma * abs(ctx.A) ** 2,
                 steps=m,
                 converged=True,
-                certified=contraction_ratio(ctx, a.k) < 1.0,
+                certified=(
+                    a.k >= k1_threshold(ctx)
+                    and contraction_ratio(ctx, a.k) < 1.0
+                    and (backend != "series" or pair.tail_certified)
+                ),
                 backend=backend,
             )
             break

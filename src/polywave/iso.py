@@ -242,24 +242,15 @@ def sample_surface(
     lam: float,
     count: int,
     solver: str = "series",
-    sweep: bool = False,
 ) -> SurfaceScan:
-    """Resolve surface points over random directions (or a uniform sweep).
+    """Resolve surface points over random directions.
 
-    ``sweep=True`` spaces directions uniformly in angle (planar models
-    only); otherwise directions come from the deterministic per-index
-    sampler.  Admission failures count as holes; they are part of the
-    geometry, not errors.
+    Directions come from the deterministic per-index sampler.  Admission
+    failures count as holes; they are part of the geometry, not errors.
     """
     if count < 1:
         raise ConfigError("count must be >= 1")
-    if sweep:
-        if ctx.n != 2:
-            raise ConfigError("uniform angular sweep requires a planar model")
-        theta = 2.0 * np.pi * np.arange(count) / count
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    else:
-        dirs = sample_directions(ctx.n, count, ctx.seed)
+    dirs = sample_directions(ctx.n, count, ctx.seed)
 
     def solve(nu) -> SurfaceDraw:
         direction = tuple(float(c) for c in nu)
@@ -292,31 +283,23 @@ def h_gradient(
     lam: float,
     direction,
     step: float = 1e-3,
-    tangent=None,
     solver: str = "series",
 ) -> GradientSample:
     """d kappa / d angle along a great circle through ``direction``.
 
     The two off-center evaluations sit on the geodesic
-    ``cos(step) * nu +- sin(step) * tau``; if either leaves the admitted set
-    the derivative does not exist along this arc and ``HoleBoundary`` is
-    raised, carrying no numerical value.
+    ``cos(step) * nu +- sin(step) * tau``, with ``tau`` the unit tangent
+    toward the axis on which ``nu`` is smallest; if either leaves the
+    admitted set the derivative does not exist along this arc and
+    ``HoleBoundary`` is raised, carrying no numerical value.
     """
     nu = _unit(ctx, direction)
     if not 0.0 < step < math.inf:
         raise ConfigError(f"step must be finite and > 0, got {step}")
-    if tangent is None:
-        probe = np.zeros(ctx.n)
-        probe[int(np.argmin(np.abs(nu)))] = 1.0
-        tau = probe - (probe @ nu) * nu
-        tau = tau / np.linalg.norm(tau)
-    else:
-        tau = _unit(ctx, tangent)
-        tau = tau - (tau @ nu) * nu
-        nt = float(np.linalg.norm(tau))
-        if nt < 1e-12:
-            raise ConfigError("tangent vector is parallel to the direction")
-        tau = tau / nt
+    probe = np.zeros(ctx.n)
+    probe[int(np.argmin(np.abs(nu)))] = 1.0
+    tau = probe - (probe @ nu) * nu
+    tau = tau / np.linalg.norm(tau)
 
     center = kappa_solve(ctx, lam, nu, solver=solver)
     sides = []

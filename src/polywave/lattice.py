@@ -319,11 +319,11 @@ class ModelContext:
 
     ``V`` is the periodic potential (real-valued, zero mean), ``sigma`` the
     cubic coupling and ``A`` the amplitude of the unperturbed plane wave.
-    ``delta``/``beta`` steer the admission thresholds, and ``M_lin``,
-    ``r_max``, ``tol_root`` and ``seed`` are the numerical controls a caller
-    sets; the others are module constants or derived here.  Stages read
-    their controls from here alone (``diagonalize_oracle(window=)`` aside),
-    so a variant is ``dataclasses.replace(ctx, r_max=...)``.
+    ``delta``/``beta`` steer the admission thresholds, and ``r_max``,
+    ``tol_root`` and ``seed`` are the numerical controls a caller sets; the
+    others are module constants or derived here.  Stages read their
+    controls from here alone (``diagonalize_oracle(window=)`` aside), so a
+    variant is ``dataclasses.replace(ctx, r_max=...)``.
     """
 
     n: int
@@ -333,7 +333,6 @@ class ModelContext:
     V: PeriodicFunction
     delta: float = 0.05
     beta: float = 0.4
-    M_lin: Optional[int] = None          # None: ceil(2k) at point of use
     r_max: int = 6
     tol_root: Optional[float] = None     # None: 1e-9 * target eigenvalue
     seed: int = 42
@@ -362,10 +361,8 @@ class ModelContext:
             raise ConfigError("potential must be real-valued (Hermitian coefficients)")
         if self.r_max < 2:
             raise ConfigError("r_max must be >= 2")
-        for name in ("M_lin", "seed"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.tol_root is not None and not 0.0 < self.tol_root < math.inf:
             raise ConfigError(f"tol_root must be finite and > 0, got {self.tol_root}")
 
@@ -381,7 +378,8 @@ class ModelContext:
         return 1e-12 * self.v_star
 
     def m_lin(self, k: float) -> int:
-        return self.M_lin if self.M_lin is not None else int(math.ceil(2.0 * k))
+        """Default sup-norm radius of the oracle window around the anchor."""
+        return int(math.ceil(2.0 * k))
 
     def m_w(self) -> float:
         """Truncation radius of ``W``; the star norm it drops is traced."""

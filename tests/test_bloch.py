@@ -14,15 +14,21 @@ from polywave.bloch import (
     _chain_series,
     diagonalize_oracle,
     eigenvalue_gradient,
-    eigenvalue_ladder,
     first_order_column,
     periodic_eigenfunction,
     second_order_eigenvalue_shift,
     series_eigenpair,
 )
-from polywave.errors import ContractError, ResonanceError
+from polywave.errors import ConfigError, ContractError, ResonanceError
 from polywave.fixedpoint import apply_map
-from polywave.lattice import PeriodicFunction, integer_grid, momentum, star_norm
+from polywave.lattice import (
+    ModelContext,
+    PeriodicFunction,
+    cosine_potential,
+    integer_grid,
+    momentum,
+    star_norm,
+)
 from polywave.nonres import energy_gaps
 
 import chain_reference
@@ -46,12 +52,13 @@ def test_contour_weights_reproduce_residues():
     assert abs(np.sum(w / (zeta - 5.0))) < 1e-12
 
 
-# -- ladder diagnostics ------------------------------------------------
+# -- energy ladder -----------------------------------------------------
 
 def test_ladder_at_origin():
-    ladder1 = eigenvalue_ladder(make_context(1, 0.25), (0.0, 0.0), (0, 0), 1)
+    offsets = integer_grid(1, 2).reshape(-1, 2)
+    ladder1 = np.sort(energy_gaps(make_context(1, 0.25), (0.0, 0.0), (0, 0), offsets))
     assert np.array_equal(ladder1, [0, 1, 1, 1, 1, 2, 2, 2, 2])
-    ladder3 = eigenvalue_ladder(make_context(3, 0.05), (0.0, 0.0), (0, 0), 1)
+    ladder3 = np.sort(energy_gaps(make_context(3, 0.05), (0.0, 0.0), (0, 0), offsets))
     assert np.array_equal(ladder3, [0, 1, 1, 1, 1, 8, 8, 8, 8])
 
 
@@ -255,6 +262,22 @@ def test_oracle_flags_degenerate_window(ctx_l3_lin):
     # lattice point: several unperturbed energies collide inside the ring
     with pytest.raises(ResonanceError):
         diagonalize_oracle(ctx_l3_lin, ctx_l3_lin.V, (0.0, 0.0), (5, 0))
+
+
+def test_oracle_window_bounds_at_three_dimensions():
+    # admitted n = 3, l = 3, k = 10 point: rho ~ 891, default radius 20 (41^3 sites)
+    t = (0.19061364492264854, 0.49689265475472233, 0.42132525273177723)
+    j = (-4, 6, -7)
+    weak, strong = (
+        ModelContext(n=3, l=3, sigma=0.0, A=0.0, V=cosine_potential(3, (a, a, a)))
+        for a in (1.0, 1000.0)
+    )
+    # ||V||_* = 6000 >= rho: admission cannot isolate the band, so the 2k
+    # window stays and exceeds the site budget
+    with pytest.raises(ConfigError, match="exceeds"):
+        diagonalize_oracle(strong, strong.V, t, j)
+    with pytest.raises(ConfigError, match="below the 4"):
+        diagonalize_oracle(weak, weak.V, t, j, window=0)
 
 
 # -- sparse oracle against the dense eigh reference ---------------------

@@ -62,7 +62,6 @@ def test_parse_minimal_config():
     assert cfg.t == (0.1, 0.2)
     assert cfg.j == (5, 1)
     assert cfg.backend == "series" and cfg.solver == "series"
-    assert cfg.sweep is False
 
 
 def test_parse_comments_and_blanks():
@@ -97,10 +96,11 @@ def test_parse_comments_and_blanks():
         ("n = 2\nl = 3\nstep = 0.01", "unknown key 'step'"),
         ("n = 2\nl = 3\ndirection = 1,0", "unknown key 'direction'"),
         ("n = 2\nl = 3\ntol_tail = 1e-9", "unknown key 'tol_tail'"),
-        ("n = 2\nl = 3\nM_lin = -3", "M_lin must be >= 0"),
         ("n = 2\nl = 3\nseed = -1", "seed must be >= 0"),
         ("n = 2\nl = 3\ntol_root = 0", "tol_root must be finite and > 0"),
-        # numerical controls that are module constants, not settings
+        # numerical controls that are module constants or follow from the
+        # data, not settings
+        ("n = 2\nl = 3\nM_lin = -3", "line 3: unknown key 'M_lin'"),
         ("n = 2\nl = 3\nM_W = -1", "line 3: unknown key 'M_W'"),
         ("n = 2\nl = 3\nm_max = 0", "line 3: unknown key 'm_max'"),
         ("n = 2\nl = 3\ntol_fp = -1.0", "line 3: unknown key 'tol_fp'"),
@@ -115,9 +115,8 @@ def test_parse_rejects_with_location(body, fragment):
 
 
 def test_parse_model_overrides():
-    cfg = parse_config(MODEL_L3 + "\nr_max = 4\nM_lin = 12\nseed = 7\ndelta = 0.1\n")
+    cfg = parse_config(MODEL_L3 + "\nr_max = 4\nseed = 7\ndelta = 0.1\n")
     assert cfg.ctx.r_max == 4
-    assert cfg.ctx.M_lin == 12
     assert cfg.ctx.seed == 7
     assert cfg.ctx.delta == 0.1
 
@@ -289,6 +288,50 @@ def test_resonant_point_exits_3(tmp_path):
     assert run_cli("linear-eig", "--config", cfg, "--out", str(tmp_path / "out")) == 3
 
 
+# An admitted n = 3, l = 3, k = 10 point.  The default oracle window there,
+# radius ceil(2k) = 20, would hold 41^3 sites; ||V||_* = 6 sits far below
+# rho ~ 891, so the oracle clips it to the site budget instead.
+MODEL_N3 = "\n".join(
+    ["n = 3", "l = 3"]
+    + [f"v.{q} = 1.0" for q in ("1,0,0", "-1,0,0", "0,1,0", "0,-1,0", "0,0,1", "0,0,-1")]
+)
+N3_POINT = "\n".join(
+    [
+        "t = 0.19061364492264854,0.49689265475472233,0.42132525273177723",
+        "j = -4,6,-7",
+    ]
+)
+
+
+def test_three_dimensional_cross_check(tmp_path):
+    cfg = write_config(tmp_path, MODEL_N3 + "\n" + N3_POINT)
+    gaps = {}
+    for backend in ("series", "diag"):
+        out = tmp_path / f"eig-{backend}"
+        assert run_cli("linear-eig", "--config", cfg, "--out", str(out), "--backend", backend) == 0
+        gaps[backend] = json.loads((out / "eigenpair.json").read_text())["lam_gap"]
+    assert gaps["diag"] == pytest.approx(gaps["series"], rel=1e-13, abs=0.0)
+
+    # a resonant momentum is refused by the admission screen, not the window size
+    resonant = write_config(tmp_path, MODEL_N3 + "\nt = 0,0,0\nj = 10,0,0", "resonant.cfg")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(
+            "linear-eig", "--config", resonant, "--out", str(tmp_path / "r"), "--backend", "diag"
+        )
+    assert code == 3
+    assert "fails admission" in err.getvalue() and "Traceback" not in err.getvalue()
+
+    nonlinear = MODEL_N3 + f"\nsigma = 1.0\nA = {math.sqrt(1e-3)!r}"
+    cfg = write_config(tmp_path, nonlinear + "\n" + N3_POINT, "fp.cfg")
+    out = tmp_path / "fp"
+    assert run_cli("fixed-point", "--config", cfg, "--out", str(out)) == 0
+    vcfg = write_config(
+        tmp_path, nonlinear + "\nsolution = " + str(out / "solution.json"), "verify.cfg"
+    )
+    assert run_cli("verify", "--config", vcfg, "--out", str(tmp_path / "verify")) == 0
+
+
 @pytest.mark.parametrize(
     "name, error, code",
     [
@@ -340,11 +383,11 @@ def test_config_errors_exit_2(tmp_path):
         ("verify", MODEL_L3_NL + f"\nsolution = {text_psi}"),
         ("verify", MODEL_L3_NL + f"\nsolution = {flat_psi}"),
         # negative model controls
-        ("linear-eig", MODEL_L3 + desk + "\nM_lin = -3\nbackend = diag"),
-        # an oracle window of one site, below what the eigensolve needs
-        ("linear-eig", MODEL_L3 + desk + "\nM_lin = 0\nbackend = diag"),
         ("nonres-scan", MODEL_L3 + "\nk = 6.0\nsamples = 2\nseed = -1"),
-        # numerical controls that are module constants, not config keys
+        # numerical controls that are module constants or follow from the
+        # data, not config keys
+        ("linear-eig", MODEL_L3 + desk + "\nM_lin = -3\nbackend = diag"),
+        ("linear-eig", MODEL_L3 + desk + "\nM_lin = 0\nbackend = diag"),
         ("fixed-point", MODEL_L3_NL + desk + "\nM_W = -1"),
         ("fixed-point", MODEL_L3_NL + desk + "\ntol_fp = -1.0"),
         ("fixed-point", MODEL_L3_NL + desk + "\nm_max = 0"),
@@ -405,7 +448,6 @@ _FUZZ_VALUES = {
     "sigma": ["0", "-2", "1e300"],
     "A": ["1", "1e10", "1+1j"],
     "delta": ["0", "0.5", "0.1"],
-    "M_lin": ["-3", "0", "4"],
     "seed": ["-1", "0", "7"],
     "r_max": ["1", "4"],
     "tol_root": ["-1.0", "0", "inf", "1e-3"],
@@ -416,7 +458,6 @@ _FUZZ_VALUES = {
     "j": ["100000000,0", "5,0", "1", "0,0"],
     "backend": ["diag", "magic"],
     "solver": ["fixedpoint", "magic"],
-    "sweep": ["true", "maybe"],
 }
 _POTENTIALS = [
     "v.1,0 = 1.0\nv.-1,0 = 1.0\nv.0,1 = 1.0\nv.0,-1 = 1.0",

@@ -127,6 +127,27 @@ def test_contraction_ratio_formula(ctx_l3_nl):
     assert ratio == pytest.approx(8.0 * COUPLING * 10.0 ** -3.95, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "name, nonlinear, backend, certified",
+    [
+        # ratio ~0.013 < 1, but k ~ 8 sits far below k1 ~ 1e36
+        ("l1_k8", True, "diag", False),
+        # the same below k1 on the series backend, where sigma = 0 gives
+        # ratio 0 and keeps the solve cheap
+        ("l1_k8", False, "series", False),
+        ("l3_k8", True, "series", True),
+        ("l3_k8", True, "diag", True),
+    ],
+)
+def test_certified_means_the_bounds_apply(desk_points, name, nonlinear, backend, certified):
+    point = desk_points[name]
+    ctx = context_for(point, nonlinear=nonlinear)
+    sol, trace = iterate(ctx, point["t"], point["j"], backend=backend)
+    assert contraction_ratio(ctx, sol.k) < 1.0
+    assert sol.certified == certified
+    assert contraction_report(ctx, trace, sol.k).bound_applicable == certified
+
+
 def test_contraction_report_certified_leg(desk_points):
     point = desk_points["l3_k8"]
     ctx = context_for(point, nonlinear=True)

@@ -13,7 +13,7 @@ from polywave import iso
 from polywave.bloch import eigenvalue_gradient
 from polywave.errors import ConfigError, HoleBoundary, NonConvergence, ResonanceError
 from polywave.iso import h_gradient, kappa_solve, reference_radius, sample_surface
-from polywave.lattice import ModelContext, cosine_potential, decompose, momentum
+from polywave.lattice import decompose, momentum
 from polywave.nonres import check_quasimomentum, sample_nonresonant
 
 from conftest import make_context
@@ -135,13 +135,6 @@ def test_sample_surface_accounts_every_direction(ctx_iso):
     assert scan.holes == 6 and scan.failures == 0
 
 
-def test_sample_surface_sweep_needs_plane():
-    line = ModelContext(n=1, l=1, sigma=0.0, A=0.0,
-                        V=cosine_potential(1, (1.0,)), delta=0.1)
-    with pytest.raises(ConfigError):
-        sample_surface(line, 100.0, 4, sweep=True)
-
-
 # -- tangential gradient ----------------------------------------------
 
 def test_h_gradient_finite_and_small(ctx_iso, admitted_direction):
@@ -170,9 +163,6 @@ _BAD_CALLS = {
     "h_gradient-direction-3d": lambda ctx, nu, desk: h_gradient(ctx, _LAM, (1.0, 0.5, 0.1)),
     "h_gradient-direction-nan": lambda ctx, nu, desk: h_gradient(ctx, _LAM, (math.nan, 1.0)),
     "h_gradient-step-0": lambda ctx, nu, desk: h_gradient(ctx, _LAM, nu, step=0.0),
-    "h_gradient-tangent-nan": lambda ctx, nu, desk: h_gradient(
-        ctx, _LAM, nu, tangent=(math.nan, 1.0)
-    ),
     "sample_nonresonant-k-nan": lambda ctx, nu, desk: sample_nonresonant(ctx, math.nan, 2),
     "sample_nonresonant-k-inf": lambda ctx, nu, desk: sample_nonresonant(ctx, math.inf, 2),
     "eigenvalue_gradient-step-0": lambda ctx, nu, desk: eigenvalue_gradient(
@@ -183,7 +173,7 @@ _BAD_CALLS = {
 
 @pytest.mark.parametrize("call", list(_BAD_CALLS.values()), ids=list(_BAD_CALLS))
 def test_bad_input_raises_config_error(ctx_iso, admitted_direction, desk_points, call):
-    # the step and tangent cases start from an admitted momentum, so only the
+    # the step cases start from an admitted momentum, so only the
     # bad input can end them
     with pytest.raises(ConfigError):
         call(ctx_iso, admitted_direction, desk_points["l3_k8"])

@@ -59,19 +59,23 @@ GAP_CAP = 10.0           # sites with larger minimal gap can never go resonant
 CLUSTER_THRESH = 5.0     # gap magnitude below which a site joins a cluster
 
 
-def _contexts(l: int, delta: float):
+def _contexts(l: int, delta: float, n: int = 2):
     """Linear (sigma=0) and weakly nonlinear contexts with the standard V."""
-    V = cosine_potential(2, (1.0, 1.0))
-    lin = ModelContext(n=2, l=l, sigma=0.0, A=1.0 + 0.0j, V=V, delta=delta)
+    V = cosine_potential(n, (1.0,) * n)
+    lin = ModelContext(n=n, l=l, sigma=0.0, A=1.0 + 0.0j, V=V, delta=delta)
     non = ModelContext(
-        n=2, l=l, sigma=1.0, A=complex(math.sqrt(COUPLING)), V=V, delta=delta
+        n=n, l=l, sigma=1.0, A=complex(math.sqrt(COUPLING)), V=V, delta=delta
     )
     return lin, non
 
 
 def verify_point(l: int, delta: float, j, t, window: int) -> dict:
-    """Run every desk-relevant pipeline at (j, t); raises on any failure."""
-    lin, non = _contexts(l, delta)
+    """Run every desk-relevant pipeline at (j, t); raises on any failure.
+
+    ``window`` is the oracle's default radius at (j, t), which the fixed
+    point uses; the drift check also solves on a window four sites wider.
+    """
+    lin, non = _contexts(l, delta, n=len(j))
     j = tuple(int(c) for c in j)
     t = tuple(float(c) for c in t)
 
@@ -96,7 +100,7 @@ def verify_point(l: int, delta: float, j, t, window: int) -> dict:
         )
 
     backend = "diag" if l == 1 else "series"
-    sol, trace = iterate(replace(non, M_lin=window), t, j, backend=backend)
+    sol, trace = iterate(non, t, j, backend=backend)
     if sol is None:
         raise NumericalFailure("self-consistency loop did not converge")
     res = residual(non, sol)
@@ -121,7 +125,7 @@ def verify_point(l: int, delta: float, j, t, window: int) -> dict:
 def find_l3(k: float, seed: int) -> dict:
     lin, _ = _contexts(3, 0.05)
     stats = sample_nonresonant(replace(lin, seed=seed), k, 400)
-    window = math.ceil(2 * k)
+    window = lin.m_lin(k)
     for rep in stats.reports:
         if not rep.admitted:
             continue
@@ -131,7 +135,7 @@ def find_l3(k: float, seed: int) -> dict:
             continue
         return {
             "l": 3,
-            "n": 2,
+            "n": lin.n,
             "delta": 0.05,
             "beta": 0.4,
             "k": rep.k,
@@ -237,14 +241,14 @@ def find_l1(k_lo: float, k_hi: float, delta: float, seed: int, samples: int) -> 
         lin, _ = _contexts(1, delta)
         if not check_quasimomentum(lin, t, j).admitted:
             continue
-        window = math.ceil(2 * k)
+        window = lin.m_lin(k)
         try:
             metrics = verify_point(1, delta, j, t, window)
         except PolywaveError:
             continue
         return {
             "l": 1,
-            "n": 2,
+            "n": lin.n,
             "delta": delta,
             "beta": 0.4,
             "k": k,
