@@ -16,7 +16,10 @@ Two backends produce the same quantities:
   ``r_max`` and the trapezoid contour quadrature, both of which are
   controlled and reported.  All nodes of a contour ring are evaluated in one
   pass with the nodes on a leading axis, in blocks of bounded memory, and a
-  doubled ring reuses the sums of the ring it contains.
+  doubled ring reuses the sums of the ring it contains.  When ``W`` is even
+  (every coefficient real) the chain at ``conj(zeta)`` is the conjugate of
+  the chain at ``zeta``, so only the half ring with ``Im zeta >= 0`` runs and
+  the ring sum is the real part of its doubly weighted sum.
 * ``diagonalize_oracle`` builds the operator as a sparse matrix on a finite
   window, finds the two eigenvalues nearest ``c`` by shift-invert on one
   symmetric-ordered sparse LU (Lanczos when ``W`` is even, so the matrix is
@@ -253,26 +256,31 @@ def _chain_series(
 def _empirical_tail(values: Sequence[float]) -> Tuple[float, float]:
     """Geometric tail estimate from observed per-order magnitudes.
 
-    Returns ``(tail, ratio)``; infinite when fewer than two terms rise above
-    the noise floor or when the decay ratio is too close to 1.  Alternate
-    orders may vanish identically (bipartite coupling graphs force this), so
-    ratios are taken between consecutive *nonzero* terms and re-expressed per
-    single order.
+    Returns ``(tail, ratio)``; infinite when neither parity of orders has two
+    terms above the noise floor or when the decay ratio is too close to 1.
+    Even and odd orders are estimated separately: alternate orders vanish
+    identically on a bipartite coupling graph and sit orders of magnitude
+    below the others on a nearly bipartite one (the nonlinear l = 1 ``W``),
+    so a ratio across parities measures that gap, not the decay.  Ratios are
+    taken between consecutive *nonzero* terms of one parity, re-expressed per
+    single order; the larger ratio, applied to the larger last term, bounds
+    the tail of either parity.
     """
     mags = [abs(v) for v in values]
     scale = max(mags, default=0.0)
     if scale == 0.0:
         return 0.0, 0.0
-    nz = [(r, m) for r, m in enumerate(mags) if m > NOISE_REL * scale]
-    if len(nz) < 2:
+    ratios, lasts = [], []
+    for parity in (0, 1):
+        nz = [(r, m) for r, m in enumerate(mags[parity::2]) if m > NOISE_REL * scale]
+        ratios += [(m2 / m1) ** (0.5 / (r2 - r1)) for (r1, m1), (r2, m2) in zip(nz, nz[1:])]
+        lasts += [m for _, m in nz[-1:]]
+    if not ratios:
         return math.inf, math.inf
-    ratio = 0.0
-    for (r1, m1), (r2, m2) in zip(nz, nz[1:]):
-        ratio = max(ratio, (m2 / m1) ** (1.0 / (r2 - r1)))
+    ratio = max(ratios)
     if ratio >= EMPIRICAL_RATIO_MAX:
         return math.inf, ratio
-    last = nz[-1][1]
-    return EMPIRICAL_SAFETY * last * ratio / (1.0 - ratio), ratio
+    return EMPIRICAL_SAFETY * max(lasts) * ratio / (1.0 - ratio), ratio
 
 
 def series_eigenpair(
@@ -289,8 +297,13 @@ def series_eigenpair(
     dominated by trapezoid aliasing, which a doubling squares away, so the
     escalation terminates fast whenever the contour clears the nearest pole);
     each doubled ring reuses the sums of the previous one and evaluates only
-    its new nodes.  Admission of the quasi-momentum is verified up front,
-    except in the trivial decoupled case ``W == 0``.
+    its new nodes.  When ``W`` is even only the upper half of each ring runs
+    (nodes ``k = 0..N/2`` of the N ring, ``k = 0..N/2-1`` of the odd half of
+    the 2N ring) and the sums are exactly real; an odd ``W`` runs every node,
+    and the imaginary part of ``lam_gap`` then enters ``quad_err``.
+    ``quad_nodes`` is the size of the accepted ring either way.  Admission of
+    the quasi-momentum is verified up front, except in the trivial decoupled
+    case ``W == 0``.
     """
     a = anchor(ctx, t, j)
     if W.get((0,) * ctx.n) != 0:
@@ -318,13 +331,32 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
 
     R = W.box_radius
     gaps = energy_gaps(ctx, t, j, integer_grid(r_max * R, ctx.n))
+    even = W.is_even()
 
-    g_lo, col_lo = _chain_series(gaps, W, r_max, *ContourSpec(center, rho, count).nodes())
+    def ring_sums(size: int, odd: bool):
+        """``_chain_series`` over the ``size``-node ring, or its odd nodes.
+
+        When ``W`` is even the stencil and ``gaps`` are real, so the chain at
+        node ``size - k`` (``conj(zeta)``, conjugate weight) is the conjugate
+        of the chain at node ``k``: only ``k <= size/2`` run, pairs at weight
+        2 and the self-conjugate ``k = 0`` and ``k = size/2`` at weight 1,
+        and the real part of the sums is kept.  The pairing is by index, since
+        ``Im zeta`` at ``k = size/2`` is rounding dust, not zero.
+        """
+        zeta, weights = ContourSpec(center, rho, size).nodes()
+        idx = np.arange(1 if odd else 0, size, 2 if odd else 1)
+        fold = np.ones(idx.size)
+        if even:
+            idx = idx[2 * idx <= size]
+            fold = np.where((idx == 0) | (2 * idx == size), 1.0, 2.0)
+        g, cols = _chain_series(gaps, W, r_max, zeta[idx], fold * weights[idx])
+        return (g.real, cols.real) if even else (g, cols)
+
+    g_lo, col_lo = ring_sums(count, odd=False)
     for attempt in range(QUAD_MAX_DOUBLINGS + 1):
         # The 2N ring holds the N ring as its even nodes at half the weight,
         # so only its odd nodes are evaluated.
-        zeta, weights = ContourSpec(center, rho, 2 * count).nodes()
-        g_odd, col_odd = _chain_series(gaps, W, r_max, zeta[1::2], weights[1::2])
+        g_odd, col_odd = ring_sums(2 * count, odd=True)
         g_hi = 0.5 * g_lo + g_odd
         col_hi = 0.5 * col_lo + col_odd
         lam_gap_lo = complex(np.sum(g_lo))
@@ -339,6 +371,7 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
         col_denom = max(float(np.abs(total_hi).sum()), 1e-30)
         err_lam = abs(lam_gap_lo - lam_gap_hi) / lam_denom
         err_col = float(np.abs(total_lo - total_hi).sum()) / col_denom
+        # Zero by construction on a folded ring; guards the ring of an odd W.
         err_imag = abs(lam_gap_hi.imag) / lam_denom
         quad_err = max(err_lam, err_col, err_imag)
         if quad_err <= QUAD_RTOL:
@@ -459,8 +492,8 @@ def diagonalize_oracle(
         cols.append(lin[src].ravel())
         data.append(np.full(rows[-1].size, c, dtype=complex))
     values = np.concatenate(data)
-    if not W.box.imag.any():
-        values = values.real    # W even: H is real symmetric
+    if W.is_even():
+        values = values.real    # H is real symmetric
     H = scipy.sparse.csc_matrix(
         (values, (np.concatenate(rows), np.concatenate(cols))), shape=(sites, sites)
     )

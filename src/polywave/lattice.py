@@ -208,6 +208,11 @@ class PeriodicFunction:
         scale = max(1.0, star_norm(self))
         return not np.any(np.abs(np.flip(self.box) - self.box.conj()) > rtol * scale)
 
+    def is_even(self) -> bool:
+        """True when every coefficient is exactly real; a real-valued function
+        then has ``w(-q) == w(q)`` and is even in ``x``."""
+        return not self.box.imag.any()
+
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "PeriodicFunction") -> "PeriodicFunction":
@@ -353,6 +358,8 @@ class ModelContext:
             )
         if self.n == 1 and self.delta <= 0.0:
             raise ConfigError("need delta > 0")
+        if not math.isfinite(abs(self.A) * abs(self.A)):
+            raise ConfigError(f"amplitude A = {self.A} must be finite with a finite |A|^2")
         if self.V.n != self.n:
             raise ConfigError("potential dimension does not match n")
         if self.V.get((0,) * self.n) != 0:

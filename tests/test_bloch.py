@@ -20,7 +20,7 @@ from polywave.bloch import (
     series_eigenpair,
 )
 from polywave.errors import ConfigError, ContractError, ResonanceError
-from polywave.fixedpoint import apply_map
+from polywave.fixedpoint import apply_map, iterate
 from polywave.lattice import (
     ModelContext,
     PeriodicFunction,
@@ -28,6 +28,7 @@ from polywave.lattice import (
     integer_grid,
     momentum,
     star_norm,
+    zero_mean_shift,
 )
 from polywave.nonres import energy_gaps
 
@@ -212,6 +213,64 @@ def test_chain_engine_matches_reference_on_drawn_W(desk_points, W):
     assert np.abs(cols - cols_ref).max() <= COL_RTOL * np.abs(cols_ref).sum()
 
 
+_real_amplitudes = st.floats(-1.0, 1.0, allow_nan=False).filter(lambda c: abs(c) >= 1e-3)
+
+
+@st.composite
+def _zero_mean_even(draw):
+    """Zero-mean even W with 2-14 real coefficients, w_{-q} = w_q."""
+    coeffs = {}
+    for q, c in draw(st.dictionaries(_offsets, _real_amplitudes, min_size=1, max_size=7)).items():
+        mq = (-q[0], -q[1])
+        if mq not in coeffs:
+            coeffs[q] = coeffs[mq] = c
+    return PeriodicFunction(2, coeffs)
+
+
+@given(_zero_mean_even())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_folded_ring_matches_full_reference_on_drawn_even_W(desk_points, W):
+    point = desk_points["l3_k8"]
+    ctx = context_for(point, nonlinear=False)
+    assert 2 <= len(W) <= 14 and W.is_even() and W.is_real_valued()
+    pair = series_eigenpair(ctx, W, point["t"], point["j"])
+    # the reference runs every node of the accepted ring
+    _assert_matches_reference(ctx, W, pair, ctx.r_max)
+    # the folded sums are real by construction, not to rounding
+    assert not np.imag(pair.g_terms).any()
+    assert pair.proj_column.is_even()
+
+
+def test_only_even_W_folds_the_ring(desk_points, monkeypatch):
+    point = desk_points["l3_k8"]
+    ctx = context_for(point, nonlinear=False)
+    t, j = point["t"], point["j"]
+    N = bloch.QUAD_NODES
+    counts = []     # nodes of every chain-engine call, in call order
+    engine = bloch._chain_series
+
+    def counting(gaps, W, r_max, zeta, weights):
+        counts.append(zeta.size)
+        return engine(gaps, W, r_max, zeta, weights)
+
+    monkeypatch.setattr(bloch, "_chain_series", counting)
+
+    # V even: k = 0..N/2 of the N ring, then k = 0..N/2-1 of its odd half
+    folded = series_eigenpair(ctx, ctx.V, t, j)
+    assert counts == [N // 2 + 1, N // 2]
+    assert not np.imag(folded.g_terms).any() and folded.proj_column.is_even()
+
+    # one complex Hermitian pair: every node runs, and the sums stay complex
+    counts.clear()
+    W = ctx.V + ODD_HARMONIC
+    assert W.is_real_valued() and not W.is_even()
+    full = series_eigenpair(ctx, W, t, j)
+    assert counts == [N, N]
+    assert full.quad_nodes == folded.quad_nodes == 2 * N
+    assert not full.proj_column.is_even()
+    _assert_matches_reference(ctx, W, full, ctx.r_max)
+
+
 def test_quad_nodes_records_escalation(desk_points, monkeypatch):
     point = desk_points["l3_k8"]
     ctx = context_for(point, nonlinear=False)
@@ -331,6 +390,36 @@ def test_sparse_oracle_matches_dense_reference_on_nonlinear_W(
     dense = dense_reference.diagonalize_oracle(ctx, W, t, j)
     assert abs(sparse.lam_gap - dense.lam_gap) <= ORACLE_LAM_RTOL * abs(dense.lam_gap)
     assert star_norm(sparse.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
+
+
+def test_empirical_tail_estimates_each_parity():
+    # alternate orders vanish: the ratio is re-expressed per single order
+    tail, ratio = bloch._empirical_tail([1.0, 0.0, 0.25, 0.0, 0.0625])
+    assert ratio == 0.5 and tail == bloch.EMPIRICAL_SAFETY * 0.0625
+    # alternate orders tiny but present: a ratio across parities would be
+    # 1e4, each parity on its own decays at 0.1 per order
+    tail, ratio = bloch._empirical_tail([0.0, 1.0, 1e-8, 1e-2, 1e-10, 1e-4])
+    assert ratio == pytest.approx(0.1, rel=1e-12)
+    assert tail == pytest.approx(bloch.EMPIRICAL_SAFETY * 1e-4 / 9.0, rel=1e-12)
+    # one term per parity says nothing about decay
+    assert bloch._empirical_tail([1.0, 0.5]) == (math.inf, math.inf)
+
+
+def test_l1_empirical_tail_covers_the_oracle_gap(desk_points):
+    """On the nonlinear l = 1 W the odd orders are parity-breaking dust; the
+    tail of the r_max 6 series still bounds its distance to the oracle."""
+    point = desk_points["l1_k8"]
+    ctx = context_for(point, nonlinear=True)
+    t, j = point["t"], point["j"]
+    sol, trace = iterate(ctx, t, j, backend="diag")
+    W, _ = zero_mean_shift(trace.rows[-1].w)
+    assert sol is not None and W.is_even() and ctx.r_max == 6
+    pair = series_eigenpair(ctx, W, t, j)
+    diag = diagonalize_oracle(ctx, W, t, j)
+    assert not pair.tail_certified
+    assert math.isfinite(pair.tail_bound) and math.isfinite(pair.tail_bound_column)
+    assert pair.tail_bound >= abs(pair.lam_gap - diag.lam_gap)
+    assert pair.tail_bound_column >= star_norm(pair.proj_column - diag.proj_column)
 
 
 @pytest.mark.parametrize("window", [None, 14])

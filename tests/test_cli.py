@@ -415,6 +415,28 @@ def test_config_errors_exit_2(tmp_path):
         assert code == 2, (command, body)
 
 
+@pytest.mark.parametrize("command", ["fixed-point", "isoenergetic", "verify"])
+def test_amplitude_whose_square_overflows_exits_2(tmp_path, command):
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({
+        "t": list(DESK_T), "j": list(DESK_J), "k": 8.0, "center": 1.0, "lam": 1.0,
+        "lam_gap": 0.0, "w_mean": 0.0, "sigma_abs2": 0.0, "steps": 1,
+        "converged": True, "certified": True, "backend": "series",
+        "psi": {"0,0": [1e200, 0.0]},
+    }))
+    run = {
+        "fixed-point": "\n".join(desk_lines()),
+        "isoenergetic": "lambda = 262144.0\nsamples = 2",
+        "verify": f"solution = {solution}",
+    }[command]
+    cfg = write_config(tmp_path, MODEL_L3 + "\nsigma = 1.0\nA = 1e200\n" + run)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(command, "--config", cfg, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "|A|^2" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
 def test_isoenergetic_surface_accounting(tmp_path):
     cfg = write_config(tmp_path, MODEL_L3 + "\nlambda = 262144.0\nsamples = 2\n")
     out = tmp_path / "iso"

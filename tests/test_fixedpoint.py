@@ -19,6 +19,7 @@ from polywave.lattice import (
     ModelContext,
     PeriodicFunction,
     abs_squared,
+    cosine_potential,
     star_norm,
 )
 from polywave.nonres import k1_threshold
@@ -104,6 +105,29 @@ def test_iterate_desk_converges_and_traces_shrink(desk_points):
         assert cur.d_w <= prev.d_w * (1 + 1e-9) + trace.noise_floor
     # the correction to the naive eigenvalue stays tiny at this energy
     assert abs(sol.asym_remainder) < 1e-4
+
+
+N3_CONTEXT = ModelContext(
+    n=3, l=3, sigma=1.0, A=math.sqrt(COUPLING), V=cosine_potential(3, (1.0, 1.0, 1.0))
+)
+N3_T = (0.19061364492264854, 0.49689265475472233, 0.42132525273177723)
+N3_J = (-4, 6, -7)
+
+
+@pytest.mark.parametrize("name", ["l3_k8", "l3_k10", "n3_k10"])
+def test_series_path_keeps_W_even(desk_points, name):
+    """A folded column is exactly real, so |psi|^2 and the next W are even
+    again: every band solve along the path runs the folded half ring."""
+    if name == "n3_k10":
+        ctx, t, j = N3_CONTEXT, N3_T, N3_J
+    else:
+        point = desk_points[name]
+        ctx, t, j = context_for(point, nonlinear=True), point["t"], point["j"]
+    sol, trace = iterate(ctx, t, j)
+    assert sol is not None and sol.converged
+    assert len(trace.rows) >= 2
+    assert all(row.w.is_even() for row in trace.rows)
+    assert sol.psi.is_even()
 
 
 def test_iterate_budget_exhaustion_returns_trace(desk_points, monkeypatch):

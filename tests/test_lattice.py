@@ -355,6 +355,15 @@ def test_context_rejects_controls_that_cannot_be_met(control):
         make_context(3, 0.05, **control)
 
 
+@pytest.mark.parametrize(
+    "amplitude", [1e200, complex(0.0, 1e155), math.inf, complex(math.nan, 0.0)]
+)
+def test_context_rejects_amplitude_without_finite_square(amplitude):
+    V = cosine_potential(2, (1.0, 1.0))
+    with pytest.raises(ConfigError, match=r"\|A\|\^2"):
+        ModelContext(n=2, l=3, sigma=1.0, A=amplitude, V=V)
+
+
 def test_context_rejects_bad_potential():
     with pytest.raises(ConfigError):
         ModelContext(n=2, l=3, sigma=0.0, A=0.0, V=pf(1, {(1,): 1.0, (-1,): 1.0}))
