@@ -62,11 +62,9 @@ from .bloch import (
     series_eigenpair,
 )
 from .fixedpoint import (
-    ApplyMapResult,
     ContractionReport,
     FixedPointTrace,
     Solution,
-    apply_map,
     contraction_ratio,
     contraction_report,
     effective_perturbation,

@@ -1,14 +1,14 @@
 """Self-consistent solutions of the cubic lattice eigenproblem.
 
 The wave ansatz ``psi = A * column`` feeds back into the operator through
-the effective perturbation ``W = V + sigma * |psi|^2``.  Iterating
+the effective perturbation ``W = V + sigma |A|^2 |column|^2``.  Iterating
 
-    W  ->  spectral column of (H0 + W)  ->  new W
+    column  ->  W  ->  spectral column of (H0 + W)
 
-from the plane-wave seed contracts whenever the coupling is small against
-the contour radius, and every step is traced: perturbation increments,
-eigenvalue estimates, column increments and truncation tails are all kept
-so convergence quality can be audited afterwards.
+from the plane-wave column ``1`` contracts whenever the coupling is small
+against the contour radius, and every step is traced: perturbation
+increments, eigenvalue estimates, column increments and truncation tails are
+all kept so convergence quality can be audited afterwards.
 
 All eigenvalues are carried as gaps from the unperturbed energy
 ``c = k^{2l}``; at the energies of interest ``c`` is large enough that the
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -128,54 +128,17 @@ class Solution:
         return self.lam_gap - self.sigma_abs2
 
 
-@dataclass(frozen=True)
-class ApplyMapResult:
-    """One application of the self-consistency map to a given wave."""
-
-    w_full: PeriodicFunction
-    w_tilde: PeriodicFunction
-    w_mean: float
-    eigenpair: BlochEigenpair
-    psi_next: PeriodicFunction
-    tail: float
-
-
 def effective_perturbation(
-    ctx: ModelContext, psi: PeriodicFunction
+    ctx: ModelContext, column: PeriodicFunction
 ) -> Tuple[PeriodicFunction, float]:
-    """V + sigma |psi|^2 truncated to the working support; returns (W, tail)."""
-    W_full = ctx.V + abs_squared(psi).scale(ctx.sigma)
+    """``V + sigma |A|^2 |column|^2`` truncated to the working support, the
+    effective perturbation of the wave ``A * column``; returns (W, tail).
+
+    The cubic term is gauge invariant, so W depends on ``|A|^2`` and never on
+    the phase of ``A``: a real column gives an exactly real W.
+    """
+    W_full = ctx.V + abs_squared(column).scale(ctx.sigma * abs(ctx.A) ** 2)
     return truncate_support(W_full, ctx.m_w())
-
-
-def apply_map(
-    ctx: ModelContext,
-    psi: PeriodicFunction,
-    t,
-    j,
-    backend: str = "series",
-) -> ApplyMapResult:
-    return _map_step(ctx, psi, lambda W: solve_band(ctx, W, t, j, backend))
-
-
-def _map_step(
-    ctx: ModelContext,
-    psi: PeriodicFunction,
-    solve: Callable[[PeriodicFunction], BlochEigenpair],
-) -> ApplyMapResult:
-    """One map application with ``solve`` as the band solver of ``W~``."""
-    W_full, tail = effective_perturbation(ctx, psi)
-    W_tilde, w_mean = zero_mean_shift(W_full)
-    pair = solve(W_tilde)
-    psi_next = pair.psi(ctx.A)
-    return ApplyMapResult(
-        w_full=W_full,
-        w_tilde=W_tilde,
-        w_mean=w_mean,
-        eigenpair=pair,
-        psi_next=psi_next,
-        tail=tail,
-    )
 
 
 def contraction_ratio(ctx: ModelContext, k: float) -> float:
@@ -199,47 +162,51 @@ def iterate(
     j,
     backend: str = "series",
 ) -> Tuple[Optional[Solution], FixedPointTrace]:
-    """Run the self-consistency loop from the plane-wave seed.
+    """Run the self-consistency loop on the projector column.
 
     Returns ``(solution, trace)``; the solution is ``None`` when the step
     budget ``M_MAX`` runs out before the increments drop below
-    ``ctx.tol_fp_value``.  Admission of
-    the quasi-momentum and the coupling smallness bound are enforced up
-    front (admission is vacuous when the potential is absent, since then the
-    effective perturbation never acquires off-diagonal terms), once.  Step
-    ``m`` applies the map to the wave of step ``m - 1`` as ``apply_map``
-    does, without repeating the checks ``apply_map`` makes at its boundary;
-    its perturbation increment ``d_w`` is measured against the previous
-    step's ``W``.
+    ``ctx.tol_fp_value``.  Admission of the quasi-momentum and the coupling
+    smallness bound are enforced once, up front (admission is vacuous when
+    the potential is absent, since then the effective perturbation never
+    acquires off-diagonal terms).  The loop starts from the plane-wave
+    column ``1``; each step forms ``W`` from the current column by
+    ``effective_perturbation``, splits off its mean, solves the band on the
+    zero-mean part and takes the band's projector column as the next one.
+    Step ``m``'s increment ``d_w`` is measured against the previous step's
+    ``W``; the wave ``A * column`` is formed once, at convergence.
     """
     tol = ctx.tol_fp_value
     a = anchor(ctx, t, j)
     check_smallness(ctx, a.k)
     if len(ctx.V):
         require_nonresonant(ctx, a.t, a.j)
+    if backend == "series":
+        solve = lambda W_tilde: _series_eigenpair(ctx, W_tilde, a)
+    elif backend == "diag":
+        solve = lambda W_tilde: diagonalize_oracle(ctx, W_tilde, a.t, a.j)
+    else:
+        raise ConfigError(f"unknown backend {backend!r}; expected 'series' or 'diag'")
 
-    def solve(W_tilde: PeriodicFunction) -> BlochEigenpair:
-        if backend == "series":
-            return _series_eigenpair(ctx, W_tilde, a)
-        return solve_band(ctx, W_tilde, a.t, a.j, backend)
-
-    prev = _map_step(ctx, PeriodicFunction.constant(ctx.n, ctx.A), solve)
-    noise_floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * star_norm(prev.w_full)
+    W_prev, _ = effective_perturbation(ctx, PeriodicFunction.constant(ctx.n, 1.0))
+    column = solve(zero_mean_shift(W_prev)[0]).proj_column
+    noise_floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * star_norm(W_prev)
     rows = []
     solution: Optional[Solution] = None
 
     for m in range(1, M_MAX + 1):
-        cur = _map_step(ctx, prev.psi_next, solve)
-        pair = cur.eigenpair
+        W, tail = effective_perturbation(ctx, column)
+        W_tilde, w_mean = zero_mean_shift(W)
+        pair = solve(W_tilde)
         if not 0.0 < pair.e_jj < 2.0:
             raise NumericalFailure(
                 f"projector diagonal {pair.e_jj:.6g} escaped (0, 2) at step {m}; "
                 "the band solve is not trustworthy here"
             )
 
-        d_w = star_norm(cur.w_full - prev.w_full)
-        lam_gap_total = pair.lam_gap + cur.w_mean
-        d_col = star_norm(pair.proj_column - prev.eigenpair.proj_column)
+        d_w = star_norm(W - W_prev)
+        lam_gap_total = pair.lam_gap + w_mean
+        d_col = star_norm(pair.proj_column - column)
         rows.append(
             TraceRow(
                 m=m,
@@ -247,8 +214,8 @@ def iterate(
                 lam_gap=float(lam_gap_total),
                 d_col=d_col,
                 d_psi=abs(ctx.A) * d_col,
-                tail=cur.tail,
-                w=cur.w_full,
+                tail=tail,
+                w=W,
             )
         )
 
@@ -260,9 +227,9 @@ def iterate(
                 center=a.center,
                 lam=float(a.center + lam_gap_total),
                 lam_gap=float(lam_gap_total),
-                psi=cur.psi_next,
+                psi=pair.psi(ctx.A),
                 eigenpair=pair,
-                w_mean=cur.w_mean,
+                w_mean=w_mean,
                 sigma_abs2=ctx.sigma * abs(ctx.A) ** 2,
                 steps=m,
                 converged=True,
@@ -274,7 +241,7 @@ def iterate(
                 backend=backend,
             )
             break
-        prev = cur
+        W_prev, column = W, pair.proj_column
 
     trace = FixedPointTrace(
         rows=tuple(rows),
@@ -428,4 +395,4 @@ def residual(ctx: ModelContext, sol: Solution) -> float:
     if not len(sol.psi):
         raise ContractError("solution wave is empty")
     box = defect(ctx, a.t, a.j, sol.psi, sol.lam_gap)
-    return math.fsum(map(abs, box.ravel().tolist())) / abs(ctx.A)
+    return math.fsum(map(abs, box.ravel().tolist())) / (abs(ctx.A) or 1.0)

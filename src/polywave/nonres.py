@@ -302,12 +302,27 @@ class SphereSampleStats:
 
     k: float
     samples: int
-    admitted: int
-    failed_separation: int
-    failed_slack: int
-    failed_pair: int
     directions: Tuple[Tuple[float, ...], ...]
     reports: Tuple[NonResonanceReport, ...]
+
+    @property
+    def admitted(self) -> int:
+        return sum(r.admitted for r in self.reports)
+
+    @property
+    def failed_separation(self) -> int:
+        """Draws that fail the separation test first."""
+        return sum(not r.cond_separation for r in self.reports)
+
+    @property
+    def failed_slack(self) -> int:
+        """Draws that pass separation and fail the slack test."""
+        return sum(r.cond_separation and not r.cond_slack for r in self.reports)
+
+    @property
+    def failed_pair(self) -> int:
+        """Draws that pass separation and slack and fail the pair test."""
+        return sum(r.cond_separation and r.cond_slack and not r.cond_pair for r in self.reports)
 
     @property
     def fraction(self) -> float:
@@ -344,25 +359,9 @@ def sample_nonresonant(
         return check_quasimomentum(ctx, t, j)
 
     directions = sample_directions(ctx.n, samples, ctx.seed)
-    reports = tuple(map(probe, directions))
-    admitted = 0
-    fails = {"separation": 0, "slack": 0, "pair": 0}
-    for report in reports:
-        if report.admitted:
-            admitted += 1
-        elif not report.cond_separation:
-            fails["separation"] += 1
-        elif not report.cond_slack:
-            fails["slack"] += 1
-        else:
-            fails["pair"] += 1
     return SphereSampleStats(
         k=float(k),
         samples=samples,
-        admitted=admitted,
-        failed_separation=fails["separation"],
-        failed_slack=fails["slack"],
-        failed_pair=fails["pair"],
         directions=tuple(map(tuple, directions.tolist())),
-        reports=reports,
+        reports=tuple(map(probe, directions)),
     )

@@ -20,7 +20,7 @@ from polywave.bloch import (
     series_eigenpair,
 )
 from polywave.errors import ConfigError, ContractError, ResonanceError
-from polywave.fixedpoint import apply_map, iterate
+from polywave.fixedpoint import iterate
 from polywave.lattice import (
     ModelContext,
     PeriodicFunction,
@@ -364,9 +364,8 @@ def nonlinear_perturbation(point):
     """Zero-mean ``W = V + sigma |psi|^2`` of the second fixed-point step at a
     desk point, the matrix the diag backend factors once ``psi`` has spread."""
     ctx = context_for(point, nonlinear=True)
-    t, j = point["t"], point["j"]
-    seed = apply_map(ctx, PeriodicFunction.constant(2, ctx.A), t, j, backend="diag")
-    return ctx, apply_map(ctx, seed.psi_next, t, j, backend="diag").w_tilde
+    _, trace = iterate(ctx, point["t"], point["j"], backend="diag")
+    return ctx, zero_mean_shift(trace.rows[0].w)[0]
 
 
 # sin(x1 + x2): odd, so H is complex Hermitian rather than real symmetric

@@ -245,6 +245,22 @@ def test_diag_solution_verifies(tmp_path):
     assert report["newton_d_psi"] < 1e-9
 
 
+def test_zero_amplitude_verifies_and_has_no_fixed_point(tmp_path):
+    cfg = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
+    out = tmp_path / "fp"
+    assert run_cli("fixed-point", "--config", cfg, "--out", str(out)) == 0
+    # with A = 0 the residual is measured unscaled, as Newton measures it
+    zero = MODEL_L3 + "\nsigma = 1.0\nA = 0.0\n"
+    vcfg = write_config(tmp_path, zero + f"solution = {out / 'solution.json'}", "verify.cfg")
+    vout = tmp_path / "verify"
+    assert run_cli("verify", "--config", vcfg, "--out", str(vout)) == 0
+    report = json.loads((vout / "verify.json").read_text())
+    assert 0.0 < report["residual"] < 1e-8
+    # the zero wave is no solution: a typed exit, not a traceback
+    zcfg = write_config(tmp_path, zero + "\n".join(desk_lines()), "zero.cfg")
+    assert run_cli("fixed-point", "--config", zcfg, "--out", str(tmp_path / "fp0")) == 3
+
+
 def test_diag_runs_are_bytewise_repeatable(tmp_path):
     cfg = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
     for command in ("linear-eig", "fixed-point"):

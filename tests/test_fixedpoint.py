@@ -1,6 +1,8 @@
 """Self-consistency loop: map identities, traces, contraction audits."""
 
+import cmath
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +10,6 @@ from polywave import fixedpoint
 from polywave.bloch import series_eigenpair
 from polywave.errors import ConfigError, ContractError
 from polywave.fixedpoint import (
-    apply_map,
     contraction_ratio,
     contraction_report,
     effective_perturbation,
@@ -21,6 +22,7 @@ from polywave.lattice import (
     abs_squared,
     cosine_potential,
     star_norm,
+    zero_mean_shift,
 )
 from polywave.nonres import k1_threshold
 
@@ -36,32 +38,48 @@ def free_context(amp2=COUPLING):
 # -- single map applications ------------------------------------------
 
 def test_effective_perturbation_of_plane_wave(ctx_l3_nl):
-    psi = PeriodicFunction.constant(2, ctx_l3_nl.A)
-    W, tail = effective_perturbation(ctx_l3_nl, psi)
+    W, tail = effective_perturbation(ctx_l3_nl, PeriodicFunction.constant(2, 1.0))
     assert tail == 0.0
     expected = ctx_l3_nl.V + PeriodicFunction.constant(2, COUPLING)
     assert star_norm(W - expected) == 0.0
 
 
-def test_apply_map_without_potential_fixes_plane_wave():
+def test_map_without_potential_fixes_plane_wave():
     ctx = free_context()
-    psi = PeriodicFunction.constant(2, ctx.A)
-    res = apply_map(ctx, psi, (0.3, 0.4), (4, 1))
-    assert len(res.w_tilde) == 0
-    assert res.w_mean == pytest.approx(COUPLING)
-    assert star_norm(res.psi_next - psi) == 0.0
+    sol, trace = iterate(ctx, (0.3, 0.4), (4, 1))
+    W_tilde, w_mean = zero_mean_shift(trace.rows[0].w)
+    assert len(W_tilde) == 0
+    assert w_mean == pytest.approx(COUPLING)
+    assert star_norm(sol.psi - PeriodicFunction.constant(2, ctx.A)) == 0.0
 
 
-def test_apply_map_linear_case_is_stationary(desk_points):
+def test_map_linear_case_is_stationary(desk_points):
     point = desk_points["l3_k8"]
     ctx = context_for(point, nonlinear=False)
     t, j = point["t"], point["j"]
-    first = apply_map(ctx, PeriodicFunction.constant(2, 1.0), t, j)
-    assert star_norm(first.w_tilde - ctx.V) == 0.0
-    second = apply_map(ctx, first.psi_next, t, j)
-    # sigma = 0: the effective perturbation never moves off V
-    assert star_norm(second.w_tilde - ctx.V) == 0.0
-    assert second.eigenpair.lam_gap == first.eigenpair.lam_gap
+    sol, trace = iterate(ctx, t, j)
+    # sigma = 0: the effective perturbation never moves off V, nor the column
+    assert sol.steps == 1
+    row = trace.rows[0]
+    assert star_norm(row.w - ctx.V) == 0.0
+    assert row.d_w == 0.0 and row.d_col == 0.0
+    assert sol.lam_gap == series_eigenpair(ctx, ctx.V, t, j).lam_gap
+
+
+@pytest.mark.parametrize("name", ["l3_k8", "l3_k10"])
+def test_map_ignores_the_phase_of_A(desk_points, name):
+    """W depends on |A|^2 alone: a complex amplitude keeps every W real, so
+    the band solves stay on the folded ring and the eigenvalue is the one of
+    the real amplitude of the same modulus."""
+    point = desk_points[name]
+    real = context_for(point, nonlinear=True)
+    A = real.A * cmath.exp(0.3j)
+    ctx = replace(real, A=A)
+    sol, trace = iterate(ctx, point["t"], point["j"])
+    ref, _ = iterate(real, point["t"], point["j"])
+    assert all(row.w.is_even() for row in trace.rows)
+    assert abs(sol.lam_gap - ref.lam_gap) <= 1e-15 * abs(ref.lam_gap)
+    assert sol.psi == sol.eigenpair.proj_column.scale(A)
 
 
 def test_first_increment_is_the_modulus_defect(desk_points, monkeypatch):
