@@ -30,10 +30,10 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bloch import BlochEigenpair
+from .bloch import BlochEigenpair, diagonalize_oracle, series_eigenpair
 from .config import RunConfig, parse_config
 from .errors import ConfigError, ContractError, NonConvergence, NumericalFailure, PolywaveError
-from .fixedpoint import Solution, contraction_report, iterate, residual, solve_band
+from .fixedpoint import Solution, contraction_report, iterate, residual
 from .galerkin import compare
 from .iso import sample_surface
 from .lattice import from_json_dict, to_json_dict
@@ -157,7 +157,8 @@ def _require(cfg: RunConfig, command: str, **fields):
 
 def _cmd_linear_eig(cfg: RunConfig, out: _OutputDir) -> None:
     _require(cfg, "linear-eig", t=cfg.t, j=cfg.j)
-    pair = solve_band(cfg.ctx, cfg.ctx.V, cfg.t, cfg.j, cfg.backend)
+    solve = diagonalize_oracle if cfg.backend == "diag" else series_eigenpair
+    pair = solve(cfg.ctx, cfg.ctx.V, cfg.t, cfg.j)
     out.write_json("eigenpair.json", _eigenpair_dict(pair))
     header = [f"d{a+1}" for a in range(cfg.ctx.n)] + ["re", "im"]
     rows = [list(q) + [c.real, c.imag] for q, c in pair.proj_column.items()]
@@ -246,14 +247,13 @@ def _cmd_fixed_point(cfg: RunConfig, out: _OutputDir) -> None:
 def _cmd_isoenergetic(cfg: RunConfig, out: _OutputDir) -> None:
     _require(cfg, "isoenergetic", **{"lambda": cfg.lam, "samples": cfg.samples})
     ctx = cfg.ctx
-    scan = sample_surface(ctx, cfg.lam, cfg.samples, solver=cfg.solver)
+    scan = sample_surface(ctx, cfg.lam, cfg.samples)
     samples = scan.resolved
     kappas = scan.kappa_values
     out.write_json(
         "surface.json",
         {
             "lambda": cfg.lam,
-            "solver": cfg.solver,
             "requested": scan.requested,
             "resolved": len(samples),
             "holes": scan.holes,

@@ -36,7 +36,7 @@ _INT_TUPLE_KEYS = {"j"}
 
 # Every ModelContext field but the potential, which ``v.<q>`` lines set.
 _MODEL_KEYS = {f.name for f in fields(ModelContext)} - {"V"}
-_RUN_KEYS = {"k", "lambda", "samples", "t", "j", "backend", "solver", "solution"}
+_RUN_KEYS = {"k", "lambda", "samples", "t", "j", "backend", "solution"}
 _ALL_KEYS = _MODEL_KEYS | _RUN_KEYS
 
 
@@ -51,7 +51,6 @@ class RunConfig:
     t: Optional[Tuple[float, ...]] = None
     j: Optional[Tuple[int, ...]] = None
     backend: str = "series"
-    solver: str = "series"
     solution: Optional[str] = None
 
 
@@ -139,9 +138,6 @@ def parse_config(text: str) -> RunConfig:
     backend = values.get("backend", "series")
     if backend not in ("series", "diag"):
         raise ConfigError(f"backend must be 'series' or 'diag', got {backend!r}")
-    solver = values.get("solver", "series")
-    if solver not in ("series", "fixedpoint"):
-        raise ConfigError(f"solver must be 'series' or 'fixedpoint', got {solver!r}")
 
     t = values.get("t")
     if t is not None and len(t) != n:
@@ -158,6 +154,5 @@ def parse_config(text: str) -> RunConfig:
         t=t,
         j=j,
         backend=backend,
-        solver=solver,
         solution=values.get("solution"),
     )

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .bloch import BlochEigenpair, _series_eigenpair, diagonalize_oracle, series_eigenpair
+from .bloch import BlochEigenpair, _series_eigenpair, diagonalize_oracle
 from .errors import ConfigError, ContractError, NumericalFailure
 from .lattice import (
     ModelContext,
@@ -53,21 +53,6 @@ NOISE_FLOOR_FACTOR = 10.0
 # Step budget of the self-consistency loop; the weakly coupled l = 3 desks
 # settle in two steps, so running out means the map is not contracting.
 M_MAX = 50
-
-
-def solve_band(
-    ctx: ModelContext,
-    W_tilde: PeriodicFunction,
-    t,
-    j,
-    backend: str = "series",
-) -> BlochEigenpair:
-    """Band eigenpair of ``H0 + W_tilde`` at ``t + j`` by the named backend."""
-    if backend == "series":
-        return series_eigenpair(ctx, W_tilde, t, j)
-    if backend == "diag":
-        return diagonalize_oracle(ctx, W_tilde, t, j)
-    raise ConfigError(f"unknown backend {backend!r}; expected 'series' or 'diag'")
 
 
 @dataclass(frozen=True)

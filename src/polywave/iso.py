@@ -37,7 +37,6 @@ from .errors import (
     NumericalFailure,
     ResonanceError,
 )
-from .fixedpoint import iterate
 from .lattice import ModelContext, decompose
 from .nonres import K0, sample_directions
 
@@ -82,33 +81,10 @@ def reference_radius(ctx: ModelContext, lam: float) -> Tuple[float, float]:
     return kt, c0
 
 
-def _gap_total(
-    ctx: ModelContext,
-    kappa: float,
-    nu: np.ndarray,
-    solver: str,
-) -> float:
-    """lam(kappa * nu) - kappa^{2l}, by the requested solver."""
-    j, t = decompose(kappa * nu)
-    if solver == "series":
-        pair = series_eigenpair(ctx, ctx.V, t, j)
-        col_sq = math.fsum(abs(c) ** 2 for c in pair.proj_column.box.ravel().tolist())
-        return pair.lam_gap + ctx.sigma * abs(ctx.A) ** 2 * col_sq
-    if solver == "fixedpoint":
-        sol, trace = iterate(ctx, t, j)
-        if sol is None:
-            raise NonConvergence(
-                f"self-consistency loop did not settle at kappa={kappa!r}"
-            )
-        return sol.lam_gap
-    raise ConfigError(f"unknown solver {solver!r}; expected 'series' or 'fixedpoint'")
-
-
 @dataclass(frozen=True)
 class IsoSurfaceSample:
     """One resolved point of an isoenergetic surface."""
 
-    lam_target: float
     direction: Tuple[float, ...]
     ktilde: float
     h: float
@@ -117,7 +93,6 @@ class IsoSurfaceSample:
     t: Tuple[float, ...]
     f_at_root: float            # residual of the defining equation at the root
     evals: int
-    solver: str
 
 
 def _unit(ctx: ModelContext, vector) -> np.ndarray:
@@ -130,12 +105,7 @@ def _unit(ctx: ModelContext, vector) -> np.ndarray:
     return v / norm
 
 
-def kappa_solve(
-    ctx: ModelContext,
-    lam: float,
-    direction,
-    solver: str = "series",
-) -> IsoSurfaceSample:
+def kappa_solve(ctx: ModelContext, lam: float, direction) -> IsoSurfaceSample:
     """Radius of the isoenergetic surface along one direction.
 
     Solves ``F(h) = h * P(h) + c0 + gap(kappa) - sigma |A|^2 = 0`` for the
@@ -149,6 +119,15 @@ def kappa_solve(
     residual is the certificate stored in ``f_at_root``.  The search raises
     ``NonConvergence`` after ``MAX_ROOT_EVALS`` evaluations.
 
+    ``gap`` is the linear band gap of ``H0 + V`` (``series_eigenpair``) plus
+    ``sigma |A|^2 sum_q |column_q|^2``, the mean of the cubic term over the
+    band's projector column: the self-consistent eigenvalue of
+    ``fixedpoint.iterate`` to first order in ``sigma |A|^2``.  At l = 3 the
+    two agree far inside the default ``tol_root`` (1e-13 apart on the
+    desk points at ``sigma |A|^2 = 1e-3``); at l = 1 they are 5e-6 to 9e-6
+    apart, above it, so an l = 1 nonlinear root certifies this formula, not
+    the self-consistent eigenvalue.
+
     A momentum that fails the admission tests raises ``ResonanceError``
     unchanged: the direction is a hole of the surface, not a failed solve.
     """
@@ -158,14 +137,14 @@ def kappa_solve(
     tol_root = ctx.tol_root if ctx.tol_root is not None else 1e-9 * abs(lam)
     two_l = 2 * ctx.l
 
-    def slope(h: float) -> float:
-        kappa = kt + h
-        return math.fsum(kappa ** s * kt ** (two_l - 1 - s) for s in range(two_l))
-
     h = 0.0
     for evals in range(1, MAX_ROOT_EVALS + 1):
-        p = slope(h)
-        f = h * p + c0 + (_gap_total(ctx, kt + h, nu, solver) - sig2)
+        kappa = kt + h
+        p = math.fsum(kappa ** s * kt ** (two_l - 1 - s) for s in range(two_l))
+        j, t = decompose(kappa * nu)
+        pair = series_eigenpair(ctx, ctx.V, t, j)
+        col_sq = math.fsum(abs(c) ** 2 for c in pair.proj_column.box.ravel().tolist())
+        f = h * p + c0 + (pair.lam_gap + sig2 * col_sq - sig2)
         step = f / p
         if abs(f) <= tol_root and abs(step) <= H_REL_WIDTH * abs(h):
             break
@@ -176,10 +155,7 @@ def kappa_solve(
             f"evaluations (last |F| = {abs(f):.3e}, tol_root {tol_root:.3e})"
         )
 
-    kappa = kt + h
-    j, t = decompose(kappa * nu)
     return IsoSurfaceSample(
-        lam_target=float(lam),
         direction=tuple(float(c) for c in nu),
         ktilde=kt,
         h=float(h),
@@ -188,7 +164,6 @@ def kappa_solve(
         t=tuple(float(c) for c in t),
         f_at_root=float(f),
         evals=evals,
-        solver=solver,
     )
 
 
@@ -211,7 +186,6 @@ class SurfaceDraw:
 class SurfaceScan:
     """Batch of surface solves over many directions, one draw each in order."""
 
-    lam_target: float
     draws: Tuple[SurfaceDraw, ...]
 
     @property
@@ -237,12 +211,7 @@ class SurfaceScan:
         return np.array([s.kappa for s in self.resolved])
 
 
-def sample_surface(
-    ctx: ModelContext,
-    lam: float,
-    count: int,
-    solver: str = "series",
-) -> SurfaceScan:
+def sample_surface(ctx: ModelContext, lam: float, count: int) -> SurfaceScan:
     """Resolve surface points over random directions.
 
     Directions come from the deterministic per-index sampler.  Admission
@@ -255,20 +224,19 @@ def sample_surface(
     def solve(nu) -> SurfaceDraw:
         direction = tuple(float(c) for c in nu)
         try:
-            sample = kappa_solve(ctx, lam, nu, solver=solver)
+            sample = kappa_solve(ctx, lam, nu)
         except (NonConvergence, NumericalFailure) as exc:
             status = "hole" if isinstance(exc, ResonanceError) else "failure"
             return SurfaceDraw(direction, status, error=type(exc).__name__)
         return SurfaceDraw(direction, "ok", sample=sample)
 
-    return SurfaceScan(lam_target=float(lam), draws=tuple(map(solve, dirs)))
+    return SurfaceScan(draws=tuple(map(solve, dirs)))
 
 
 @dataclass(frozen=True)
 class GradientSample:
     """Tangential finite-difference derivative of the surface radius."""
 
-    lam_target: float
     direction: Tuple[float, ...]
     tangent: Tuple[float, ...]
     step: float
@@ -283,7 +251,6 @@ def h_gradient(
     lam: float,
     direction,
     step: float = 1e-3,
-    solver: str = "series",
 ) -> GradientSample:
     """d kappa / d angle along a great circle through ``direction``.
 
@@ -301,12 +268,12 @@ def h_gradient(
     tau = probe - (probe @ nu) * nu
     tau = tau / np.linalg.norm(tau)
 
-    center = kappa_solve(ctx, lam, nu, solver=solver)
+    center = kappa_solve(ctx, lam, nu)
     sides = []
     for sgn in (+1.0, -1.0):
         nu_side = math.cos(step) * nu + sgn * math.sin(step) * tau
         try:
-            sides.append(kappa_solve(ctx, lam, nu_side, solver=solver))
+            sides.append(kappa_solve(ctx, lam, nu_side))
         except ResonanceError as exc:
             raise HoleBoundary(
                 f"surface hole within one step ({step:.1e}) of the direction; "
@@ -314,7 +281,6 @@ def h_gradient(
             ) from exc
     plus, minus = sides
     return GradientSample(
-        lam_target=float(lam),
         direction=tuple(float(c) for c in nu),
         tangent=tuple(float(c) for c in tau),
         step=float(step),

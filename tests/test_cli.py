@@ -61,7 +61,7 @@ def test_parse_minimal_config():
     assert cfg.ctx.v_star == 4.0
     assert cfg.t == (0.1, 0.2)
     assert cfg.j == (5, 1)
-    assert cfg.backend == "series" and cfg.solver == "series"
+    assert cfg.backend == "series"
 
 
 def test_parse_comments_and_blanks():
@@ -82,7 +82,7 @@ def test_parse_comments_and_blanks():
         ("n = 2\nl = 3\nbogus", "expected 'key = value'"),
         ("l = 3", "missing required key"),
         ("n = 2\nl = 3\nbackend = magic", "backend"),
-        ("n = 2\nl = 3\nsolver = magic", "solver"),
+        ("n = 2\nl = 3\nsolver = magic", "line 3: unknown key 'solver'"),
         ("n = 2\nl = 3\nt = 0.1", "components"),
         ("n = 2\nl = 3\nsamples = 0", "line 3: samples must be >= 1"),
         ("n = 2\nl = 3\nsamples = -3", "line 3: samples must be >= 1"),
@@ -393,6 +393,8 @@ def test_config_errors_exit_2(tmp_path):
         ("linear-eig", MODEL_L3),
         ("nonres-scan", MODEL_L3 + "\nk = 6.0\nsamples = 0"),
         ("isoenergetic", MODEL_L3 + "\nlambda = nan\nsamples = 2"),
+        # the surface has one gap evaluation, not a config key
+        ("isoenergetic", MODEL_L3 + "\nlambda = 262144.0\nsamples = 2\nsolver = fixedpoint"),
         # malformed stored solutions
         ("verify", MODEL_L3_NL + f"\nsolution = {not_json}"),
         ("verify", MODEL_L3_NL + f"\nsolution = {no_psi}"),
@@ -495,7 +497,6 @@ _FUZZ_VALUES = {
     "t": ["0.5", "0.0,0.0", "1.5,0.2", "0.5,0.5"],
     "j": ["100000000,0", "5,0", "1", "0,0"],
     "backend": ["diag", "magic"],
-    "solver": ["fixedpoint", "magic"],
 }
 _POTENTIALS = [
     "v.1,0 = 1.0\nv.-1,0 = 1.0\nv.0,1 = 1.0\nv.0,-1 = 1.0",

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from polywave import iso
 from polywave.bloch import eigenvalue_gradient
 from polywave.errors import ConfigError, HoleBoundary, NonConvergence, ResonanceError
+from polywave.fixedpoint import iterate
 from polywave.iso import h_gradient, kappa_solve, reference_radius, sample_surface
 from polywave.lattice import decompose, momentum
 from polywave.nonres import check_quasimomentum, sample_nonresonant
 
-from conftest import make_context
+from conftest import COUPLING, context_for, make_context
 
 
 @pytest.fixture(scope="module")
@@ -97,12 +98,6 @@ def test_kappa_solve_certifies_and_repeats(ctx_iso, admitted_direction, monkeypa
     assert np.allclose(s.t, t)
     again = kappa_solve(ctx_iso, lam, admitted_direction)
     assert again.h == s.h and again.kappa == s.kappa and again.evals == s.evals
-    # sigma = 0: the self-consistent gap is the linear one, so both agree
-    fp = kappa_solve(ctx_iso, lam, admitted_direction, solver="fixedpoint")
-    assert fp.solver == "fixedpoint"
-    assert abs(fp.f_at_root) <= 1e-9 * lam
-    assert fp.evals <= 4
-    assert fp.h == pytest.approx(s.h, rel=1e-9)
     # one evaluation cannot certify a step (it must be 0 at h = 0), so a cap
     # of one is exhausted
     monkeypatch.setattr(iso, "MAX_ROOT_EVALS", 1)
@@ -116,9 +111,21 @@ def test_kappa_solve_refuses_resonant_axis(ctx_iso):
         kappa_solve(ctx_iso, 8.0 ** 6, (1.0, 0.0))
 
 
-def test_kappa_solve_unknown_solver(ctx_iso, admitted_direction):
-    with pytest.raises(ConfigError):
-        kappa_solve(ctx_iso, 8.0 ** 6, admitted_direction, solver="secant")
+@pytest.mark.parametrize("desk", ["l3_k8", "l3_k10"])
+def test_first_order_gap_matches_self_consistent_eigenvalue(desk_points, desk):
+    """At l = 3 the root's gap, linear band plus the mean of the cubic term,
+    is the self-consistent eigenvalue of ``iterate`` far inside tol_root."""
+    point = desk_points[desk]
+    ctx = context_for(point, nonlinear=True)
+    p = np.add(point["t"], point["j"])
+    lam = float(np.linalg.norm(p)) ** 6 + COUPLING
+    s = kappa_solve(ctx, lam, p)
+    assert abs(s.f_at_root) <= 1e-9 * lam
+    kt, c0 = reference_radius(ctx, lam)
+    slope = math.fsum(s.kappa ** e * kt ** (5 - e) for e in range(6))
+    sol, _ = iterate(ctx, s.t, s.j)
+    f = s.h * slope + c0 + (sol.lam_gap - ctx.sigma * abs(ctx.A) ** 2)
+    assert abs(f - s.f_at_root) <= 1e-12
 
 
 # -- scans ------------------------------------------------------------
