@@ -9,16 +9,19 @@ from a contour integral around ``c``, expanded order by order in ``W``.
 Two backends produce the same quantities:
 
 * ``series_eigenpair`` evaluates the expansion exactly on the infinite
-  lattice.  Each resolvent chain that returns to the anchor site is reduced
-  to scalar weights, and the off-anchor propagation applies ``W`` as a
-  stencil of shifted slices on windows that hold its exact support, so no
-  lattice truncation enters; the only approximations are the series order
-  ``r_max`` and the trapezoid contour quadrature, both of which are
-  controlled and reported.  All nodes of a contour ring are evaluated in one
-  pass with the nodes on a leading axis, in blocks of bounded memory, and a
-  doubled ring reuses the sums of the ring it contains.  When ``W`` is even
-  (every coefficient real) the chain at ``conj(zeta)`` is the conjugate of
-  the chain at ``zeta``, so only the half ring with ``Im zeta >= 0`` runs and
+  lattice.  One resolvent chain ``R0 (W R0)^r e_anchor`` per contour node,
+  with the free resolvent ``R0 = 1/(mu - c - zeta)``, gives the order-r
+  projector columns; the eigenvalue terms are read off those columns through
+  the anchor entry of ``(H - lam) P = 0``, which says
+  ``(lam - c) P_jj = (W P)_jj``.  The chain applies ``W`` as a stencil of
+  shifted slices on windows that hold its exact support, so no lattice
+  truncation enters; the only approximations are the series order ``r_max``
+  and the trapezoid contour quadrature, both of which are controlled and
+  reported.  All nodes of a contour ring are evaluated in one pass with the
+  nodes on a leading axis, in blocks of bounded memory, and a doubled ring
+  reuses the sums of the ring it contains.  When ``W`` is even (every
+  coefficient real) the chain at ``conj(zeta)`` is the conjugate of the
+  chain at ``zeta``, so only the half ring with ``Im zeta >= 0`` runs and
   the ring sum is the real part of its doubly weighted sum.
 * ``diagonalize_oracle`` builds the operator as a sparse matrix on a finite
   window, finds the two eigenvalues nearest ``c`` by shift-invert on one
@@ -63,8 +66,9 @@ NOISE_REL = 1e-13
 # Empirical tails are refused once the observed ratio exceeds this.
 EMPIRICAL_RATIO_MAX = 0.8
 EMPIRICAL_SAFETY = 4.0
-# Byte budget of the chain vectors of one block of contour nodes, so the
-# working set of a band solve does not grow with grid size times node count.
+# Byte budget of the resolvent and chain vectors of one block of contour
+# nodes, so the working set of a band solve does not grow with grid size
+# times node count.
 NODE_BLOCK_BYTES = 2 * 2**20
 # Resource guard for the oracle window, in lattice sites.  Memory is bounded
 # by the fill of the sparse LU factor, not by the non-zeros of the window
@@ -160,97 +164,83 @@ def _chain_series(
     r_max: int,
     zeta_nodes: np.ndarray,
     weights: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Weighted sums of the expansion over the given contour nodes.
+) -> np.ndarray:
+    """Weighted sums of the projector expansion over the given contour nodes.
 
-    Returns ``(g_terms, columns)`` where ``g_terms[r]`` is the order-r
-    eigenvalue correction and ``columns[r]`` the order-r projector column on
-    the offset grid (r = 0 slot unused).  Every resolvent chain is split at
-    its returns to the anchor: the inter-return segments give the scalar
-    weights ``a_b = (W (S W)^b)_{anchor,anchor}``, the outward tail gives the
-    vectors ``(S W)^c e_anchor``, and both are assembled with the loop
-    generating function ``log(1 + g * sum_b (-1)^b a_b)`` for the eigenvalue.
+    Returns ``columns`` with ``columns[r] = (-1)^(r+1) sum_nodes w R0 (W R0)^r
+    e_anchor``, the order-r projector column on the offset grid (r = 0 slot
+    unused), where ``R0 = 1 / (gaps - zeta)`` is the free resolvent; ``gaps``
+    is zero at the anchor, so ``R0`` is ``-1/zeta`` there.  The eigenvalue
+    terms follow from these sums (``_eigenvalue_terms``), not per node.
 
-    Nodes sit on a leading axis and are processed in blocks whose chain
-    vectors fit ``NODE_BLOCK_BYTES``; ``W`` is applied as a sum of shifted
-    slices, one per nonzero coefficient.
+    Nodes sit on a leading axis and are processed in blocks whose resolvent
+    and chain vectors fit ``NODE_BLOCK_BYTES``; ``W`` is applied as a sum of
+    shifted slices, one per nonzero coefficient.
     """
     grid_shape = gaps.shape
     R = W.box_radius
     full = grid_shape[0] // 2
-    anchor_idx = (Ellipsis,) + (full,) * gaps.ndim
-    orders = np.arange(r_max + 1)
-    sign = np.where(orders % 2, -1.0, 1.0)            # (-1)^r
-    lag = orders[:, None] - orders[None, :]           # lag[r, c] = r - c
 
-    # Chain step b maps us[b], held within sup-norm b*R of the anchor, into
-    # the window of radius (b+1)*R; nothing reaches past it, so each step
-    # works on its own window and drops nothing.
+    # Chain step b maps the order-b vector, held within sup-norm b*R of the
+    # anchor, into the window of radius (b+1)*R; nothing reaches past it, so
+    # each step works on its own window and drops nothing.
     radii = [(b + 1) * R for b in range(r_max)]
     windows = [(Ellipsis,) + (slice(full - rad, full + rad + 1),) * gaps.ndim for rad in radii]
     stencils = [_stencil(W, 2 * rad + 1) for rad in radii]
 
-    g_terms = np.zeros(r_max + 1, dtype=complex)
-    columns = np.zeros((r_max + 1, gaps.size), dtype=complex)
+    columns = np.zeros((r_max + 1,) + grid_shape, dtype=complex)
 
     # First chain application is just the kernel centred on the anchor;
-    # embedding it directly keeps the return weight a_0 = W_jj exactly zero
+    # embedding it directly keeps the anchor entry of W e_anchor exactly zero
     # for zero-mean input, where a transform-based convolution of the delta
     # would backfill it with dust that the contour integral then reports as
     # a spurious order-1 eigenvalue term.
     y_first = W.to_box(R)
 
-    block = max(1, NODE_BLOCK_BYTES // ((r_max + 1) * gaps.size * 16))
+    block = max(1, NODE_BLOCK_BYTES // (2 * gaps.size * 16))
     for lo in range(0, len(zeta_nodes), block):
         zeta = zeta_nodes[lo:lo + block]
-        w = weights[lo:lo + block]
         nodes = zeta.size
-        g = -1.0 / zeta
-        S = 1.0 / (gaps - zeta.reshape((nodes,) + (1,) * gaps.ndim))
-        S[anchor_idx] = 0.0
+        R0 = 1.0 / (gaps - zeta.reshape((nodes,) + (1,) * gaps.ndim))
 
-        # Outward chain us[c] = (S W)^c e_anchor and anchor-return weights.
-        us = np.zeros((r_max + 1, nodes) + grid_shape, dtype=complex)
-        us[0][anchor_idx] = 1.0
-        a = np.zeros((nodes, r_max), dtype=complex)
-        for b, (rad, win, stencil) in enumerate(zip(radii, windows, stencils)):
+        # R0 (W R0)^r e_anchor = -(1/zeta) (R0 W)^r e_anchor: the chain runs on
+        # u = (R0 W)^r e_anchor and the node weight absorbs -(1/zeta).
+        coef = weights[lo:lo + block] / zeta
+        u = np.zeros((nodes,) + grid_shape, dtype=complex)
+        for b, (win, stencil) in enumerate(zip(windows, stencils)):
             if b == 0:
                 y = y_first
             else:
-                u = us[b][win]
-                y = np.zeros(u.shape, dtype=complex)
+                x = u[win]
+                y = np.zeros(x.shape, dtype=complex)
                 for c, dst, src in stencil:
-                    y[dst] += c * u[src]
-            a[:, b] = y[(Ellipsis,) + (rad,) * gaps.ndim]
-            np.multiply(S[win], y, out=us[b + 1][win])
+                    y[dst] += c * x[src]
+            np.multiply(R0[win], y, out=u[win])
+            coef = -coef
+            columns[b + 1][win] += np.tensordot(coef, u[win], axes=1)
+    return columns
 
-        # Loop weights D_m: all ways to spend m couplings on closed returns.
-        D = np.zeros((nodes, r_max + 1), dtype=complex)
-        D[:, 0] = 1.0
-        for m in range(1, r_max + 1):
-            D[:, m] = g * np.einsum("nb,nb->n", a[:, :m], D[:, m - 1::-1])
 
-        # columns[r] += w (-1)^(r+1) g sum_c D_{r-c} us[c], one contraction
-        # over (c, node).
-        coef = np.where(lag >= 0, D[:, np.maximum(lag, 0)], 0.0)
-        coef[:, 0] = 0.0
-        coef *= (w * g)[:, None, None] * -sign[:, None]
-        columns += np.tensordot(
-            coef.transpose(1, 2, 0), us.reshape(r_max + 1, nodes, -1), axes=2
-        )
+def _eigenvalue_terms(W: PeriodicFunction, columns: np.ndarray) -> np.ndarray:
+    """Order-r eigenvalue terms ``g_r`` (r = 0 slot zero) from the order-r
+    projector columns ``C_r`` of ``_chain_series``.
 
-        # Eigenvalue terms from powers Av of the return-weight polynomial,
-        # truncated products through the Toeplitz matrix of a.
-        taps = lag[:r_max, :r_max]
-        toeplitz = np.where(taps >= 0, a[:, np.maximum(taps, 0)], 0.0)
-        Av = a
-        wg = w
-        for v in range(1, r_max + 1):
-            if v > 1:
-                Av = np.einsum("nsi,ni->ns", toeplitz, Av)
-            wg = wg * g
-            g_terms[v:] += (wg @ Av[:, :r_max + 1 - v]) / v
-    return sign * g_terms, columns.reshape((r_max + 1,) + grid_shape)
+    The anchor entry of ``(H - lam) P e_anchor = 0`` reads
+    ``(lam - c) P_jj = (W P)_jj``, since the free gap is zero there; order by
+    order, with ``C_0 = e_anchor``,
+    ``g_r = (W C_{r-1})_jj - sum_{0<s<r} g_s (C_{r-s})_jj`` where
+    ``(W C)_jj = sum_d w_{-d} C_d``.  The recursion is nonlinear in the
+    columns, so it runs on the combined sums of a whole ring.
+    """
+    r_max = columns.shape[0] - 1
+    full = columns.shape[1] // 2
+    offsets, amps = W.nonzero()
+    w_c = columns[(slice(None),) + tuple((full - offsets).T)] @ amps
+    c_jj = columns[(slice(None),) + (full,) * (columns.ndim - 1)]
+    g = np.zeros(r_max + 1, dtype=w_c.dtype)
+    for r in range(1, r_max + 1):
+        g[r] = w_c[r - 1] - g[1:r] @ c_jj[r - 1:0:-1]
+    return g
 
 
 def _empirical_tail(values: Sequence[float]) -> Tuple[float, float]:
@@ -349,17 +339,17 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
         if even:
             idx = idx[2 * idx <= size]
             fold = np.where((idx == 0) | (2 * idx == size), 1.0, 2.0)
-        g, cols = _chain_series(gaps, W, r_max, zeta[idx], fold * weights[idx])
-        return (g.real, cols.real) if even else (g, cols)
+        cols = _chain_series(gaps, W, r_max, zeta[idx], fold * weights[idx])
+        return cols.real if even else cols
 
-    g_lo, col_lo = ring_sums(count, odd=False)
+    col_lo = ring_sums(count, odd=False)
     for attempt in range(QUAD_MAX_DOUBLINGS + 1):
         # The 2N ring holds the N ring as its even nodes at half the weight,
-        # so only its odd nodes are evaluated.
-        g_odd, col_odd = ring_sums(2 * count, odd=True)
-        g_hi = 0.5 * g_lo + g_odd
-        col_hi = 0.5 * col_lo + col_odd
-        lam_gap_lo = complex(np.sum(g_lo))
+        # so only its odd nodes are evaluated.  The eigenvalue terms are read
+        # off each ring's combined columns.
+        col_hi = 0.5 * col_lo + ring_sums(2 * count, odd=True)
+        g_hi = _eigenvalue_terms(W, col_hi)
+        lam_gap_lo = complex(np.sum(_eigenvalue_terms(W, col_lo)))
         lam_gap_hi = complex(np.sum(g_hi))
         total_lo = col_lo.sum(axis=0)
         total_hi = col_hi.sum(axis=0)
@@ -382,7 +372,7 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
                 f"between {count} and {2 * count} nodes (tolerance {QUAD_RTOL:.1e})"
             )
         count *= 2
-        g_lo, col_lo = g_hi, col_hi
+        col_lo = col_hi
 
     g_terms = tuple(complex(v) for v in g_hi[1:])
     lam_gap = float(lam_gap_hi.real)

@@ -104,7 +104,10 @@ class _OutputDir:
 
     def __init__(self, root: Path):
         self.root = root
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {root}: {exc}") from exc
         self.digests: dict = {}
 
     def _register(self, name: str, data: bytes) -> None:
@@ -228,7 +231,7 @@ def _cmd_fixed_point(cfg: RunConfig, out: _OutputDir) -> None:
         "k1": _finite(report.k1),
         "bound_applicable": report.bound_applicable,
         "increments": list(report.increments),
-        "ratios": [r if r is not None else None for r in report.ratios],
+        "ratios": list(report.ratios),
         "ratio_bound": report.ratio_bound,
         "ratio_status": list(report.ratio_status),
         "drifts": list(report.drifts),
@@ -339,8 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a key=value run file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument(
-            "--backend", choices=("series", "diag"), default=None,
-            help="override the spectral backend",
+            "--backend", choices=("series", "diag"), default="series",
+            help="spectral backend",
         )
     return parser
 
@@ -348,13 +351,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config_path = Path(args.config)
-        if not config_path.exists():
-            raise ConfigError(f"config file {config_path} does not exist")
-        text = config_path.read_text()
-        cfg = parse_config(text)
-        if args.backend is not None:
-            cfg = dataclasses.replace(cfg, backend=args.backend)
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        cfg = dataclasses.replace(parse_config(text), backend=args.backend)
 
         out = _OutputDir(Path(args.out))
         _COMMANDS[args.command](cfg, out)

@@ -10,7 +10,6 @@ One assignment per line, ``#`` starts a comment, blank lines are ignored:
     v.-1,0 = 1.0
     t = 0.23,0.71
     j = 17,3
-    backend = series
 
 Potential coefficients use ``v.<q1>,...,<qn> = value``; every other key is
 from a fixed vocabulary, and anything unknown, duplicated, malformed or
@@ -36,13 +35,14 @@ _INT_TUPLE_KEYS = {"j"}
 
 # Every ModelContext field but the potential, which ``v.<q>`` lines set.
 _MODEL_KEYS = {f.name for f in fields(ModelContext)} - {"V"}
-_RUN_KEYS = {"k", "lambda", "samples", "t", "j", "backend", "solution"}
+_RUN_KEYS = {"k", "lambda", "samples", "t", "j", "solution"}
 _ALL_KEYS = _MODEL_KEYS | _RUN_KEYS
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated model context plus the per-command run parameters."""
+    """A validated model context plus the per-command run parameters; the
+    spectral ``backend`` is set by the CLI flag, not by a config key."""
 
     ctx: ModelContext
     k: Optional[float] = None
@@ -135,10 +135,6 @@ def parse_config(text: str) -> RunConfig:
     ctx_kwargs.update((key, values[key]) for key in _MODEL_KEYS if key in values)
     ctx = ModelContext(**ctx_kwargs)
 
-    backend = values.get("backend", "series")
-    if backend not in ("series", "diag"):
-        raise ConfigError(f"backend must be 'series' or 'diag', got {backend!r}")
-
     t = values.get("t")
     if t is not None and len(t) != n:
         raise ConfigError(f"t must have {n} components")
@@ -153,6 +149,5 @@ def parse_config(text: str) -> RunConfig:
         samples=values.get("samples"),
         t=t,
         j=j,
-        backend=backend,
         solution=values.get("solution"),
     )

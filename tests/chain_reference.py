@@ -1,11 +1,16 @@
-"""Reference copy of the per-node chain engine the batched one replaced.
+"""Reference chain engine on a different algorithm: anchor split plus trace.
 
-Each contour node is evaluated on its own: the resolvent chain is advanced
-with one ``scipy.signal.convolve`` per order, and the loop-weight and
-return-polynomial recursions run as scalar Python loops.  The differential
-tests in ``test_bloch.py`` hold ``polywave.bloch`` to this code within
-tolerances fixed from float64 rounding, since the batched engine sums the
-same terms in another order.
+Each contour node is evaluated on its own.  Every resolvent chain is split
+at its returns to the anchor: the off-anchor resolvent ``S`` (zero at the
+anchor) advances the outward chain with one ``scipy.signal.convolve`` per
+order, the returns give scalar weights, scalar loop-weight recursions
+assemble the projector columns, and the eigenvalue terms come from the Kato
+trace formula through powers of the return polynomial.  ``polywave.bloch``
+instead runs one chain on the full free resolvent and reads the eigenvalue
+terms off the columns through the anchor identity of ``(H - lam) P = 0``.
+The two share only the contour nodes, so the differential tests in
+``test_bloch.py`` check one algorithm against the other, within tolerances
+fixed from float64 rounding.
 """
 
 from typing import Tuple

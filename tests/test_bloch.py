@@ -12,6 +12,7 @@ from polywave import bloch
 from polywave.bloch import (
     ContourSpec,
     _chain_series,
+    _eigenvalue_terms,
     diagonalize_oracle,
     eigenvalue_gradient,
     first_order_column,
@@ -109,6 +110,23 @@ def test_first_orders_match_residue_calculus(desk_points):
         assert col_dense[idx] == pytest.approx(col_oracle.get(d), abs=1e-12)
 
 
+@pytest.mark.parametrize("odd", [False, True])
+def test_eigenvalue_terms_read_the_second_order_off_the_first_order_column(desk_points, odd):
+    point = desk_points["l3_k8"]
+    ctx = context_for(point, nonlinear=False)
+    t, j = point["t"], point["j"]
+    # an even W has w_d = w_{-d}, so only the odd harmonic can tell them apart
+    W = ctx.V + ODD_HARMONIC if odd else ctx.V
+    assert W.is_even() is not odd
+    R = W.box_radius
+    columns = np.zeros((3,) + (2 * R + 1,) * 2, dtype=complex)
+    columns[1] = first_order_column(ctx, W, t, j).to_box(R)
+    g = _eigenvalue_terms(W, columns)
+    assert g[1] == 0.0
+    shift = second_order_eigenvalue_shift(ctx, W, t, j)
+    assert abs(g[2] - shift) <= 1e-14 * abs(shift)
+
+
 def test_dense_window_cross_checks_chain_engine(desk_points):
     point = desk_points["l3_k8"]
     ctx = context_for(point, nonlinear=False)
@@ -137,10 +155,12 @@ def test_projector_column_bound(desk_points):
     assert dev <= abs(A) * math.fsum(G_norms) * (1 + 1e-12)
 
 
-# -- batched chain engine against the per-node reference ---------------
+# -- chain engine against the anchor-split reference -------------------
 
-# Fixed from float64 rounding before the batched kernel was written: the two
-# engines sum the same terms in another order.
+# Fixed from float64 rounding before the batched kernel was written.  The
+# reference splits every chain at the anchor and takes the eigenvalue from the
+# trace formula; the engine runs one chain per node on the full resolvent and
+# reads the eigenvalue off the columns, so the two agree only as algorithms.
 LAM_RTOL = 1e-12        # lam_gap, relative
 G_RTOL = 1e-12          # g_terms, absolute per order, in units of max |g_r|
 COL_RTOL = 1e-14        # column sup-norm, in units of its 1-norm
@@ -207,7 +227,8 @@ def test_chain_engine_matches_reference_on_drawn_W(desk_points, W):
     # one ring at a time: the batched kernel against the reference pass
     gaps = energy_gaps(ctx, pair.t, pair.j, integer_grid(ctx.r_max * W.box_radius, 2))
     contour = ContourSpec(pair.center, pair.rho, bloch.QUAD_NODES)
-    g, cols = _chain_series(gaps, W, ctx.r_max, *contour.nodes())
+    cols = _chain_series(gaps, W, ctx.r_max, *contour.nodes())
+    g = _eigenvalue_terms(W, cols)
     g_ref, cols_ref = chain_reference._chain_series(ctx, gaps, W, ctx.r_max, contour)
     assert np.abs(g - g_ref).max() <= G_RTOL * np.abs(g_ref).max()
     assert np.abs(cols - cols_ref).max() <= COL_RTOL * np.abs(cols_ref).sum()

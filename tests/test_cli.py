@@ -82,6 +82,7 @@ def test_parse_comments_and_blanks():
         ("n = 2\nl = 3\nbogus", "expected 'key = value'"),
         ("l = 3", "missing required key"),
         ("n = 2\nl = 3\nbackend = magic", "backend"),
+        ("n = 2\nl = 3\nbackend = diag", "line 3: unknown key 'backend'"),
         ("n = 2\nl = 3\nsolver = magic", "line 3: unknown key 'solver'"),
         ("n = 2\nl = 3\nt = 0.1", "components"),
         ("n = 2\nl = 3\nsamples = 0", "line 3: samples must be >= 1"),
@@ -404,8 +405,8 @@ def test_config_errors_exit_2(tmp_path):
         ("nonres-scan", MODEL_L3 + "\nk = 6.0\nsamples = 2\nseed = -1"),
         # numerical controls that are module constants or follow from the
         # data, not config keys
-        ("linear-eig", MODEL_L3 + desk + "\nM_lin = -3\nbackend = diag"),
-        ("linear-eig", MODEL_L3 + desk + "\nM_lin = 0\nbackend = diag"),
+        ("linear-eig", MODEL_L3 + desk + "\nM_lin = -3", "--backend", "diag"),
+        ("linear-eig", MODEL_L3 + desk + "\nM_lin = 0", "--backend", "diag"),
         ("fixed-point", MODEL_L3_NL + desk + "\nM_W = -1"),
         ("fixed-point", MODEL_L3_NL + desk + "\ntol_fp = -1.0"),
         ("fixed-point", MODEL_L3_NL + desk + "\nm_max = 0"),
@@ -420,17 +421,43 @@ def test_config_errors_exit_2(tmp_path):
         ("linear-eig", MODEL_L3 + "\nt = 0.5,0.5\nj = 100000000,0"),
         # momenta whose k^{2l} overflows
         ("linear-eig", MODEL_L3 + huge),
-        ("linear-eig", MODEL_L3 + huge + "\nbackend = diag"),
+        ("linear-eig", MODEL_L3 + huge, "--backend", "diag"),
         ("fixed-point", MODEL_L3_NL + huge),
         ("verify", MODEL_L3_NL + f"\nsolution = {huge_j}"),
         # zero momentum, where the l = 1 contour radius k^(-delta) is undefined
         ("linear-eig", "n = 2\nl = 1\ndelta = 0.25\nv.1,0 = 1.0\nv.-1,0 = 1.0"
                        "\nt = 0.0,0.0\nj = 0,0"),
     ]
-    for idx, (command, body) in enumerate(rows):
+    for idx, (command, body, *flags) in enumerate(rows):
         cfg = write_config(tmp_path, body, f"row{idx}.cfg")
-        code = run_cli(command, "--config", cfg, "--out", str(tmp_path / f"o{idx}"))
-        assert code == 2, (command, body)
+        code = run_cli(command, "--config", cfg, "--out", str(tmp_path / f"o{idx}"), *flags)
+        assert code == 2, (command, body, flags)
+
+
+@pytest.mark.parametrize(
+    "config, out",
+    [
+        ("{tmp}", "{tmp}/out"),                 # the config is a directory
+        ("{tmp}/latin1.cfg", "{tmp}/out"),      # the config is not UTF-8
+        ("{tmp}/run.cfg", "{tmp}/file"),        # --out is an existing file
+        ("{tmp}/run.cfg", "{tmp}/file/out"),    # --out lies under a file
+    ],
+    ids=["config-is-directory", "config-not-utf8", "out-is-file", "out-under-file"],
+)
+def test_unreadable_config_or_unwritable_out_exits_2(tmp_path, config, out):
+    body = MODEL_L3 + "\n" + "\n".join(desk_lines()) + "\n"
+    (tmp_path / "run.cfg").write_text(body)
+    (tmp_path / "latin1.cfg").write_bytes(("# caf\u00e9\n" + body).encode("latin-1"))
+    (tmp_path / "file").write_text("not a directory\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(
+            "linear-eig",
+            "--config", config.format(tmp=tmp_path),
+            "--out", out.format(tmp=tmp_path),
+        )
+    assert code == 2
+    assert "configuration error" in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("command", ["fixed-point", "isoenergetic", "verify"])
@@ -474,7 +501,8 @@ def test_isoenergetic_surface_accounting(tmp_path):
 # -- config fuzzing ---------------------------------------------------
 
 # A valid base run for every command, then up to three overrides, so that
-# draws reach the solvers as well as the parser.
+# draws reach the solvers as well as the parser; each draw also picks the
+# --backend flag, so draws reach the oracle as well as the series.
 _FUZZ_BASE = {
     "sigma": "1.0",
     "A": repr(math.sqrt(1e-3)),
@@ -496,7 +524,6 @@ _FUZZ_VALUES = {
     "samples": ["0", "-3", "1"],
     "t": ["0.5", "0.0,0.0", "1.5,0.2", "0.5,0.5"],
     "j": ["100000000,0", "5,0", "1", "0,0"],
-    "backend": ["diag", "magic"],
 }
 _POTENTIALS = [
     "v.1,0 = 1.0\nv.-1,0 = 1.0\nv.0,1 = 1.0\nv.0,-1 = 1.0",
@@ -535,10 +562,11 @@ _COMMANDS = ["linear-eig", "nonres-scan", "fixed-point", "isoenergetic", "verify
         st.sampled_from(sorted(_FUZZ_VALUES)), st.integers(0, 4), max_size=3
     ),
     solution=st.sampled_from(["valid", "valid", *sorted(_SOLUTIONS)]),
+    backend=st.sampled_from(["diag", "series", "series"]),
 )
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_config_fuzz_exits_with_documented_code(
-    fuzz_dir, command, n, l, potential, overrides, solution
+    fuzz_dir, command, n, l, potential, overrides, solution, backend
 ):
     values = dict(_FUZZ_BASE)
     for key, pick in overrides.items():
@@ -550,6 +578,9 @@ def test_config_fuzz_exits_with_documented_code(
     cfg.write_text("\n".join(lines) + "\n")
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main([command, "--config", str(cfg), "--out", tempfile.mkdtemp(dir=fuzz_dir)])
+        code = main([
+            command, "--config", str(cfg), "--out", tempfile.mkdtemp(dir=fuzz_dir),
+            "--backend", backend,
+        ])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
