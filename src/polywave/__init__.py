@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigError,
     ContractError,
-    HoleBoundary,
     NewtonFailure,
     NonConvergence,
     NumericalFailure,
@@ -57,7 +56,6 @@ from .bloch import (
     diagonalize_oracle,
     eigenvalue_gradient,
     first_order_column,
-    periodic_eigenfunction,
     second_order_eigenvalue_shift,
     series_eigenpair,
 )
@@ -73,11 +71,9 @@ from .fixedpoint import (
 )
 from .galerkin import RefinementComparison, compare, newton_solve
 from .iso import (
-    GradientSample,
     IsoSurfaceSample,
     SurfaceDraw,
     SurfaceScan,
-    h_gradient,
     kappa_solve,
     reference_radius,
     sample_surface,

@@ -23,18 +23,23 @@ Two backends produce the same quantities:
   coefficient real) the chain at ``conj(zeta)`` is the conjugate of the
   chain at ``zeta``, so only the half ring with ``Im zeta >= 0`` runs and
   the ring sum is the real part of its doubly weighted sum.
-* ``diagonalize_oracle`` builds the operator as a sparse matrix on a finite
-  window, finds the two eigenvalues nearest ``c`` by shift-invert on one
-  symmetric-ordered sparse LU (Lanczos when ``W`` is even, so the matrix is
-  real symmetric; Arnoldi when it is complex Hermitian), and polishes the
-  band eigenvalue with a shift-stabilized Rayleigh quotient.  It is
-  window-limited but entirely independent of the series algebra.  Dense
-  cross-checks of both backends live in the test suite.
+* ``diagonalize_oracle`` builds the operator on a finite window, finds the
+  two eigenvalues nearest ``c`` by shift-invert on one LU factorisation
+  (Lanczos when ``W`` is even, so the matrix is real symmetric; Arnoldi when
+  it is complex Hermitian), and polishes the band eigenvalue with a
+  shift-stabilized Rayleigh quotient.  The window operator's own fill picks
+  the factorisation: a dense array factored by LAPACK when its stored
+  entries are a large fraction of the matrix (the nonlinear l = 1 ``W``),
+  a symmetric-ordered sparse LU otherwise.  It is window-limited but
+  entirely independent of the series algebra.  Dense ``eigh`` cross-checks
+  of both backends live in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -70,13 +75,24 @@ EMPIRICAL_SAFETY = 4.0
 # nodes, so the working set of a band solve does not grow with grid size
 # times node count.
 NODE_BLOCK_BYTES = 2 * 2**20
-# Resource guard for the oracle window, in lattice sites.  Memory is bounded
-# by the fill of the sparse LU factor, not by the non-zeros of the window
-# operator: at n = 3 with a cosine potential (real, 8 bytes an entry), 2197
-# sites factor into 0.21 M entries (0.01 s), 9261 into 2.2 M (16.5 MiB,
+# Resource guard for the oracle window, in lattice sites.  On the sparse path
+# memory is bounded by the fill of the LU factor, not by the non-zeros of the
+# window operator: at n = 3 with a cosine potential (real, 8 bytes an entry),
+# 2197 sites factor into 0.21 M entries (0.01 s), 9261 into 2.2 M (16.5 MiB,
 # 0.5 s; peak process RSS 116 MiB) and 24389 into 10.4 M (79 MiB, 11 s; peak
-# RSS 299 MiB); one core of a 2-vCPU host.
+# RSS 299 MiB); one core of a 2-vCPU host.  The dense path holds ``sites**2``
+# entries twice (the operator and its LU), each within ORACLE_DENSE_BYTES.
 ORACLE_SITES_MAX = 12000
+# A window operator whose stored entries reach this fraction of ``sites**2``
+# is factored dense by LAPACK, if the dense matrix fits ORACLE_DENSE_BYTES;
+# every other window goes to SuperLU.  Measured on one core of a 2-vCPU host
+# (factor plus shift-invert eigensolve, medians of 3-5): a real operator
+# breaks even at 13-14 % stored at 961-1681 sites and is 1.8x faster dense at
+# 20 % (l1_k8 nonlinear W, 1089 sites: 0.065 s against 0.117 s), while the
+# l3 desks (0.3-1.1 % stored) are 4-11x faster sparse.  A complex operator
+# breaks even near 30 %; the byte budget keeps it sparse from 1025 sites up.
+ORACLE_DENSE_FRACTION = 0.15
+ORACLE_DENSE_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -413,7 +429,7 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
 
 
 # ---------------------------------------------------------------------------
-# sparse window oracle
+# window oracle
 # ---------------------------------------------------------------------------
 
 def diagonalize_oracle(
@@ -423,7 +439,7 @@ def diagonalize_oracle(
     j,
     window: Optional[int] = None,
 ) -> BlochEigenpair:
-    """Eigenpair from a sparse eigensolve on a window around the anchor.
+    """Eigenpair from a shift-invert eigensolve on a window around the anchor.
 
     The window (sup-norm radius ``ceil(2k)`` by default) contains every site
     whose unperturbed energy can approach the spectral window, so exactly one
@@ -438,16 +454,20 @@ def diagonalize_oracle(
     the column, which the leak tail reports.  Shift-invert at the centre of
     the shift-stabilized matrix ``H = diag(mu_i - c) + W`` returns its two
     eigenvalues nearest ``c``, which settles that count exactly.  ``H`` is
-    factored once by SuperLU with a minimum-degree ordering of its symmetric
-    pattern; ARPACK then runs Lanczos when every coefficient of ``W`` is real
-    (``W`` even, ``H`` real symmetric) and Arnoldi when ``H`` is complex
-    Hermitian.  The eigenvalue is reported as a gap from ``c`` via a Rayleigh
+    factored once: as a dense array by LAPACK when its stored entries reach
+    ``ORACLE_DENSE_FRACTION`` of ``sites**2`` and the array fits
+    ``ORACLE_DENSE_BYTES``, otherwise by SuperLU with a minimum-degree
+    ordering of its symmetric pattern.  ``H`` is real (float64) when every
+    coefficient of ``W`` is real (``W`` even, ``H`` real symmetric) and ARPACK
+    runs Lanczos; otherwise ``H`` is complex Hermitian and ARPACK runs
+    Arnoldi.  The eigenvalue is reported as a gap from ``c`` via a Rayleigh
     quotient over ``H``, which restores the accuracy lost to the huge
     absolute scale of the raw eigensolve.  A singular factorisation raises
     ``NumericalFailure`` and an eigensolve that does not converge
     ``NonConvergence``.
     """
     # Imported here so the series path never loads scipy (~0.3 s, ~28 MiB).
+    import scipy.linalg
     import scipy.sparse
     import scipy.sparse.linalg
 
@@ -476,32 +496,54 @@ def diagonalize_oracle(
 
     # Sites in row-major order, the anchor in the middle; H[i, k] = w_{d_i - d_k}.
     lin = np.arange(sites).reshape((full,) * ctx.n)
-    rows, cols, data = [lin.ravel()], [lin.ravel()], [gaps.astype(complex)]
-    for c, dst, src in _stencil(W, full):
-        rows.append(lin[dst].ravel())
-        cols.append(lin[src].ravel())
-        data.append(np.full(rows[-1].size, c, dtype=complex))
-    values = np.concatenate(data)
-    if W.is_even():
-        values = values.real    # H is real symmetric
-    H = scipy.sparse.csc_matrix(
-        (values, (np.concatenate(rows), np.concatenate(cols))), shape=(sites, sites)
+    even = W.is_even()
+    dtype = np.dtype(float if even else complex)    # H is real symmetric when W is even
+    stencil = [(c.real if even else c, dst, src) for c, dst, src in _stencil(W, full)]
+    stored = sites + sum(lin[dst].size for _, dst, _ in stencil)
+    dense = (
+        stored >= ORACLE_DENSE_FRACTION * sites * sites
+        and sites * sites * dtype.itemsize <= ORACLE_DENSE_BYTES
     )
+    if dense:
+        H = np.zeros((sites, sites), dtype=dtype)
+        np.fill_diagonal(H, gaps)
+        for c, dst, src in stencil:
+            H[lin[dst].ravel(), lin[src].ravel()] = c
+    else:
+        rows, cols, data = [lin.ravel()], [lin.ravel()], [gaps.astype(dtype)]
+        for c, dst, src in stencil:
+            rows.append(lin[dst].ravel())
+            cols.append(lin[src].ravel())
+            data.append(np.full(rows[-1].size, c, dtype=dtype))
+        H = scipy.sparse.csc_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(sites, sites),
+        )
 
     if len(W):
-        # H has a symmetric pattern, so order by minimum degree on H + H^T and
-        # prefer diagonal pivots: at n = 3 that halves the fill of the default
-        # COLAMD ordering (see ORACLE_SITES_MAX).  Threshold pivoting stays on.
-        try:
-            lu = scipy.sparse.linalg.splu(
-                H,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.1,
-                options=dict(SymmetricMode=True),
-            )
-        except RuntimeError as exc:
-            raise NumericalFailure(f"oracle factorisation failed: {exc}") from exc
-        inverse = scipy.sparse.linalg.LinearOperator(H.shape, matvec=lu.solve, dtype=H.dtype)
+        if dense:
+            # lu_factor only warns on an exactly zero pivot; that is a failure here.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+                try:
+                    factors = scipy.linalg.lu_factor(H, check_finite=False)
+                except scipy.linalg.LinAlgWarning as exc:
+                    raise NumericalFailure(f"oracle factorisation failed: {exc}") from exc
+            solve = functools.partial(scipy.linalg.lu_solve, factors, check_finite=False)
+        else:
+            # H has a symmetric pattern, so order by minimum degree on H + H^T and
+            # prefer diagonal pivots: at n = 3 that halves the fill of the default
+            # COLAMD ordering (see ORACLE_SITES_MAX).  Threshold pivoting stays on.
+            try:
+                solve = scipy.sparse.linalg.splu(
+                    H,
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.1,
+                    options=dict(SymmetricMode=True),
+                ).solve
+            except RuntimeError as exc:
+                raise NumericalFailure(f"oracle factorisation failed: {exc}") from exc
+        inverse = scipy.sparse.linalg.LinearOperator(H.shape, matvec=solve, dtype=H.dtype)
         # A fixed start vector keeps ARPACK off its random one, so runs repeat.
         start = np.zeros(sites, dtype=H.dtype)
         start[center_index] = 1.0
@@ -625,10 +667,3 @@ def eigenvalue_gradient(
         deviation=deviation,
         relative=deviation / scale if scale > 0.0 else math.inf,
     )
-
-
-def periodic_eigenfunction(pair: BlochEigenpair, points) -> np.ndarray:
-    """Evaluate sum_d col_d * exp(i <t + j + d, x>) at physical points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    offsets, values = pair.proj_column.nonzero()
-    return np.exp(1j * (pts @ (momentum(pair.j, pair.t) + offsets).T)) @ values

@@ -348,8 +348,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing leaves it unchanged, and building it costs about 1 ms.
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         try:
             text = Path(args.config).read_text(encoding="utf-8")

@@ -36,8 +36,3 @@ class NewtonFailure(NumericalFailure):
 
 class NonConvergence(PolywaveError):
     """An iteration or root search exhausted its budget without converging."""
-
-
-class HoleBoundary(PolywaveError):
-    """A tangential-derivative stencil stepped outside the admitted set of
-    directions, so no gradient can be reported at this point."""

@@ -32,7 +32,6 @@ import numpy as np
 from .bloch import series_eigenpair
 from .errors import (
     ConfigError,
-    HoleBoundary,
     NonConvergence,
     NumericalFailure,
     ResonanceError,
@@ -231,61 +230,3 @@ def sample_surface(ctx: ModelContext, lam: float, count: int) -> SurfaceScan:
         return SurfaceDraw(direction, "ok", sample=sample)
 
     return SurfaceScan(draws=tuple(map(solve, dirs)))
-
-
-@dataclass(frozen=True)
-class GradientSample:
-    """Tangential finite-difference derivative of the surface radius."""
-
-    direction: Tuple[float, ...]
-    tangent: Tuple[float, ...]
-    step: float
-    value: float
-    kappa_center: float
-    kappa_plus: float
-    kappa_minus: float
-
-
-def h_gradient(
-    ctx: ModelContext,
-    lam: float,
-    direction,
-    step: float = 1e-3,
-) -> GradientSample:
-    """d kappa / d angle along a great circle through ``direction``.
-
-    The two off-center evaluations sit on the geodesic
-    ``cos(step) * nu +- sin(step) * tau``, with ``tau`` the unit tangent
-    toward the axis on which ``nu`` is smallest; if either leaves the
-    admitted set the derivative does not exist along this arc and
-    ``HoleBoundary`` is raised, carrying no numerical value.
-    """
-    nu = _unit(ctx, direction)
-    if not 0.0 < step < math.inf:
-        raise ConfigError(f"step must be finite and > 0, got {step}")
-    probe = np.zeros(ctx.n)
-    probe[int(np.argmin(np.abs(nu)))] = 1.0
-    tau = probe - (probe @ nu) * nu
-    tau = tau / np.linalg.norm(tau)
-
-    center = kappa_solve(ctx, lam, nu)
-    sides = []
-    for sgn in (+1.0, -1.0):
-        nu_side = math.cos(step) * nu + sgn * math.sin(step) * tau
-        try:
-            sides.append(kappa_solve(ctx, lam, nu_side))
-        except ResonanceError as exc:
-            raise HoleBoundary(
-                f"surface hole within one step ({step:.1e}) of the direction; "
-                "no tangential derivative here"
-            ) from exc
-    plus, minus = sides
-    return GradientSample(
-        direction=tuple(float(c) for c in nu),
-        tangent=tuple(float(c) for c in tau),
-        step=float(step),
-        value=(plus.kappa - minus.kappa) / (2.0 * math.sin(step)),
-        kappa_center=center.kappa,
-        kappa_plus=plus.kappa,
-        kappa_minus=minus.kappa,
-    )

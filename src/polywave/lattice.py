@@ -234,9 +234,6 @@ class PeriodicFunction:
         """Complex conjugate of the function: frequencies flip sign."""
         return PeriodicFunction.from_box(np.flip(self.box).conj())
 
-    def real_part(self) -> "PeriodicFunction":
-        return (self + self.conj()).scale(0.5)
-
 
 def star_norm(f: PeriodicFunction) -> float:
     """Sum of coefficient magnitudes (the Wiener-algebra norm)."""
@@ -251,18 +248,23 @@ def multiply(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
     ``c * g`` is shifted and added into the output once per nonzero ``c`` of
     ``f``, in lexicographic order of its frequency, and only where ``g`` is
     stored, so each coefficient sums the same terms in the same order as a
-    loop over coefficient pairs.
+    loop over coefficient pairs.  When both factors are even (every
+    coefficient exactly real) the cross terms of the complex product are
+    exact zeros, so the sums run on the real parts alone, bitwise equal to
+    the complex path.
     """
     if f.n != g.n:
         raise ContractError("dimension mismatch in multiply")
     rf, rg = f.box_radius, g.box_radius
-    out = np.zeros(_box_shape(rf + rg, f.n), dtype=complex)
-    stored = g.box != 0
+    real = f.is_even() and g.is_even()
+    out = np.zeros(_box_shape(rf + rg, f.n), dtype=float if real else complex)
+    box = g.box.real if real else g.box
+    stored = box != 0
     side = 2 * rg + 1
     offsets, values = f.nonzero()
     for corner, c in zip((offsets + rf).tolist(), values.tolist()):
         view = out[tuple(slice(i, i + side) for i in corner)]
-        np.add(view, _times(c, g.box), out=view, where=stored)
+        np.add(view, c.real * box if real else _times(c, box), out=view, where=stored)
     return PeriodicFunction.from_box(out)
 
 

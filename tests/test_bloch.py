@@ -16,7 +16,6 @@ from polywave.bloch import (
     diagonalize_oracle,
     eigenvalue_gradient,
     first_order_column,
-    periodic_eigenfunction,
     second_order_eigenvalue_shift,
     series_eigenpair,
 )
@@ -78,14 +77,6 @@ def test_series_free_case_is_exact(ctx_l3_lin):
     psi = pair.psi(0.5 + 0.5j)
     assert psi.get((0, 0)) == 0.5 + 0.5j
     assert pair.tail_bound == 0.0 and pair.tail_certified
-
-
-def test_free_eigenfunction_is_plane_wave(ctx_l3_lin):
-    pair = series_eigenpair(ctx_l3_lin, PeriodicFunction.zero(2), (0.3, 0.4), (4, 1))
-    pts = np.array([[0.0, 0.0], [1.0, 2.0], [-0.5, 3.0]])
-    vals = periodic_eigenfunction(pair, pts)
-    p = momentum((4, 1), (0.3, 0.4))
-    assert np.allclose(vals, np.exp(1j * pts @ p))
 
 
 # -- perturbative orders against closed forms -------------------------
@@ -368,14 +359,32 @@ ORACLE_LAM_RTOL = 1e-13     # lam_gap, relative
 ORACLE_COL_ATOL = 1e-10     # star norm of the column difference
 
 
+@pytest.fixture
+def factorisations(monkeypatch):
+    """Names of the LU routines the oracle calls, in call order."""
+    import scipy.linalg
+    import scipy.sparse.linalg
+
+    calls = []
+    for module, name in ((scipy.linalg, "lu_factor"), (scipy.sparse.linalg, "splu")):
+        def spy(*args, _factor=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _factor(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("extra", [0, 4])
 @pytest.mark.parametrize("name", ["l3_k8", "l3_k10", "l1_k8", "l1_k10"])
-def test_sparse_oracle_matches_dense_reference(desk_points, name, extra):
+def test_sparse_oracle_matches_dense_reference(desk_points, factorisations, name, extra):
     point = desk_points[name]
     ctx = context_for(point, nonlinear=False)
     t, j = point["t"], point["j"]
     window = ctx.m_lin(point["k"]) + extra
     sparse = diagonalize_oracle(ctx, ctx.V, t, j, window=window)
+    # four coefficients store well under 1 % of the window operator
+    assert factorisations == ["splu"]
     dense = dense_reference.diagonalize_oracle(ctx, ctx.V, t, j, window=window)
     assert abs(sparse.lam_gap - dense.lam_gap) <= ORACLE_LAM_RTOL * abs(dense.lam_gap)
     assert star_norm(sparse.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
@@ -393,12 +402,22 @@ def nonlinear_perturbation(point):
 ODD_HARMONIC = PeriodicFunction(2, {(1, 1): 0.3j, (-1, -1): -0.3j})
 
 
+# The LU routine each window's own fill selects: the real l1_k8 operator
+# stores 20 % of its entries, the complex one would not fit the dense byte
+# budget, and the l3_k8 operator stores about 1 %.
+NATURAL_FACTORISATION = {
+    ("l1_k8", False): "lu_factor",
+    ("l1_k8", True): "splu",
+    ("l3_k8", False): "splu",
+}
+
+
 @pytest.mark.parametrize(
     "name, odd, coefficients",
     [("l1_k8", False, 288), ("l1_k8", True, 288), ("l3_k8", False, 12)],
 )
 def test_sparse_oracle_matches_dense_reference_on_nonlinear_W(
-    desk_points, name, odd, coefficients
+    desk_points, factorisations, monkeypatch, name, odd, coefficients
 ):
     point = desk_points[name]
     ctx, W = nonlinear_perturbation(point)
@@ -406,10 +425,19 @@ def test_sparse_oracle_matches_dense_reference_on_nonlinear_W(
     if odd:
         W = W + ODD_HARMONIC
     t, j = point["t"], point["j"]
-    sparse = diagonalize_oracle(ctx, W, t, j)
+    factorisations.clear()
+    diagonalize_oracle(ctx, W, t, j)
+    assert factorisations == [NATURAL_FACTORISATION[name, odd]]
     dense = dense_reference.diagonalize_oracle(ctx, W, t, j)
-    assert abs(sparse.lam_gap - dense.lam_gap) <= ORACLE_LAM_RTOL * abs(dense.lam_gap)
-    assert star_norm(sparse.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
+    # both factorisations, forced through the crossover constants
+    for fraction, budget, path in ((0.0, math.inf, "lu_factor"), (math.inf, 0, "splu")):
+        monkeypatch.setattr(bloch, "ORACLE_DENSE_FRACTION", fraction)
+        monkeypatch.setattr(bloch, "ORACLE_DENSE_BYTES", budget)
+        factorisations.clear()
+        pair = diagonalize_oracle(ctx, W, t, j)
+        assert factorisations == [path]
+        assert abs(pair.lam_gap - dense.lam_gap) <= ORACLE_LAM_RTOL * abs(dense.lam_gap)
+        assert star_norm(pair.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
 
 
 def test_empirical_tail_estimates_each_parity():

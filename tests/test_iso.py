@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from polywave import iso
 from polywave.bloch import eigenvalue_gradient
-from polywave.errors import ConfigError, HoleBoundary, NonConvergence, ResonanceError
+from polywave.errors import ConfigError, NonConvergence, ResonanceError
 from polywave.fixedpoint import iterate
-from polywave.iso import h_gradient, kappa_solve, reference_radius, sample_surface
+from polywave.iso import kappa_solve, reference_radius, sample_surface
 from polywave.lattice import decompose, momentum
 from polywave.nonres import check_quasimomentum, sample_nonresonant
 
@@ -142,18 +142,6 @@ def test_sample_surface_accounts_every_direction(ctx_iso):
     assert scan.holes == 6 and scan.failures == 0
 
 
-# -- tangential gradient ----------------------------------------------
-
-def test_h_gradient_finite_and_small(ctx_iso, admitted_direction):
-    g = h_gradient(ctx_iso, 8.0 ** 6, admitted_direction, step=1e-4)
-    assert math.isfinite(g.value)
-    assert abs(g.value) < 1.0
-    assert g.kappa_plus != g.kappa_minus  # the surface actually tilts
-    # a wide stencil leaves the admitted cell of the base direction
-    with pytest.raises(HoleBoundary):
-        h_gradient(ctx_iso, 8.0 ** 6, admitted_direction, step=0.05)
-
-
 # -- typed errors at the library boundary -------------------------------
 
 _LAM = 8.0 ** 6
@@ -166,10 +154,8 @@ _BAD_CALLS = {
     "sample_surface-lam-inf": lambda ctx, nu, desk: sample_surface(ctx, math.inf, 2),
     "kappa_solve-direction-nan": lambda ctx, nu, desk: kappa_solve(ctx, _LAM, (math.nan, 1.0)),
     "kappa_solve-direction-inf": lambda ctx, nu, desk: kappa_solve(ctx, _LAM, (math.inf, 1.0)),
-    "h_gradient-direction-zero": lambda ctx, nu, desk: h_gradient(ctx, _LAM, (0.0, 0.0)),
-    "h_gradient-direction-3d": lambda ctx, nu, desk: h_gradient(ctx, _LAM, (1.0, 0.5, 0.1)),
-    "h_gradient-direction-nan": lambda ctx, nu, desk: h_gradient(ctx, _LAM, (math.nan, 1.0)),
-    "h_gradient-step-0": lambda ctx, nu, desk: h_gradient(ctx, _LAM, nu, step=0.0),
+    "kappa_solve-direction-zero": lambda ctx, nu, desk: kappa_solve(ctx, _LAM, (0.0, 0.0)),
+    "kappa_solve-direction-3d": lambda ctx, nu, desk: kappa_solve(ctx, _LAM, (1.0, 0.5, 0.1)),
     "sample_nonresonant-k-nan": lambda ctx, nu, desk: sample_nonresonant(ctx, math.nan, 2),
     "sample_nonresonant-k-inf": lambda ctx, nu, desk: sample_nonresonant(ctx, math.inf, 2),
     "eigenvalue_gradient-step-0": lambda ctx, nu, desk: eigenvalue_gradient(
@@ -180,7 +166,7 @@ _BAD_CALLS = {
 
 @pytest.mark.parametrize("call", list(_BAD_CALLS.values()), ids=list(_BAD_CALLS))
 def test_bad_input_raises_config_error(ctx_iso, admitted_direction, desk_points, call):
-    # the step cases start from an admitted momentum, so only the
-    # bad input can end them
+    # the step case starts from an admitted momentum, so only the bad
+    # input can end it
     with pytest.raises(ConfigError):
         call(ctx_iso, admitted_direction, desk_points["l3_k8"])
