@@ -90,7 +90,8 @@ ORACLE_SITES_MAX = 12000
 # breaks even at 13-14 % stored at 961-1681 sites and is 1.8x faster dense at
 # 20 % (l1_k8 nonlinear W, 1089 sites: 0.065 s against 0.117 s), while the
 # l3 desks (0.3-1.1 % stored) are 4-11x faster sparse.  A complex operator
-# breaks even near 30 %; the byte budget keeps it sparse from 1025 sites up.
+# breaks even near 30 %, so the fraction scales with the entry size (16 bytes
+# against 8); the byte budget keeps it sparse from 1025 sites up.
 ORACLE_DENSE_FRACTION = 0.15
 ORACLE_DENSE_BYTES = 16 * 2**20
 
@@ -455,16 +456,17 @@ def diagonalize_oracle(
     the shift-stabilized matrix ``H = diag(mu_i - c) + W`` returns its two
     eigenvalues nearest ``c``, which settles that count exactly.  ``H`` is
     factored once: as a dense array by LAPACK when its stored entries reach
-    ``ORACLE_DENSE_FRACTION`` of ``sites**2`` and the array fits
+    ``ORACLE_DENSE_FRACTION`` of ``sites**2`` (twice that for a complex
+    ``H``, whose entries are twice as large) and the array fits
     ``ORACLE_DENSE_BYTES``, otherwise by SuperLU with a minimum-degree
     ordering of its symmetric pattern.  ``H`` is real (float64) when every
     coefficient of ``W`` is real (``W`` even, ``H`` real symmetric) and ARPACK
     runs Lanczos; otherwise ``H`` is complex Hermitian and ARPACK runs
     Arnoldi.  The eigenvalue is reported as a gap from ``c`` via a Rayleigh
     quotient over ``H``, which restores the accuracy lost to the huge
-    absolute scale of the raw eigensolve.  A singular factorisation raises
-    ``NumericalFailure`` and an eigensolve that does not converge
-    ``NonConvergence``.
+    absolute scale of the raw eigensolve.  A singular factorisation and any
+    other ARPACK failure raise ``NumericalFailure``, an eigensolve that does
+    not converge ``NonConvergence``.
     """
     # Imported here so the series path never loads scipy (~0.3 s, ~28 MiB).
     import scipy.linalg
@@ -501,7 +503,7 @@ def diagonalize_oracle(
     stencil = [(c.real if even else c, dst, src) for c, dst, src in _stencil(W, full)]
     stored = sites + sum(lin[dst].size for _, dst, _ in stencil)
     dense = (
-        stored >= ORACLE_DENSE_FRACTION * sites * sites
+        stored >= ORACLE_DENSE_FRACTION * (dtype.itemsize // 8) * sites * sites
         and sites * sites * dtype.itemsize <= ORACLE_DENSE_BYTES
     )
     if dense:
@@ -551,6 +553,8 @@ def diagonalize_oracle(
             vals, vecs = scipy.sparse.linalg.eigsh(H, k=2, sigma=0.0, v0=start, OPinv=inverse)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NonConvergence(f"oracle eigensolve: {exc}") from exc
+        except scipy.sparse.linalg.ArpackError as exc:
+            raise NumericalFailure(f"oracle eigensolve failed: {exc}") from exc
     else:
         # H = diag(gaps) is singular at the shift; its eigenvectors are sites.
         nearest = np.argsort(np.abs(gaps), kind="stable")[:2]

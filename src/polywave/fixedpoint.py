@@ -160,6 +160,16 @@ def iterate(
     zero-mean part and takes the band's projector column as the next one.
     Step ``m``'s increment ``d_w`` is measured against the previous step's
     ``W``; the wave ``A * column`` is formed once, at convergence.
+
+    A step whose ``d_w`` is within the noise floor ``NOISE_FLOOR_FACTOR *
+    eps * ||W_0||_*`` keeps the previous step's band pair (at ``m = 1`` the
+    seed pair) instead of solving again: such a ``W`` differs from the last
+    one by rounding alone, so the solve would only repeat it.  Its trace row
+    still takes ``w_mean``, ``tail`` and ``d_w`` from its own ``W``, and its
+    ``d_col`` reads 0.  The floor sits below ``tol_fp = 1e-12 * ||V||_*``
+    unless ``|sigma| |A|^2`` exceeds about 450 ``||V||_*``, so such a step
+    converges; where the floor is above the tolerance, the next step forms
+    the same ``W`` again, measures ``d_w = 0`` and stops.
     """
     tol = ctx.tol_fp_value
     a = anchor(ctx, t, j)
@@ -174,7 +184,8 @@ def iterate(
         raise ConfigError(f"unknown backend {backend!r}; expected 'series' or 'diag'")
 
     W_prev, _ = effective_perturbation(ctx, PeriodicFunction.constant(ctx.n, 1.0))
-    column = solve(zero_mean_shift(W_prev)[0]).proj_column
+    pair = solve(zero_mean_shift(W_prev)[0])
+    column = pair.proj_column
     noise_floor = NOISE_FLOOR_FACTOR * np.finfo(float).eps * star_norm(W_prev)
     rows = []
     solution: Optional[Solution] = None
@@ -182,14 +193,15 @@ def iterate(
     for m in range(1, M_MAX + 1):
         W, tail = effective_perturbation(ctx, column)
         W_tilde, w_mean = zero_mean_shift(W)
-        pair = solve(W_tilde)
+        d_w = star_norm(W - W_prev)
+        if d_w > noise_floor:
+            pair = solve(W_tilde)
         if not 0.0 < pair.e_jj < 2.0:
             raise NumericalFailure(
                 f"projector diagonal {pair.e_jj:.6g} escaped (0, 2) at step {m}; "
                 "the band solve is not trustworthy here"
             )
 
-        d_w = star_norm(W - W_prev)
         lam_gap_total = pair.lam_gap + w_mean
         d_col = star_norm(pair.proj_column - column)
         rows.append(

@@ -379,6 +379,12 @@ def _zero_pivot(H, **kwargs):
             _raise(scipy.sparse.linalg.ArpackNoConvergence("No convergence", [], [])),
             bloch.ORACLE_DENSE_FRACTION, 4, id="eigsh-error1-4",
         ),
+        # any other ARPACK failure, such as -9999 "Could not build an Arnoldi
+        # factorization", is a numerical failure
+        pytest.param(
+            scipy.sparse.linalg, "eigsh", _raise(scipy.sparse.linalg.ArpackError(-9999)),
+            bloch.ORACLE_DENSE_FRACTION, 3, id="eigsh-arpack_error-3",
+        ),
         # every window factors dense at fraction 0, the l3 desk's included
         pytest.param(scipy.linalg, "lu_factor", _zero_pivot, 0.0, 3, id="lu_factor-zero_pivot-3"),
     ],

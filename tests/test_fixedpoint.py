@@ -4,10 +4,11 @@ import cmath
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from polywave import fixedpoint
-from polywave.bloch import series_eigenpair
+from polywave.bloch import diagonalize_oracle, series_eigenpair
 from polywave.errors import ConfigError, ContractError
 from polywave.fixedpoint import (
     contraction_ratio,
@@ -27,6 +28,7 @@ from polywave.lattice import (
 from polywave.nonres import k1_threshold
 
 from conftest import COUPLING, context_for, make_context
+from test_bloch import COL_RTOL, LAM_RTOL
 
 
 def free_context(amp2=COUPLING):
@@ -123,6 +125,51 @@ def test_iterate_desk_converges_and_traces_shrink(desk_points):
         assert cur.d_w <= prev.d_w * (1 + 1e-9) + trace.noise_floor
     # the correction to the naive eigenvalue stays tiny at this energy
     assert abs(sol.asym_remainder) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "name, nonlinear, backend, solves",
+    [
+        # seed solve on V, one on the 12-coefficient W; the second step's W
+        # differs from the first by rounding and keeps its pair
+        ("l3_k8", True, "series", 2),
+        # sigma = 0: W never moves off V, so the seed pair is the answer
+        ("l3_k8", False, "series", 1),
+        # every l = 1 increment sits far above the noise floor
+        ("l1_k8", True, "diag", 4),
+    ],
+)
+def test_iterate_reuses_the_pair_while_W_sits_at_the_noise_floor(
+    desk_points, monkeypatch, name, nonlinear, backend, solves
+):
+    point = desk_points[name]
+    ctx = context_for(point, nonlinear=nonlinear)
+    t, j = point["t"], point["j"]
+    calls = []
+    for attr in ("_series_eigenpair", "diagonalize_oracle"):
+        def counted(*args, _solve=getattr(fixedpoint, attr), **kwargs):
+            calls.append(attr)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(fixedpoint, attr, counted)
+    sol, trace = iterate(ctx, t, j, backend=backend)
+    assert sol is not None and sol.converged
+    assert len(calls) == solves
+    reused = [row for row in trace.rows if row.d_w <= trace.noise_floor]
+    assert len(calls) == 1 + len(trace.rows) - len(reused)
+    assert all(row.d_col == 0.0 for row in reused)
+
+    # differential reference: a fresh solve on the last step's own W
+    W_tilde = zero_mean_shift(trace.rows[-1].w)[0]
+    if backend == "series":
+        fresh = series_eigenpair(ctx, W_tilde, t, j)
+    else:
+        fresh = diagonalize_oracle(ctx, W_tilde, t, j)
+    assert abs(sol.eigenpair.lam_gap - fresh.lam_gap) <= LAM_RTOL * abs(fresh.lam_gap)
+    radius = max(sol.eigenpair.proj_column.box_radius, fresh.proj_column.box_radius)
+    col = sol.eigenpair.proj_column.to_box(radius)
+    ref = fresh.proj_column.to_box(radius)
+    assert np.abs(col - ref).max() <= COL_RTOL * np.abs(ref).sum()
 
 
 N3_CONTEXT = ModelContext(
