@@ -47,7 +47,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, NonConvergence, NumericalFailure, ResonanceError
 from .lattice import (
-    LatticeIndex,
     ModelContext,
     PeriodicFunction,
     integer_grid,
@@ -118,25 +117,19 @@ class ContourSpec:
 
 
 @dataclass(frozen=True)
-class BlochEigenpair:
+class BlochEigenpair(Anchor):
     """One isolated eigenvalue and its projector column at the anchor site.
 
     ``lam_gap`` is the accurately-resolved difference ``lam - center``; use it
-    instead of ``lam`` whenever small differences matter, since ``lam`` itself
-    is dominated by the huge unperturbed energy.  ``proj_column`` stores the
-    projector column in offset coordinates: coefficient ``d`` belongs to
-    lattice site ``j + d``, so ``proj_column.get(0)`` is the diagonal entry
-    ``E_jj``.  ``quad_err`` and ``quad_nodes`` are the relative disagreement
+    instead of ``lam = center + lam_gap`` whenever small differences matter,
+    since ``lam`` itself is dominated by the huge unperturbed energy.
+    ``proj_column`` stores the projector column in offset coordinates:
+    coefficient ``d`` belongs to lattice site ``j + d``, so
+    ``proj_column.get(0)`` is the diagonal entry ``E_jj``.  ``quad_err`` and ``quad_nodes`` are the relative disagreement
     and the node count of the accepted contour ring (0 where none ran).
     """
 
-    lam: float
     lam_gap: float
-    j: LatticeIndex
-    t: Tuple[float, ...]
-    k: float
-    center: float
-    rho: float
     proj_column: PeriodicFunction
     g_terms: Tuple[complex, ...] = ()
     G_norms: Tuple[float, ...] = ()
@@ -146,6 +139,10 @@ class BlochEigenpair:
     tail_certified: bool = False
     quad_err: float = 0.0
     quad_nodes: int = 0
+
+    @property
+    def lam(self) -> float:
+        return float(self.center + self.lam_gap)
 
     @property
     def e_jj(self) -> float:
@@ -330,7 +327,7 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
 
     if len(W) == 0:
         return BlochEigenpair(
-            lam=center, lam_gap=0.0, j=j, t=t, k=k, center=center, rho=rho,
+            **vars(a), lam_gap=0.0,
             proj_column=PeriodicFunction.constant(ctx.n, 1.0), g_terms=(0.0 + 0.0j,) * r_max,
             G_norms=(0.0,) * r_max, tail_bound=0.0, tail_bound_column=0.0,
             tail_certified=True,
@@ -411,13 +408,8 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
         tail_col, _ = _empirical_tail(list(G_norms))
 
     return BlochEigenpair(
-        lam=float(center + lam_gap),
+        **vars(a),
         lam_gap=lam_gap,
-        j=j,
-        t=t,
-        k=k,
-        center=center,
-        rho=rho,
         proj_column=PeriodicFunction.from_box(total_hi),
         g_terms=g_terms,
         G_norms=G_norms,
@@ -588,13 +580,8 @@ def diagonalize_oracle(
     tail = w_star * leak
 
     return BlochEigenpair(
-        lam=float(center + lam_gap),
+        **vars(a),
         lam_gap=lam_gap,
-        j=j,
-        t=t,
-        k=k,
-        center=center,
-        rho=rho,
         proj_column=column,
         backend="diag",
         tail_bound=tail,

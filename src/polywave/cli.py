@@ -37,7 +37,7 @@ from .fixedpoint import Solution, contraction_report, iterate, residual
 from .galerkin import compare
 from .iso import sample_surface
 from .lattice import from_json_dict, to_json_dict
-from .nonres import exponents, k1_threshold, sample_nonresonant
+from .nonres import anchor, exponents, k1_threshold, sample_nonresonant
 
 
 # ---------------------------------------------------------------------------
@@ -286,26 +286,27 @@ def _cmd_isoenergetic(cfg: RunConfig, out: _OutputDir) -> None:
 def _cmd_verify(cfg: RunConfig, out: _OutputDir) -> None:
     _require(cfg, "verify", solution=cfg.solution)
     path = Path(cfg.solution)
-    if not path.exists():
-        raise ConfigError(f"solution file {path} does not exist")
     ctx = cfg.ctx
     try:
-        doc = json.loads(path.read_text())
-        floats = ("k", "center", "lam", "lam_gap", "w_mean", "sigma_abs2")
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read solution file {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+        t, j = tuple(float(c) for c in doc["t"]), tuple(int(c) for c in doc["j"])
+        if len(t) != ctx.n or len(j) != ctx.n:
+            raise ValueError(f"momentum t + j is not of dimension {ctx.n}")
         sol = Solution(
-            t=tuple(float(c) for c in doc["t"]),
-            j=tuple(int(c) for c in doc["j"]),
+            **vars(anchor(ctx, t, j)),
             psi=from_json_dict(doc["psi"], n=ctx.n),
             eigenpair=None,
             steps=int(doc["steps"]),
             converged=bool(doc["converged"]),
             certified=bool(doc["certified"]),
             backend=str(doc["backend"]),
-            **{key: float(doc[key]) for key in floats},
+            **{key: float(doc[key]) for key in ("lam_gap", "w_mean", "sigma_abs2")},
         )
-        if len(sol.t) != ctx.n or len(sol.j) != ctx.n:
-            raise ValueError(f"momentum t + j is not of dimension {ctx.n}")
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, ContractError) as exc:
+    except (ValueError, OverflowError, KeyError, TypeError, AttributeError, ContractError) as exc:
         raise ConfigError(f"solution file {path} is malformed: {exc!r}") from exc
     res = residual(ctx, sol)
     ref = compare(ctx, sol)

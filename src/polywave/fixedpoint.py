@@ -36,6 +36,7 @@ from .lattice import (
     zero_mean_shift,
 )
 from .nonres import (
+    Anchor,
     anchor,
     contour_radius,
     energy_gaps,
@@ -81,7 +82,7 @@ class FixedPointTrace:
 
 
 @dataclass(frozen=True)
-class Solution:
+class Solution(Anchor):
     """A converged self-consistent eigenpair.
 
     ``lam_gap`` already contains the mean of the effective perturbation, so
@@ -93,11 +94,6 @@ class Solution:
     and, on the series backend, a certified band tail.
     """
 
-    t: Tuple[float, ...]
-    j: Tuple[int, ...]
-    k: float
-    center: float
-    lam: float
     lam_gap: float
     psi: PeriodicFunction
     eigenpair: Optional[BlochEigenpair]
@@ -107,6 +103,10 @@ class Solution:
     converged: bool
     certified: bool
     backend: str
+
+    @property
+    def lam(self) -> float:
+        return float(self.center + self.lam_gap)
 
     @property
     def asym_remainder(self) -> float:
@@ -218,11 +218,7 @@ def iterate(
 
         if d_w <= tol:
             solution = Solution(
-                t=a.t,
-                j=a.j,
-                k=a.k,
-                center=a.center,
-                lam=float(a.center + lam_gap_total),
+                **vars(a),
                 lam_gap=float(lam_gap_total),
                 psi=pair.psi(ctx.A),
                 eigenpair=pair,

@@ -142,11 +142,7 @@ def newton_solve(
 
     w_mean = float(ctx.sigma * abs_squared(psi).get(zero).real)
     sol = Solution(
-        t=t,
-        j=j,
-        k=a.k,
-        center=a.center,
-        lam=float(a.center + dlam),
+        **vars(a),
         lam_gap=float(dlam),
         psi=psi,
         eigenpair=None,

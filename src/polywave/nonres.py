@@ -113,14 +113,9 @@ def anchor(ctx: ModelContext, t, j) -> Anchor:
 
 
 @dataclass(frozen=True)
-class NonResonanceReport:
+class NonResonanceReport(Anchor):
     """Outcome of the admission tests for one quasi-momentum."""
 
-    k: float
-    t: Tuple[float, ...]
-    j: LatticeIndex
-    center: float
-    rho: float
     box_radius: int
     cond_separation: bool
     cond_slack: bool
@@ -129,7 +124,6 @@ class NonResonanceReport:
     margin_slack: float          # min_{i != j} |mu_i - c| - 2*rho
     margin_pair: float           # min 200*d_i*d_{i+q} - k^{2*gamma2}
     worst_separation: LatticeIndex
-    worst_pair: Tuple[LatticeIndex, LatticeIndex]
 
     @property
     def admitted(self) -> bool:
@@ -185,9 +179,9 @@ def _shell(ctx: ModelContext, a: Anchor, radius: int, G: float):
 
 
 def _pair_condition(ctx, a, sites, q_list, box_radius, threshold):
-    """Least ``200 d_i d_{i+q} - k^{2 gamma2}`` and its pair over ``i`` in the
-    box with ``i`` or ``i + q`` in ``sites``: within each ``q`` the first
-    lexicographic argmin of the product, across ``q`` the first least value."""
+    """Least ``200 d_i d_{i+q} - k^{2 gamma2}`` over ``q`` and over ``i`` in
+    the box with ``i`` or ``i + q`` in ``sites`` (``inf`` when ``q_list`` is
+    empty)."""
     if 2 * len(sites) * len(q_list) > BOX_SITES_MAX:
         raise ConfigError(f"admission pair pass exceeds {BOX_SITES_MAX} pairs")
 
@@ -202,13 +196,7 @@ def _pair_condition(ctx, a, sites, q_list, box_radius, threshold):
         np.where(np.all(np.abs(behind) <= box_radius, axis=2),
                  PAIR_FACTOR * dist(behind) * d_site, np.inf),
     ])
-    worst = np.append(prod.min(axis=0) - threshold, math.inf)   # the sentinel answers q_list = []
-    qi = int(np.argmin(worst))
-    if not worst[qi] < math.inf:
-        return math.inf, (a.j, a.j)
-    tied = np.concatenate([sites, behind[:, qi]])[prod[:, qi] == prod[:, qi].min()]
-    i_worst = min(tuple(int(c) for c in row) for row in tied)
-    return float(worst[qi]), (i_worst, tuple(c + int(d) for c, d in zip(i_worst, q_list[qi])))
+    return float(prod.min(initial=math.inf) - threshold)
 
 
 def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
@@ -243,7 +231,7 @@ def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
         inner = np.all(np.abs(sites) <= box_radius, axis=1) & np.any(sites != j, axis=1)
         abs_gaps = np.abs(gaps[inner])
         if G == math.inf or abs_gaps.size and abs_gaps.min() < G:
-            margin_pair, worst_pair = _pair_condition(ctx, a, sites, q_list, box_radius, threshold)
+            margin_pair = _pair_condition(ctx, a, sites, q_list, box_radius, threshold)
             off_shell = PAIR_FACTOR * (G - rho) * (G - rho) - threshold
             if G == math.inf or not len(q_list) or margin_pair < off_shell:
                 break
@@ -253,11 +241,7 @@ def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
     margin_sep = float(abs_gaps[flat]) - rho
     margin_slack = float(abs_gaps[flat]) - 2.0 * rho
     return NonResonanceReport(
-        k=k,
-        t=t,
-        j=j,
-        center=a.center,
-        rho=rho,
+        **vars(a),
         box_radius=box_radius,
         cond_separation=margin_sep > 0.0,
         cond_slack=margin_slack >= 0.0,
@@ -266,7 +250,6 @@ def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
         margin_slack=margin_slack,
         margin_pair=margin_pair,
         worst_separation=tuple(int(c) for c in sites[inner][flat]),
-        worst_pair=worst_pair,
     )
 
 

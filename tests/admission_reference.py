@@ -61,25 +61,13 @@ def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
 
     dist_box = dist[inner]
     margin_pair = math.inf
-    worst_pair = (j, j)
     for q in q_list:
         shifted = tuple(slice(pad + int(c), pad + int(c) + side) for c in q)
         prod = PAIR_FACTOR * dist_box * dist[shifted]
-        flat = int(np.argmin(prod))
-        worst = float(prod.flat[flat]) - threshold
-        if worst < margin_pair:
-            margin_pair = worst
-            i_worst = tuple(int(c) for c in grid_box.reshape(-1, ctx.n)[flat])
-            worst_pair = (i_worst, tuple(int(a + b) for a, b in zip(i_worst, q)))
-    if not len(q_list):
-        margin_pair = math.inf
+        margin_pair = min(margin_pair, float(prod.min()) - threshold)
 
     return NonResonanceReport(
-        k=k,
-        t=t,
-        j=j,
-        center=a.center,
-        rho=rho,
+        **vars(a),
         box_radius=box_radius,
         cond_separation=margin_sep > 0.0,
         cond_slack=margin_slack >= 0.0,
@@ -88,5 +76,4 @@ def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
         margin_slack=margin_slack,
         margin_pair=margin_pair,
         worst_separation=worst_sep,
-        worst_pair=worst_pair,
     )

@@ -172,13 +172,8 @@ def diagonalize_oracle(
     tail = star_norm(W) * leak
 
     return BlochEigenpair(
-        lam=float(center + lam_gap),
+        **vars(a),
         lam_gap=lam_gap,
-        j=j,
-        t=t,
-        k=k,
-        center=center,
-        rho=rho,
         proj_column=column,
         backend="diag",
         tail_bound=tail,

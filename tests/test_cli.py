@@ -1,6 +1,7 @@
 """Run configuration parsing and the command-line entry points."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,11 +15,12 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polywave import bloch, fixedpoint
+from polywave import bloch, fixedpoint, galerkin
 from polywave.bloch import QUAD_NODES
 from polywave.cli import main
 from polywave.config import parse_config
 from polywave.errors import ConfigError
+from polywave.nonres import energy_gaps
 
 DESK_T = (0.37982347232642333, 0.2509856775414585)
 DESK_J = (3, 7)
@@ -82,6 +84,9 @@ def test_parse_comments_and_blanks():
         ("n = 2\nl = 3\nv.1,0 = 1\nv.1,0 = 1", "duplicate potential"),
         ("n = 2\nl = 3\nv.a,b = 1", "malformed frequency"),
         ("n = 2\nl = 3\nbogus", "expected 'key = value'"),
+        ("n = 2\nl = 3\n= 1", "line 3: empty key"),
+        ("l = 3\nn =", "line 2: empty value for key 'n'"),
+        ("n = 2\nl = 3\nv.1,0 = abc", "line 3: invalid coefficient value"),
         ("l = 3", "missing required key"),
         ("n = 2\nl = 3\nbackend = magic", "backend"),
         ("n = 2\nl = 3\nbackend = diag", "line 3: unknown key 'backend'"),
@@ -230,6 +235,27 @@ def test_verify_measures_a_perturbed_coefficient(tmp_path):
     assert report["residual"] > report["stored_residual"]
     assert report["newton_steps"] >= 1
     assert report["newton_d_psi"] == pytest.approx(kick, rel=1e-3)
+
+
+def test_verify_derives_the_anchor_from_t_and_j(tmp_path):
+    # k, center and lam follow from t and j: edited or absent, they change nothing
+    cfg = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
+    out = tmp_path / "fp"
+    assert run_cli("fixed-point", "--config", cfg, "--out", str(out)) == 0
+    doc = json.loads((out / "solution.json").read_text())
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps({**doc, "k": 0.0, "center": 1.0, "lam": -5.0}))
+    bare = tmp_path / "bare.json"
+    for key in ("k", "center", "lam"):
+        del doc[key]
+    bare.write_text(json.dumps(doc))
+
+    reports = []
+    for name, path in [("stored", out / "solution.json"), ("edited", edited), ("bare", bare)]:
+        vcfg = write_config(tmp_path, MODEL_L3_NL + f"\nsolution = {path}", f"{name}.cfg")
+        assert run_cli("verify", "--config", vcfg, "--out", str(tmp_path / name)) == 0
+        reports.append((tmp_path / name / "verify.json").read_bytes())
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def test_diag_solution_verifies(tmp_path):
@@ -404,6 +430,81 @@ def test_oracle_failures_exit_with_typed_codes(
     assert "Traceback" not in err.getvalue()
 
 
+def _plane_wave_solution(tmp_path, lam_gap=0.0, psi=None):
+    """A stored solution at the l3 desk momentum: the plane wave by default."""
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({
+        "t": list(DESK_T), "j": list(DESK_J), "lam_gap": lam_gap, "w_mean": 0.0,
+        "sigma_abs2": 0.0, "steps": 1, "converged": True, "certified": False,
+        "backend": "series", "psi": psi or {"0,0": [math.sqrt(1e-3), 0.0]},
+    }))
+    return path
+
+
+def _newton_step_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(galerkin, "NEWTON_MAX_STEPS", 0)
+    return "verify", MODEL_L3_NL + f"\nsolution = {_plane_wave_solution(tmp_path)}", ()
+
+
+def _newton_rank_deficiency(tmp_path, monkeypatch):
+    # With no potential and sigma = 0 the Jacobian column of the coefficient
+    # at offset (1, 0) is mu_{j+(1,0)} - mu_j - lam_gap, exactly 0 here.
+    free = parse_config("n = 2\nl = 3").ctx
+    gap = float(energy_gaps(free, DESK_T, DESK_J, np.array([[1, 0]]))[0])
+    path = _plane_wave_solution(tmp_path, gap, {"0,0": [1.0, 0.0], "1,0": [1.0, 0.0]})
+    return "verify", f"n = 2\nl = 3\nsolution = {path}", ()
+
+
+def _newton_line_search(tmp_path, monkeypatch):
+    # at a zero tolerance Newton steps on from its exact solve, where no
+    # trial point lowers |F| strictly
+    monkeypatch.setattr(galerkin, "NEWTON_TOL", 0.0)
+    return "verify", MODEL_L3_NL + f"\nsolution = {_plane_wave_solution(tmp_path)}", ()
+
+
+def _oracle_without_eigenvalue(tmp_path, monkeypatch):
+    # At the l1_k8 desk momentum a cosine potential of amplitude 3 pushes the
+    # band out of the spectral window (c - rho, c + rho), rho = k^-0.25.
+    V = "\n".join(f"v.{q} = 3.0" for q in ("1,0", "-1,0", "0,1", "0,-1"))
+    body = "n = 2\nl = 1\ndelta = 0.25\n" + V + (
+        "\nt = 0.13312643051231188,0.8063802563286901\nj = 7,2"
+    )
+    return "linear-eig", body, ("--backend", "diag")
+
+
+def _projector_diagonal_escape(tmp_path, monkeypatch):
+    solve = fixedpoint._series_eigenpair
+
+    def flipped(*args):
+        pair = solve(*args)
+        return dataclasses.replace(pair, proj_column=pair.proj_column.scale(-1.0))
+
+    monkeypatch.setattr(fixedpoint, "_series_eigenpair", flipped)
+    return "fixed-point", MODEL_L3_NL + "\n" + "\n".join(desk_lines()), ()
+
+
+@pytest.mark.parametrize(
+    "setup, fragment",
+    [
+        (_newton_step_budget, "after 0 steps"),
+        (_newton_rank_deficiency, "Jacobian rank"),
+        (_newton_line_search, "line search found no descent"),
+        (_oracle_without_eigenvalue, "no eigenvalue inside"),
+        (_projector_diagonal_escape, "projector diagonal"),
+    ],
+    ids=["newton-step-budget", "newton-rank", "newton-line-search", "oracle-no-eigenvalue",
+         "fixed-point-e_jj"],
+)
+def test_numerical_failures_exit_3(tmp_path, monkeypatch, setup, fragment):
+    command, body, flags = setup(tmp_path, monkeypatch)
+    cfg = write_config(tmp_path, body)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(command, "--config", cfg, "--out", str(tmp_path / "out"), *flags)
+    assert code == 3
+    assert fragment in err.getvalue() and "Traceback" not in err.getvalue()
+
+
 def test_config_errors_exit_2(tmp_path):
     desk = "\n" + "\n".join(desk_lines())
     not_json = tmp_path / "not.json"
@@ -411,9 +512,8 @@ def test_config_errors_exit_2(tmp_path):
     no_psi = tmp_path / "no_psi.json"
     no_psi.write_text(json.dumps({"t": list(DESK_T), "j": list(DESK_J)}))
     good = {
-        "t": list(DESK_T), "j": list(DESK_J), "k": 8.0, "center": 1.0, "lam": 1.0,
-        "lam_gap": 0.0, "w_mean": 0.0, "sigma_abs2": 0.0, "steps": 1,
-        "converged": True, "certified": True, "backend": "series",
+        "t": list(DESK_T), "j": list(DESK_J), "lam_gap": 0.0, "w_mean": 0.0, "sigma_abs2": 0.0,
+        "steps": 1, "converged": True, "certified": True, "backend": "series",
     }
     text_psi = tmp_path / "text_psi.json"
     text_psi.write_text(json.dumps({**good, "psi": {"0,0": ["a", "b"]}}))
@@ -421,6 +521,12 @@ def test_config_errors_exit_2(tmp_path):
     flat_psi.write_text(json.dumps({**good, "psi": {"0": [1.0, 0.0]}}))
     huge_j = tmp_path / "huge_j.json"
     huge_j.write_text(json.dumps({**good, "j": [1e80, 0], "psi": {"0,0": [0.03, 0.0]}}))
+    t_3d = tmp_path / "t_3d.json"
+    t_3d.write_text(json.dumps({**good, "t": [0.1, 0.2, 0.3], "psi": {"0,0": [0.03, 0.0]}}))
+    infinite_j = tmp_path / "infinite_j.json"
+    infinite_j.write_text(json.dumps({**good, "j": [math.inf, 0], "psi": {"0,0": [0.03, 0.0]}}))
+    huge_gap = tmp_path / "huge_gap.json"
+    huge_gap.write_text(json.dumps({**good, "lam_gap": 10**400, "psi": {"0,0": [0.03, 0.0]}}))
     huge = "\nt = 0.5,0.5\nj = 1" + "0" * 80 + ",0"
     rows = [
         ("linear-eig", "n = 2\nl = 3\nwild = 1"),
@@ -434,6 +540,12 @@ def test_config_errors_exit_2(tmp_path):
         ("verify", MODEL_L3_NL + f"\nsolution = {no_psi}"),
         ("verify", MODEL_L3_NL + f"\nsolution = {text_psi}"),
         ("verify", MODEL_L3_NL + f"\nsolution = {flat_psi}"),
+        ("verify", MODEL_L3_NL + f"\nsolution = {t_3d}"),
+        ("verify", MODEL_L3_NL + f"\nsolution = {infinite_j}"),
+        ("verify", MODEL_L3_NL + f"\nsolution = {huge_gap}"),
+        # unreadable stored solutions
+        ("verify", MODEL_L3_NL + f"\nsolution = {tmp_path / 'missing.json'}"),
+        ("verify", MODEL_L3_NL + f"\nsolution = {tmp_path}"),
         # negative model controls
         ("nonres-scan", MODEL_L3 + "\nk = 6.0\nsamples = 2\nseed = -1"),
         # numerical controls that are module constants or follow from the
@@ -497,9 +609,8 @@ def test_unreadable_config_or_unwritable_out_exits_2(tmp_path, config, out):
 def test_amplitude_whose_square_overflows_exits_2(tmp_path, command):
     solution = tmp_path / "solution.json"
     solution.write_text(json.dumps({
-        "t": list(DESK_T), "j": list(DESK_J), "k": 8.0, "center": 1.0, "lam": 1.0,
-        "lam_gap": 0.0, "w_mean": 0.0, "sigma_abs2": 0.0, "steps": 1,
-        "converged": True, "certified": True, "backend": "series",
+        "t": list(DESK_T), "j": list(DESK_J), "lam_gap": 0.0, "w_mean": 0.0, "sigma_abs2": 0.0,
+        "steps": 1, "converged": True, "certified": True, "backend": "series",
         "psi": {"0,0": [1e200, 0.0]},
     }))
     run = {

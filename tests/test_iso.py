@@ -152,6 +152,7 @@ _BAD_CALLS = {
     "kappa_solve-lam-inf": lambda ctx, nu, desk: kappa_solve(ctx, math.inf, nu),
     "sample_surface-lam-nan": lambda ctx, nu, desk: sample_surface(ctx, math.nan, 2),
     "sample_surface-lam-inf": lambda ctx, nu, desk: sample_surface(ctx, math.inf, 2),
+    "sample_surface-count-0": lambda ctx, nu, desk: sample_surface(ctx, _LAM, 0),
     "kappa_solve-direction-nan": lambda ctx, nu, desk: kappa_solve(ctx, _LAM, (math.nan, 1.0)),
     "kappa_solve-direction-inf": lambda ctx, nu, desk: kappa_solve(ctx, _LAM, (math.inf, 1.0)),
     "kappa_solve-direction-zero": lambda ctx, nu, desk: kappa_solve(ctx, _LAM, (0.0, 0.0)),

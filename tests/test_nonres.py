@@ -218,7 +218,7 @@ def test_report_covariant_under_axis_swap():
 _REPORT_FIELDS = (
     "admitted", "cond_separation", "cond_slack", "cond_pair",
     "margin_separation", "margin_slack", "margin_pair",
-    "worst_separation", "worst_pair", "box_radius",
+    "worst_separation", "box_radius",
 )
 
 
@@ -279,7 +279,7 @@ def test_shell_matches_box_on_random_momenta(nl, k, direction):
 ])
 def test_shell_grows_until_certified(t, j):
     """Momenta whose first shell misses the least pair: stopping there
-    reports a larger margin_pair and another worst pair."""
+    reports a larger margin_pair."""
     assert_matches_box(cosine_context(2, 3), t, j)
 
 
