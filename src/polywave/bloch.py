@@ -24,15 +24,18 @@ Two backends produce the same quantities:
   chain at ``zeta``, so only the half ring with ``Im zeta >= 0`` runs and
   the ring sum is the real part of its doubly weighted sum.
 * ``diagonalize_oracle`` builds the operator on a finite window, finds the
-  two eigenvalues nearest ``c`` by shift-invert on one LU factorisation
-  (Lanczos when ``W`` is even, so the matrix is real symmetric; Arnoldi when
-  it is complex Hermitian), and polishes the band eigenvalue with a
-  shift-stabilized Rayleigh quotient.  The window operator's own fill picks
-  the factorisation: a dense array factored by LAPACK when its stored
-  entries are a large fraction of the matrix (the nonlinear l = 1 ``W``),
-  a symmetric-ordered sparse LU otherwise.  It is window-limited but
-  entirely independent of the series algebra.  Dense ``eigh`` cross-checks
-  of both backends live in the test suite.
+  eigenvalue nearest ``c`` by shift-invert on one LU factorisation (Lanczos
+  when ``W`` is even, so the matrix is real symmetric; Arnoldi when it is
+  complex Hermitian), and polishes it with a shift-stabilized Rayleigh
+  quotient.  It solves for the second-nearest eigenvalue too, to prove the
+  band isolated, unless a Weyl bound already does: its own,
+  ``min |gap| - ||W||_*`` over the sites other than the anchor, or one the
+  caller derives from an earlier solve (``isolation``).  The window
+  operator's own fill picks the factorisation: a dense array factored by
+  LAPACK when its stored entries are a large fraction of the matrix (the
+  nonlinear l = 1 ``W``), a symmetric-ordered sparse LU otherwise.  It is
+  window-limited but entirely independent of the series algebra.  Dense
+  ``eigh`` cross-checks of both backends live in the test suite.
 """
 
 from __future__ import annotations
@@ -127,6 +130,9 @@ class BlochEigenpair(Anchor):
     coefficient ``d`` belongs to lattice site ``j + d``, so
     ``proj_column.get(0)`` is the diagonal entry ``E_jj``.  ``quad_err`` and ``quad_nodes`` are the relative disagreement
     and the node count of the accepted contour ring (0 where none ran).
+    ``isolation`` is the oracle's lower bound on ``|mu|`` over the other
+    eigenvalues ``mu`` of its shifted window operator (see
+    ``diagonalize_oracle``; NaN on the series backend); no artifact writes it.
     """
 
     lam_gap: float
@@ -139,6 +145,7 @@ class BlochEigenpair(Anchor):
     tail_certified: bool = False
     quad_err: float = 0.0
     quad_nodes: int = 0
+    isolation: float = math.nan
 
     @property
     def lam(self) -> float:
@@ -431,6 +438,7 @@ def diagonalize_oracle(
     t,
     j,
     window: Optional[int] = None,
+    isolation: float = -math.inf,
 ) -> BlochEigenpair:
     """Eigenpair from a shift-invert eigensolve on a window around the anchor.
 
@@ -440,16 +448,27 @@ def diagonalize_oracle(
     anything else raises ``ResonanceError``.  Where that default exceeds
     ``ORACLE_SITES_MAX`` sites and ``||W||_* < rho``, the window is clipped to
     the largest radius within the budget once ``(t, j)`` passes admission:
-    the slack condition puts every other gap at ``>= 2 rho`` and
-    ``||PWP|| <= ||W||_*``, so by Weyl's inequality exactly one eigenvalue
-    lies inside on any window that holds ``j``.  The isolation count then
-    rests on the admission screen, and the window only sets the accuracy of
-    the column, which the leak tail reports.  Shift-invert at the centre of
-    the shift-stabilized matrix ``H = diag(mu_i - c) + W`` returns its two
-    eigenvalues nearest ``c``, which settles that count exactly.  ``H`` is
-    factored once: as a dense array by LAPACK when its stored entries reach
-    ``ORACLE_DENSE_FRACTION`` of ``sites**2`` (twice that for a complex
-    ``H``, whose entries are twice as large) and the array fits
+    its slack condition puts every other gap at ``>= 2 rho``, so the Weyl
+    bound below isolates the band on any window that holds ``j``, and the
+    window only sets the accuracy of the column, which the leak tail reports.
+
+    ``isolation`` is a lower bound on ``|mu|`` over every eigenvalue ``mu``
+    but the band's of the shift-stabilized window matrix
+    ``H = diag(mu_i - c) + W``.  Where ``||W||_* < rho`` the oracle raises it
+    to its own Weyl bound, ``min |gap| - ||W||_*`` over the sites other than
+    the anchor, since ``||PWP|| <= ||W||_*``.  When the bound reaches ``rho``,
+    shift-invert at the centre solves for the one eigenvalue nearest ``c``,
+    the band's if it lies inside; otherwise for the two nearest, which
+    settles the count as far as the Krylov space started at the anchor site
+    reaches (an eigenvector that overlaps that site only at rounding level
+    stays out of it).  The pair records the bound it used, or the ``|mu|`` of
+    the second eigenvalue it measured; by Weyl again, a later ``W`` on the
+    same window that differs by ``d`` in star norm may pass that less ``d``
+    (``fixedpoint.iterate`` does).
+
+    ``H`` is factored once: as a dense array by LAPACK when its stored
+    entries reach ``ORACLE_DENSE_FRACTION`` of ``sites**2`` (twice that for a
+    complex ``H``, whose entries are twice as large) and the array fits
     ``ORACLE_DENSE_BYTES``, otherwise by SuperLU with a minimum-degree
     ordering of its symmetric pattern.  ``H`` is real (float64) when every
     coefficient of ``W`` is real (``W`` even, ``H`` real symmetric) and ARPACK
@@ -487,6 +506,11 @@ def diagonalize_oracle(
     offsets = integer_grid(M, ctx.n).reshape(-1, ctx.n)
     gaps = energy_gaps(ctx, t, j, offsets)
     center_index = sites // 2
+    if w_star < rho:
+        # Weyl: every eigenvalue but the band's lies within ||W||_* of a gap
+        # other than the anchor's zero one.
+        isolation = max(isolation, float(np.delete(np.abs(gaps), center_index).min()) - w_star)
+    nev = 1 if isolation >= rho else 2
 
     # Sites in row-major order, the anchor in the middle; H[i, k] = w_{d_i - d_k}.
     lin = np.arange(sites).reshape((full,) * ctx.n)
@@ -542,24 +566,32 @@ def diagonalize_oracle(
         start = np.zeros(sites, dtype=H.dtype)
         start[center_index] = 1.0
         try:
-            vals, vecs = scipy.sparse.linalg.eigsh(H, k=2, sigma=0.0, v0=start, OPinv=inverse)
+            # A Lanczos basis of 4 converges the band alone in 9 solves on
+            # the nonlinear l = 1 W, against 21 at scipy's default of 20; the
+            # pair keeps the default.
+            vals, vecs = scipy.sparse.linalg.eigsh(
+                H, k=nev, sigma=0.0, v0=start, OPinv=inverse, ncv=4 if nev == 1 else None
+            )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NonConvergence(f"oracle eigensolve: {exc}") from exc
         except scipy.sparse.linalg.ArpackError as exc:
             raise NumericalFailure(f"oracle eigensolve failed: {exc}") from exc
     else:
         # H = diag(gaps) is singular at the shift; its eigenvectors are sites.
-        nearest = np.argsort(np.abs(gaps), kind="stable")[:2]
+        nearest = np.argsort(np.abs(gaps), kind="stable")[:nev]
         vals = gaps[nearest]
-        vecs = np.zeros((sites, 2), dtype=complex)
-        vecs[nearest, [0, 1]] = 1.0
+        vecs = np.zeros((sites, nev), dtype=complex)
+        vecs[nearest, np.arange(nev)] = 1.0
     inside = np.abs(vals) < rho
     if not inside.any():
         raise ResonanceError(
             f"no eigenvalue inside ({center - rho:.6g}, {center + rho:.6g}) "
             f"on the window of radius {M}"
         )
-    if inside.all():
+    if nev == 2:
+        # |mu| of the eigenvalue outside; below rho if both are inside
+        isolation = float(np.abs(vals).max())
+    if isolation < rho:
         raise ResonanceError(
             "two or more eigenvalues inside the spectral window; "
             "the band is not isolated here"
@@ -586,6 +618,7 @@ def diagonalize_oracle(
         backend="diag",
         tail_bound=tail,
         tail_bound_column=tail,
+        isolation=isolation,
     )
 
 

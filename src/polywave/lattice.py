@@ -329,8 +329,9 @@ class ModelContext:
     ``delta``/``beta`` steer the admission thresholds, and ``r_max``,
     ``tol_root`` and ``seed`` are the numerical controls a caller sets; the
     others are module constants or derived here.  Stages read their
-    controls from here alone (``diagonalize_oracle(window=)`` aside), so a
-    variant is ``dataclasses.replace(ctx, r_max=...)``.
+    controls from here alone (``diagonalize_oracle(window=)`` aside; its
+    ``isolation=`` is a certificate, not a control), so a variant is
+    ``dataclasses.replace(ctx, r_max=...)``.
     """
 
     n: int

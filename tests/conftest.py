@@ -61,3 +61,18 @@ def ctx_l1_lin():
 @pytest.fixture(scope="session")
 def ctx_l1_nl():
     return make_context(1, 0.25, sigma=1.0, amp2=COUPLING)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The ``k`` of every ``scipy.sparse.linalg.eigsh`` call, in call order."""
+    import scipy.sparse.linalg
+
+    calls = []
+
+    def spy(*args, _eigsh=scipy.sparse.linalg.eigsh, **kwargs):
+        calls.append(kwargs["k"])
+        return _eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    return calls

@@ -30,7 +30,7 @@ from polywave.lattice import (
     star_norm,
     zero_mean_shift,
 )
-from polywave.nonres import energy_gaps
+from polywave.nonres import contour_radius, energy_gaps
 
 import chain_reference
 import dense_reference
@@ -468,6 +468,43 @@ def test_l1_empirical_tail_covers_the_oracle_gap(desk_points):
     assert math.isfinite(pair.tail_bound) and math.isfinite(pair.tail_bound_column)
     assert pair.tail_bound >= abs(pair.lam_gap - diag.lam_gap)
     assert pair.tail_bound_column >= star_norm(pair.proj_column - diag.proj_column)
+
+
+@pytest.mark.parametrize(
+    "name, bound, nev",
+    [
+        # ||V||_* = 4 exceeds rho ~ 0.6: no bound of the oracle's own
+        pytest.param("l1_k8", None, 2, id="l1_k8-no_bound"),
+        # a passed bound below rho proves nothing; the second eigenvalue is measured
+        pytest.param("l1_k8", 0.99, 2, id="l1_k8-bound_below_rho"),
+        pytest.param("l1_k8", 1.0, 1, id="l1_k8-bound_at_rho"),
+        # ||V||_* is far below rho: the oracle's own Weyl bound isolates the band
+        pytest.param("l3_k8", None, 1, id="l3_k8-own_bound"),
+    ],
+)
+def test_oracle_solves_for_a_second_eigenvalue_only_without_a_bound(
+    desk_points, eigensolves, name, bound, nev
+):
+    point = desk_points[name]
+    ctx = context_for(point, nonlinear=False)
+    t, j = point["t"], point["j"]
+    rho = contour_radius(ctx, point["k"])
+    isolation = -math.inf if bound is None else bound * rho
+    pair = diagonalize_oracle(ctx, ctx.V, t, j, isolation=isolation)
+    assert eigensolves == [nev]
+    assert pair.isolation >= rho
+    if name == "l3_k8":
+        offsets = integer_grid(ctx.m_lin(point["k"]), ctx.n).reshape(-1, ctx.n)
+        others = np.abs(energy_gaps(ctx, t, j, offsets))[offsets.any(axis=1)]
+        assert pair.isolation == others.min() - star_norm(ctx.V)
+    elif nev == 1:
+        assert pair.isolation == isolation
+    else:
+        # the |mu| of the second eigenvalue, measured
+        assert pair.isolation > isolation
+    dense = dense_reference.diagonalize_oracle(ctx, ctx.V, t, j)
+    assert abs(pair.lam_gap - dense.lam_gap) <= ORACLE_LAM_RTOL * abs(dense.lam_gap)
+    assert star_norm(pair.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
 
 
 @pytest.mark.parametrize("window", [None, 14])

@@ -172,6 +172,31 @@ def test_iterate_reuses_the_pair_while_W_sits_at_the_noise_floor(
     assert np.abs(col - ref).max() <= COL_RTOL * np.abs(ref).sum()
 
 
+@pytest.mark.parametrize("name", ["l1_k8", "l1_k10"])
+def test_diag_iterate_measures_the_second_eigenvalue_once(desk_points, eigensolves, name):
+    """The seed solve on V measures the band's isolation; every later step
+    inherits it through Weyl's inequality and solves for the band alone."""
+    point = desk_points[name]
+    ctx = context_for(point, nonlinear=True)
+    t, j = point["t"], point["j"]
+    sol, trace = iterate(ctx, t, j, backend="diag")
+    assert sol is not None and sol.converged
+    solved = [row for row in trace.rows if row.d_w > trace.noise_floor]
+    assert eigensolves == [2] + [1] * len(solved)
+    assert sol.eigenpair.isolation >= sol.eigenpair.rho
+
+    # differential reference: a fresh solve on the last step's own W, with
+    # no bound passed, measures the second eigenvalue itself
+    eigensolves.clear()
+    fresh = diagonalize_oracle(ctx, zero_mean_shift(trace.rows[-1].w)[0], t, j)
+    assert eigensolves == [2]
+    assert abs(sol.eigenpair.lam_gap - fresh.lam_gap) <= LAM_RTOL * abs(fresh.lam_gap)
+    radius = max(sol.eigenpair.proj_column.box_radius, fresh.proj_column.box_radius)
+    col = sol.eigenpair.proj_column.to_box(radius)
+    ref = fresh.proj_column.to_box(radius)
+    assert np.abs(col - ref).max() <= COL_RTOL * np.abs(ref).sum()
+
+
 N3_CONTEXT = ModelContext(
     n=3, l=3, sigma=1.0, A=math.sqrt(COUPLING), V=cosine_potential(3, (1.0, 1.0, 1.0))
 )

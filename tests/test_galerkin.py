@@ -56,3 +56,14 @@ def test_newton_requires_anchor_amplitude(desk_solution):
     headless = PeriodicFunction(2, {(1, 0): 0.1, (-1, 0): 0.1})
     with pytest.raises(ContractError):
         newton_solve(ctx, sol.t, sol.j, headless, sol.lam_gap)
+
+
+@pytest.mark.parametrize("name", ["l3_k8", "l3_k10", "l1_k8", "l1_k10"])
+def test_diag_fixed_point_needs_no_newton_step(desk_points, name):
+    """The oracle's column carries no rounding dust on far sites that Newton
+    would have to remove: its projected defect is already below tolerance."""
+    point = desk_points[name]
+    ctx = context_for(point, nonlinear=True)
+    sol, _ = iterate(ctx, point["t"], point["j"], backend="diag")
+    assert sol is not None
+    assert compare(ctx, sol).steps == 0
