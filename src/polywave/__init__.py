@@ -63,6 +63,7 @@ from .fixedpoint import (
     ContractionReport,
     FixedPointTrace,
     Solution,
+    Wave,
     contraction_ratio,
     contraction_report,
     effective_perturbation,

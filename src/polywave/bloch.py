@@ -128,8 +128,9 @@ class BlochEigenpair(Anchor):
     since ``lam`` itself is dominated by the huge unperturbed energy.
     ``proj_column`` stores the projector column in offset coordinates:
     coefficient ``d`` belongs to lattice site ``j + d``, so
-    ``proj_column.get(0)`` is the diagonal entry ``E_jj``.  ``quad_err`` and ``quad_nodes`` are the relative disagreement
-    and the node count of the accepted contour ring (0 where none ran).
+    ``proj_column.get((0,) * n)`` is the diagonal entry ``E_jj``.
+    ``quad_err`` is the relative disagreement of the accepted contour ring
+    and ``quad_nodes`` its node count; both are 0 where no ring ran.
     ``isolation`` is the oracle's lower bound on ``|mu|`` over the other
     eigenvalues ``mu`` of its shifted window operator (see
     ``diagonalize_oracle``; NaN on the series backend); no artifact writes it.
@@ -458,13 +459,13 @@ def diagonalize_oracle(
     to its own Weyl bound, ``min |gap| - ||W||_*`` over the sites other than
     the anchor, since ``||PWP|| <= ||W||_*``.  When the bound reaches ``rho``,
     shift-invert at the centre solves for the one eigenvalue nearest ``c``,
-    the band's if it lies inside; otherwise for the two nearest, which
-    settles the count as far as the Krylov space started at the anchor site
-    reaches (an eigenvector that overlaps that site only at rounding level
-    stays out of it).  The pair records the bound it used, or the ``|mu|`` of
-    the second eigenvalue it measured; by Weyl again, a later ``W`` on the
-    same window that differs by ``d`` in star norm may pass that less ``d``
-    (``fixedpoint.iterate`` does).
+    the band's if it lies inside, started at the anchor site; otherwise for
+    the two nearest, started at the anchor site plus a fixed seeded random
+    vector, so that the Krylov space also reaches eigenvectors orthogonal to
+    the anchor site and the count is settled.  The pair records the bound it
+    used, or the ``|mu|`` of the second eigenvalue it measured; by Weyl
+    again, a later ``W`` on the same window that differs by ``d`` in star
+    norm may pass that less ``d`` (``fixedpoint.iterate`` does).
 
     ``H`` is factored once: as a dense array by LAPACK when its stored
     entries reach ``ORACLE_DENSE_FRACTION`` of ``sites**2`` (twice that for a
@@ -563,8 +564,12 @@ def diagonalize_oracle(
                 raise NumericalFailure(f"oracle factorisation failed: {exc}") from exc
         inverse = scipy.sparse.linalg.LinearOperator(H.shape, matvec=solve, dtype=H.dtype)
         # A fixed start vector keeps ARPACK off its random one, so runs repeat.
+        # The two-eigenvalue solve also starts off the anchor site, so that it
+        # sees eigenvectors that do not overlap that site.
         start = np.zeros(sites, dtype=H.dtype)
-        start[center_index] = 1.0
+        if nev == 2:
+            start += np.random.default_rng(0).standard_normal(sites)
+        start[center_index] += 1.0
         try:
             # A Lanczos basis of 4 converges the band alone in 9 solves on
             # the nonlinear l = 1 W, against 21 at scipy's default of 20; the

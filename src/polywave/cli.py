@@ -19,7 +19,6 @@ admission rejections), 4 exhausted iteration budgets.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -33,7 +32,7 @@ from . import __version__
 from .bloch import BlochEigenpair, diagonalize_oracle, series_eigenpair
 from .config import RunConfig, parse_config
 from .errors import ConfigError, ContractError, NonConvergence, NumericalFailure, PolywaveError
-from .fixedpoint import Solution, contraction_report, iterate, residual
+from .fixedpoint import Solution, Wave, contraction_report, iterate, residual
 from .galerkin import compare
 from .iso import sample_surface
 from .lattice import from_json_dict, to_json_dict
@@ -96,6 +95,7 @@ def _solution_dict(sol: Solution, res: float) -> dict:
         "certified": sol.certified,
         "residual": res,
         "psi": to_json_dict(sol.psi),
+        "eigenpair": _eigenpair_dict(sol.eigenpair),
     }
 
 
@@ -158,9 +158,9 @@ def _require(cfg: RunConfig, command: str, **fields):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_linear_eig(cfg: RunConfig, out: _OutputDir) -> None:
+def _cmd_linear_eig(cfg: RunConfig, out: _OutputDir, backend: str) -> None:
     _require(cfg, "linear-eig", t=cfg.t, j=cfg.j)
-    solve = diagonalize_oracle if cfg.backend == "diag" else series_eigenpair
+    solve = diagonalize_oracle if backend == "diag" else series_eigenpair
     pair = solve(cfg.ctx, cfg.ctx.V, cfg.t, cfg.j)
     out.write_json("eigenpair.json", _eigenpair_dict(pair))
     header = [f"d{a+1}" for a in range(cfg.ctx.n)] + ["re", "im"]
@@ -209,9 +209,9 @@ def _cmd_nonres_scan(cfg: RunConfig, out: _OutputDir) -> None:
     out.write_csv("draws.csv", header, rows)
 
 
-def _cmd_fixed_point(cfg: RunConfig, out: _OutputDir) -> None:
+def _cmd_fixed_point(cfg: RunConfig, out: _OutputDir, backend: str) -> None:
     _require(cfg, "fixed-point", t=cfg.t, j=cfg.j)
-    sol, trace = iterate(cfg.ctx, cfg.t, cfg.j, backend=cfg.backend)
+    sol, trace = iterate(cfg.ctx, cfg.t, cfg.j, backend=backend)
     header = ["m", "d_w", "lam_gap", "d_col", "d_psi", "tail"]
     out.write_csv(
         "trace.csv",
@@ -242,8 +242,6 @@ def _cmd_fixed_point(cfg: RunConfig, out: _OutputDir) -> None:
         "col_status": list(report.col_status),
         "noise_floor": report.noise_floor,
     }
-    if sol.eigenpair is not None:
-        doc["eigenpair"] = _eigenpair_dict(sol.eigenpair)
     out.write_json("solution.json", doc)
 
 
@@ -296,20 +294,15 @@ def _cmd_verify(cfg: RunConfig, out: _OutputDir) -> None:
         t, j = tuple(float(c) for c in doc["t"]), tuple(int(c) for c in doc["j"])
         if len(t) != ctx.n or len(j) != ctx.n:
             raise ValueError(f"momentum t + j is not of dimension {ctx.n}")
-        sol = Solution(
+        wave = Wave(
             **vars(anchor(ctx, t, j)),
+            lam_gap=float(doc["lam_gap"]),
             psi=from_json_dict(doc["psi"], n=ctx.n),
-            eigenpair=None,
-            steps=int(doc["steps"]),
-            converged=bool(doc["converged"]),
-            certified=bool(doc["certified"]),
-            backend=str(doc["backend"]),
-            **{key: float(doc[key]) for key in ("lam_gap", "w_mean", "sigma_abs2")},
         )
     except (ValueError, OverflowError, KeyError, TypeError, AttributeError, ContractError) as exc:
         raise ConfigError(f"solution file {path} is malformed: {exc!r}") from exc
-    res = residual(ctx, sol)
-    ref = compare(ctx, sol)
+    res = residual(ctx, wave)
+    ref = compare(ctx, wave)
     out.write_json(
         "verify.json",
         {
@@ -330,6 +323,8 @@ _COMMANDS = {
     "isoenergetic": _cmd_isoenergetic,
     "verify": _cmd_verify,
 }
+# The commands that solve a band, and so take the --backend flag.
+_BAND_COMMANDS = ("linear-eig", "fixed-point")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -342,10 +337,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a key=value run file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument(
-            "--backend", choices=("series", "diag"), default="series",
-            help="spectral backend",
-        )
+        if name in _BAND_COMMANDS:
+            p.add_argument(
+                "--backend", choices=("series", "diag"), default="series",
+                help="spectral backend",
+            )
     return parser
 
 
@@ -360,10 +356,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             text = Path(args.config).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        cfg = dataclasses.replace(parse_config(text), backend=args.backend)
+        cfg = parse_config(text)
 
         out = _OutputDir(Path(args.out))
-        _COMMANDS[args.command](cfg, out)
+        options = {"backend": args.backend} if args.command in _BAND_COMMANDS else {}
+        _COMMANDS[args.command](cfg, out, **options)
         out.write_manifest(
             args.command,
             hashlib.sha256(text.encode()).hexdigest(),

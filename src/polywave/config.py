@@ -41,8 +41,7 @@ _ALL_KEYS = _MODEL_KEYS | _RUN_KEYS
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated model context plus the per-command run parameters; the
-    spectral ``backend`` is set by the CLI flag, not by a config key."""
+    """A validated model context plus the per-command run parameters."""
 
     ctx: ModelContext
     k: Optional[float] = None
@@ -50,7 +49,6 @@ class RunConfig:
     samples: Optional[int] = None
     t: Optional[Tuple[float, ...]] = None
     j: Optional[Tuple[int, ...]] = None
-    backend: str = "series"
     solution: Optional[str] = None
 
 

@@ -74,19 +74,30 @@ class FixedPointTrace:
     rows: Tuple[TraceRow, ...]
     tol_fp: float
     noise_floor: float
-    converged_at: Optional[int]
-
-    @property
-    def converged(self) -> bool:
-        return self.converged_at is not None
 
 
 @dataclass(frozen=True)
-class Solution(Anchor):
-    """A converged self-consistent eigenpair.
+class Wave(Anchor):
+    """A wave ``psi`` and its eigenvalue, the pair that ``residual`` and the
+    Newton confirmation check.
 
-    ``lam_gap`` already contains the mean of the effective perturbation, so
-    ``lam = center + lam_gap`` solves the full nonlinear problem.
+    ``lam_gap`` is ``lam - center``; with the mean of the effective
+    perturbation included, ``lam = center + lam_gap`` solves the full
+    nonlinear problem.
+    """
+
+    lam_gap: float
+    psi: PeriodicFunction
+
+    @property
+    def lam(self) -> float:
+        return float(self.center + self.lam_gap)
+
+
+@dataclass(frozen=True)
+class Solution(Wave):
+    """A converged self-consistent wave with the band pair it came from.
+
     ``asym_remainder`` is what survives after removing the explicit cubic
     shift ``sigma |A|^2``; it decays with a known power of k and is the
     quantity of interest for high-energy asymptotics.  ``certified`` holds
@@ -94,19 +105,13 @@ class Solution(Anchor):
     and, on the series backend, a certified band tail.
     """
 
-    lam_gap: float
-    psi: PeriodicFunction
-    eigenpair: Optional[BlochEigenpair]
+    eigenpair: BlochEigenpair
     w_mean: float
     sigma_abs2: float
     steps: int
     converged: bool
     certified: bool
     backend: str
-
-    @property
-    def lam(self) -> float:
-        return float(self.center + self.lam_gap)
 
     @property
     def asym_remainder(self) -> float:
@@ -248,13 +253,7 @@ def iterate(
             break
         W_prev, column = W, pair.proj_column
 
-    trace = FixedPointTrace(
-        rows=tuple(rows),
-        tol_fp=tol,
-        noise_floor=noise_floor,
-        converged_at=solution.steps if solution else None,
-    )
-    return solution, trace
+    return solution, FixedPointTrace(rows=tuple(rows), tol_fp=tol, noise_floor=noise_floor)
 
 
 @dataclass(frozen=True)
@@ -393,11 +392,10 @@ def defect(
     return (gaps - lam_gap) * psi.to_box(radius) + coupled.to_box(radius)
 
 
-def residual(ctx: ModelContext, sol: Solution) -> float:
-    """Exact residual of the nonlinear equation at the reported solution:
-    the summed magnitudes of its ``defect``, scaled by the wave amplitude."""
-    a = anchor(ctx, sol.t, sol.j)
-    if not len(sol.psi):
+def residual(ctx: ModelContext, wave: Wave) -> float:
+    """Exact residual of the nonlinear equation at ``wave``: the summed
+    magnitudes of its ``defect``, scaled by the wave amplitude."""
+    if not len(wave.psi):
         raise ContractError("solution wave is empty")
-    box = defect(ctx, a.t, a.j, sol.psi, sol.lam_gap)
+    box = defect(ctx, wave.t, wave.j, wave.psi, wave.lam_gap)
     return math.fsum(map(abs, box.ravel().tolist())) / (abs(ctx.A) or 1.0)

@@ -26,7 +26,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ContractError, NewtonFailure
-from .fixedpoint import Solution, defect
+from .fixedpoint import Wave, defect
 from .lattice import ModelContext, PeriodicFunction, abs_squared, multiply, star_norm
 from .nonres import anchor, energy_gaps
 
@@ -41,18 +41,17 @@ def newton_solve(
     j,
     psi_init: PeriodicFunction,
     lam_gap_init: float,
-) -> Tuple[Solution, int]:
+) -> Tuple[Wave, int]:
     """Refine (psi, lam) by a damped least-squares Newton iteration.
 
     ``lam_gap_init`` is the eigenvalue measured from the unperturbed energy.
-    Returns the refined solution and the number of Newton steps taken;
+    Returns the refined wave and the number of Newton steps taken;
     raises ``NewtonFailure`` on a singular Jacobian, a failed line search,
     or an exhausted step budget.
     """
     a = anchor(ctx, t, j)
     t, j = a.t, a.j
-    zero = (0,) * ctx.n
-    if abs(psi_init.get(zero)) == 0.0:
+    if abs(psi_init.get((0,) * ctx.n)) == 0.0:
         raise ContractError("anchor coefficient psi_0 must be nonzero for gauge pinning")
 
     # The working support S is the stored frequencies of psi_init (anchor
@@ -140,25 +139,12 @@ def newton_solve(
                 f"(|F| = {f0:.3e})"
             )
 
-    w_mean = float(ctx.sigma * abs_squared(psi).get(zero).real)
-    sol = Solution(
-        **vars(a),
-        lam_gap=float(dlam),
-        psi=psi,
-        eigenpair=None,
-        w_mean=w_mean,
-        sigma_abs2=ctx.sigma * abs(ctx.A) ** 2,
-        steps=steps,
-        converged=True,
-        certified=False,
-        backend="galerkin",
-    )
-    return sol, steps
+    return Wave(**vars(a), lam_gap=float(dlam), psi=psi), steps
 
 
 @dataclass(frozen=True)
 class RefinementComparison:
-    """How far a candidate solution moved under Newton refinement."""
+    """How far a candidate wave moved under Newton refinement."""
 
     d_lam_gap: float
     d_psi: float
@@ -166,14 +152,14 @@ class RefinementComparison:
     steps: int
 
 
-def compare(ctx: ModelContext, sol: Solution) -> RefinementComparison:
-    """Refine ``sol`` and report the displacement; small means confirmed."""
-    refined, steps = newton_solve(ctx, sol.t, sol.j, sol.psi, sol.lam_gap)
-    d_lam = abs(refined.lam_gap - sol.lam_gap)
-    denom = max(abs(refined.lam_gap), abs(sol.lam_gap), 1e-300)
+def compare(ctx: ModelContext, wave: Wave) -> RefinementComparison:
+    """Refine ``wave`` and report the displacement; small means confirmed."""
+    refined, steps = newton_solve(ctx, wave.t, wave.j, wave.psi, wave.lam_gap)
+    d_lam = abs(refined.lam_gap - wave.lam_gap)
+    denom = max(abs(refined.lam_gap), abs(wave.lam_gap), 1e-300)
     return RefinementComparison(
         d_lam_gap=d_lam,
-        d_psi=star_norm(refined.psi - sol.psi),
+        d_psi=star_norm(refined.psi - wave.psi),
         rel_lam_gap=d_lam / denom,
         steps=steps,
     )

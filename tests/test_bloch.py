@@ -507,6 +507,19 @@ def test_oracle_solves_for_a_second_eigenvalue_only_without_a_bound(
     assert star_norm(pair.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
 
 
+@pytest.mark.parametrize("name", ["l1_k8", "l1_k10"])
+def test_oracle_isolation_is_the_second_eigenvalue_of_the_window(desk_points, name):
+    """The two-eigenvalue solve also finds eigenvectors that do not overlap
+    the anchor site: it measures the second-smallest |mu| of the window."""
+    point = desk_points[name]
+    ctx = context_for(point, nonlinear=False)
+    t, j = point["t"], point["j"]
+    pair = diagonalize_oracle(ctx, ctx.V, t, j)
+    _, gaps, coupling = dense_reference._window(ctx, ctx.V, t, j, ctx.m_lin(point["k"]))
+    mu = np.sort(np.abs(np.linalg.eigvalsh(np.diag(gaps) + coupling)))
+    assert pair.isolation == pytest.approx(mu[1], rel=1e-9)
+
+
 @pytest.mark.parametrize("window", [None, 14])
 def test_both_oracles_flag_degenerate_window(ctx_l3_lin, window):
     for oracle in (diagonalize_oracle, dense_reference.diagonalize_oracle):

@@ -65,7 +65,6 @@ def test_parse_minimal_config():
     assert cfg.ctx.v_star == 4.0
     assert cfg.t == (0.1, 0.2)
     assert cfg.j == (5, 1)
-    assert cfg.backend == "series"
 
 
 def test_parse_comments_and_blanks():
@@ -164,6 +163,19 @@ def test_backend_override_switches_solver(tmp_path):
     assert json.loads((out / "eigenpair.json").read_text())["backend"] == "diag"
 
 
+@pytest.mark.parametrize("command", ["nonres-scan", "isoenergetic", "verify"])
+def test_backend_flag_is_a_usage_error_where_no_band_is_solved(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, MODEL_L3)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, "--config", cfg, "--out", str(out), "--backend", "diag")
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "unrecognized arguments: --backend diag" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_nonres_scan_counts_and_seed_override(tmp_path):
     cfg = write_config(tmp_path, MODEL_L3 + "\nk = 6.0\nsamples = 24\n")
     out_a = tmp_path / "a"
@@ -256,6 +268,31 @@ def test_verify_derives_the_anchor_from_t_and_j(tmp_path):
         assert run_cli("verify", "--config", vcfg, "--out", str(tmp_path / name)) == 0
         reports.append((tmp_path / name / "verify.json").read_bytes())
     assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_verify_reads_only_the_wave(tmp_path):
+    # t, j, psi and lam_gap are all verify needs; a stored residual is only echoed
+    cfg = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
+    out = tmp_path / "fp"
+    assert run_cli("fixed-point", "--config", cfg, "--out", str(out)) == 0
+    doc = json.loads((out / "solution.json").read_text())
+    wave = {key: doc[key] for key in ("t", "j", "psi", "lam_gap")}
+    files = {
+        "stored": out / "solution.json",
+        "wave": tmp_path / "wave.json",
+        "wave_residual": tmp_path / "wave_residual.json",
+    }
+    files["wave"].write_text(json.dumps(wave))
+    files["wave_residual"].write_text(json.dumps({**wave, "residual": doc["residual"]}))
+
+    reports = {}
+    for name, path in files.items():
+        vcfg = write_config(tmp_path, MODEL_L3_NL + f"\nsolution = {path}", f"{name}.cfg")
+        assert run_cli("verify", "--config", vcfg, "--out", str(tmp_path / name)) == 0
+        reports[name] = (tmp_path / name / "verify.json").read_bytes()
+    assert reports["wave_residual"] == reports["stored"]
+    report = json.loads(reports["stored"])
+    assert json.loads(reports["wave"]) == {**report, "stored_residual": None}
 
 
 def test_diag_solution_verifies(tmp_path):
@@ -646,7 +683,8 @@ def test_isoenergetic_surface_accounting(tmp_path):
 
 # A valid base run for every command, then up to three overrides, so that
 # draws reach the solvers as well as the parser; each draw also picks the
-# --backend flag, so draws reach the oracle as well as the series.
+# --backend flag, which the band commands take, so draws reach the oracle as
+# well as the series.
 _FUZZ_BASE = {
     "sigma": "1.0",
     "A": repr(math.sqrt(1e-3)),
@@ -720,11 +758,11 @@ def test_config_fuzz_exits_with_documented_code(
     lines.append(f"solution = {fuzz_dir / (solution + '.json')}")
     cfg = fuzz_dir / "run.cfg"
     cfg.write_text("\n".join(lines) + "\n")
+    flags = ["--backend", backend] if command in ("linear-eig", "fixed-point") else []
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main([
-            command, "--config", str(cfg), "--out", tempfile.mkdtemp(dir=fuzz_dir),
-            "--backend", backend,
+            command, "--config", str(cfg), "--out", tempfile.mkdtemp(dir=fuzz_dir), *flags,
         ])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()

@@ -27,14 +27,6 @@ def test_newton_confirms_fixed_point(desk_solution):
     assert cmp.d_psi < 1e-9
 
 
-def test_newton_solution_metadata(desk_solution):
-    ctx, sol = desk_solution
-    refined, steps = newton_solve(ctx, sol.t, sol.j, sol.psi, sol.lam_gap)
-    assert refined.backend == "galerkin"
-    assert not refined.certified
-    assert refined.steps == steps
-
-
 def test_newton_recovers_from_perturbed_init(desk_solution):
     ctx, sol = desk_solution
     refined, _ = newton_solve(ctx, sol.t, sol.j, sol.psi, sol.lam_gap)
