@@ -52,11 +52,7 @@ from .nonres import (
 from .bloch import (
     BlochEigenpair,
     ContourSpec,
-    GradientCheck,
     diagonalize_oracle,
-    eigenvalue_gradient,
-    first_order_column,
-    second_order_eigenvalue_shift,
     series_eigenpair,
 )
 from .fixedpoint import (

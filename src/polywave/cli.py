@@ -80,7 +80,7 @@ def _eigenpair_dict(pair: BlochEigenpair) -> dict:
 
 def _solution_dict(sol: Solution, res: float) -> dict:
     return {
-        "backend": sol.backend,
+        "backend": sol.eigenpair.backend,
         "t": list(sol.t),
         "j": list(sol.j),
         "k": sol.k,
@@ -91,7 +91,6 @@ def _solution_dict(sol: Solution, res: float) -> dict:
         "sigma_abs2": sol.sigma_abs2,
         "asym_remainder": sol.asym_remainder,
         "steps": sol.steps,
-        "converged": sol.converged,
         "certified": sol.certified,
         "residual": res,
         "psi": to_json_dict(sol.psi),
@@ -299,6 +298,8 @@ def _cmd_verify(cfg: RunConfig, out: _OutputDir) -> None:
             lam_gap=float(doc["lam_gap"]),
             psi=from_json_dict(doc["psi"], n=ctx.n),
         )
+        if wave.psi.get((0,) * ctx.n) == 0:
+            raise ValueError("psi has no anchor coefficient psi_0")
     except (ValueError, OverflowError, KeyError, TypeError, AttributeError, ContractError) as exc:
         raise ConfigError(f"solution file {path} is malformed: {exc!r}") from exc
     res = residual(ctx, wave)

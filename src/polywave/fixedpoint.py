@@ -102,16 +102,15 @@ class Solution(Wave):
     shift ``sigma |A|^2``; it decays with a known power of k and is the
     quantity of interest for high-energy asymptotics.  ``certified`` holds
     when the a-priori bounds do: ``k >= k1``, a contraction ratio below one
-    and, on the series backend, a certified band tail.
+    and, on the series backend, a certified band tail, the backend being
+    ``eigenpair.backend``.
     """
 
     eigenpair: BlochEigenpair
     w_mean: float
     sigma_abs2: float
     steps: int
-    converged: bool
     certified: bool
-    backend: str
 
     @property
     def asym_remainder(self) -> float:
@@ -242,13 +241,11 @@ def iterate(
                 w_mean=w_mean,
                 sigma_abs2=ctx.sigma * abs(ctx.A) ** 2,
                 steps=m,
-                converged=True,
                 certified=(
                     a.k >= k1_threshold(ctx)
                     and contraction_ratio(ctx, a.k) < 1.0
                     and (backend != "series" or pair.tail_certified)
                 ),
-                backend=backend,
             )
             break
         W_prev, column = W, pair.proj_column
@@ -271,10 +268,8 @@ class ContractionReport:
     or the measurement sits under the floating-point noise floor.
     """
 
-    k: float
     k1: float
     bound_applicable: bool
-    steps: Tuple[int, ...]
     increments: Tuple[float, ...]
     ratios: Tuple[Optional[float], ...]   # ratio at m -> dW_{m+1}/dW_m
     ratio_bound: float
@@ -354,10 +349,8 @@ def contraction_report(ctx: ModelContext, trace: FixedPointTrace, k: float) -> C
         col_status.append(_compare(d, bound, claimed, col_floor))
 
     return ContractionReport(
-        k=k,
         k1=k1,
         bound_applicable=claimed,
-        steps=tuple(row.m for row in trace.rows),
         increments=tuple(incs),
         ratios=tuple(ratios),
         ratio_bound=ratio_bound,

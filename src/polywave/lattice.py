@@ -306,15 +306,10 @@ def to_json_dict(f: PeriodicFunction) -> Dict[str, list]:
     return {",".join(str(s) for s in q): [c.real, c.imag] for q, c in f.items()}
 
 
-def from_json_dict(d: Mapping[str, Iterable[float]], n: Optional[int] = None) -> PeriodicFunction:
+def from_json_dict(d: Mapping[str, Iterable[float]], n: int) -> PeriodicFunction:
     coeffs: Dict[LatticeIndex, complex] = {}
     for key, (re, im) in d.items():
-        q = tuple(int(s) for s in key.split(","))
-        coeffs[q] = complex(re, im)
-        if n is None:
-            n = len(q)
-    if n is None:
-        raise ContractError("cannot infer dimension from an empty map; pass n")
+        coeffs[tuple(int(s) for s in key.split(","))] = complex(re, im)
     return PeriodicFunction(n, coeffs)
 
 

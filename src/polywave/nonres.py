@@ -283,7 +283,6 @@ class SphereSampleStats:
     admitted or not.
     """
 
-    k: float
     samples: int
     directions: Tuple[Tuple[float, ...], ...]
     reports: Tuple[NonResonanceReport, ...]
@@ -343,7 +342,6 @@ def sample_nonresonant(
 
     directions = sample_directions(ctx.n, samples, ctx.seed)
     return SphereSampleStats(
-        k=float(k),
         samples=samples,
         directions=tuple(map(tuple, directions.tolist())),
         reports=tuple(map(probe, directions)),

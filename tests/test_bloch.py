@@ -14,9 +14,6 @@ from polywave.bloch import (
     _chain_series,
     _eigenvalue_terms,
     diagonalize_oracle,
-    eigenvalue_gradient,
-    first_order_column,
-    second_order_eigenvalue_shift,
     series_eigenpair,
 )
 from polywave.errors import ConfigError, ContractError, ResonanceError
@@ -34,6 +31,7 @@ from polywave.nonres import contour_radius, energy_gaps
 
 import chain_reference
 import dense_reference
+from closed_forms import eigenvalue_gradient, first_order_column, second_order_eigenvalue_shift
 from dense_reference import dense_window_series, op_norm_1
 from conftest import context_for, make_context
 

@@ -199,34 +199,36 @@ def test_nonres_scan_counts_and_seed_override(tmp_path):
 
 def test_fixed_point_and_verify_round_trip(tmp_path):
     cfg = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
-    out = tmp_path / "fp"
-    assert run_cli("fixed-point", "--config", cfg, "--out", str(out)) == 0
+    for backend in ("series", "diag"):
+        out = tmp_path / f"fp-{backend}"
+        assert run_cli("fixed-point", "--config", cfg, "--out", str(out), "--backend", backend) == 0
 
-    sol = json.loads((out / "solution.json").read_text())
-    assert sol["converged"] is True
-    assert sol["residual"] < 1e-8
-    statuses = (
-        sol["contraction"]["ratio_status"]
-        + sol["contraction"]["drift_status"]
-        + sol["contraction"]["col_status"]
-    )
-    assert statuses and "violated" not in statuses
-    trace_lines = (out / "trace.csv").read_text().splitlines()
-    assert trace_lines[0].startswith("m,")
-    assert len(trace_lines) == sol["steps"] + 1
+        sol = json.loads((out / "solution.json").read_text())
+        assert "converged" not in sol
+        assert sol["backend"] == sol["eigenpair"]["backend"] == backend
+        assert sol["residual"] < 1e-8
+        statuses = (
+            sol["contraction"]["ratio_status"]
+            + sol["contraction"]["drift_status"]
+            + sol["contraction"]["col_status"]
+        )
+        assert statuses and "violated" not in statuses
+        trace_lines = (out / "trace.csv").read_text().splitlines()
+        assert trace_lines[0].startswith("m,")
+        assert len(trace_lines) == sol["steps"] + 1
 
-    vcfg = write_config(
-        tmp_path,
-        MODEL_L3_NL + "\nsolution = " + str(out / "solution.json"),
-        "verify.cfg",
-    )
-    vout = tmp_path / "verify"
-    assert run_cli("verify", "--config", vcfg, "--out", str(vout)) == 0
-    report = json.loads((vout / "verify.json").read_text())
-    assert report["residual"] < 1e-8
-    assert report["stored_residual"] == sol["residual"]
-    assert report["newton_d_lam_gap"] < 1e-9
-    assert report["newton_d_psi"] < 1e-9
+        vcfg = write_config(
+            tmp_path,
+            MODEL_L3_NL + "\nsolution = " + str(out / "solution.json"),
+            f"verify-{backend}.cfg",
+        )
+        vout = tmp_path / f"verify-{backend}"
+        assert run_cli("verify", "--config", vcfg, "--out", str(vout)) == 0
+        report = json.loads((vout / "verify.json").read_text())
+        assert report["residual"] < 1e-8
+        assert report["stored_residual"] == sol["residual"]
+        assert report["newton_d_lam_gap"] < 1e-9
+        assert report["newton_d_psi"] < 1e-9
 
 
 def test_verify_measures_a_perturbed_coefficient(tmp_path):
@@ -564,6 +566,10 @@ def test_config_errors_exit_2(tmp_path):
     infinite_j.write_text(json.dumps({**good, "j": [math.inf, 0], "psi": {"0,0": [0.03, 0.0]}}))
     huge_gap = tmp_path / "huge_gap.json"
     huge_gap.write_text(json.dumps({**good, "lam_gap": 10**400, "psi": {"0,0": [0.03, 0.0]}}))
+    empty_psi = tmp_path / "empty_psi.json"
+    empty_psi.write_text(json.dumps({**good, "psi": {}}))
+    no_anchor = tmp_path / "no_anchor.json"
+    no_anchor.write_text(json.dumps({**good, "psi": {"1,0": [1e-3, 0.0]}}))
     huge = "\nt = 0.5,0.5\nj = 1" + "0" * 80 + ",0"
     rows = [
         ("linear-eig", "n = 2\nl = 3\nwild = 1"),
@@ -580,6 +586,8 @@ def test_config_errors_exit_2(tmp_path):
         ("verify", MODEL_L3_NL + f"\nsolution = {t_3d}"),
         ("verify", MODEL_L3_NL + f"\nsolution = {infinite_j}"),
         ("verify", MODEL_L3_NL + f"\nsolution = {huge_gap}"),
+        ("verify", MODEL_L3_NL + f"\nsolution = {empty_psi}"),
+        ("verify", MODEL_L3_NL + f"\nsolution = {no_anchor}"),
         # unreadable stored solutions
         ("verify", MODEL_L3_NL + f"\nsolution = {tmp_path / 'missing.json'}"),
         ("verify", MODEL_L3_NL + f"\nsolution = {tmp_path}"),

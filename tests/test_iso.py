@@ -10,13 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polywave import iso
-from polywave.bloch import eigenvalue_gradient
 from polywave.errors import ConfigError, NonConvergence, ResonanceError
 from polywave.fixedpoint import iterate
 from polywave.iso import kappa_solve, reference_radius, sample_surface
 from polywave.lattice import decompose, momentum
 from polywave.nonres import check_quasimomentum, sample_nonresonant
 
+from closed_forms import eigenvalue_gradient
 from conftest import COUPLING, context_for, make_context
 
 
