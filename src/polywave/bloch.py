@@ -23,27 +23,18 @@ Two backends produce the same quantities:
   coefficient real) the chain at ``conj(zeta)`` is the conjugate of the
   chain at ``zeta``, so only the half ring with ``Im zeta >= 0`` runs and
   the ring sum is the real part of its doubly weighted sum.
-* ``diagonalize_oracle`` builds the operator on a finite window, finds the
-  eigenvalue nearest ``c`` by shift-invert on one LU factorisation (Lanczos
-  when ``W`` is even, so the matrix is real symmetric; Arnoldi when it is
-  complex Hermitian), and polishes it with a shift-stabilized Rayleigh
-  quotient.  It solves for the second-nearest eigenvalue too, to prove the
-  band isolated, unless a Weyl bound already does: its own,
-  ``min |gap| - ||W||_*`` over the sites other than the anchor, or one the
-  caller derives from an earlier solve (``isolation``).  The window
-  operator's own fill picks the factorisation: a dense array factored by
-  LAPACK when its stored entries are a large fraction of the matrix (the
-  nonlinear l = 1 ``W``), a symmetric-ordered sparse LU otherwise.  It is
-  window-limited but entirely independent of the series algebra.  Dense
-  ``eigh`` cross-checks of both backends live in the test suite.
+* ``diagonalize_oracle`` builds the operator on a finite window and finds
+  the eigenvalue nearest ``c`` by shift-invert on a sparse LU factor, proving
+  the band isolated by a Weyl bound or a second eigenvalue; under such a
+  bound an earlier pair's factor serves a new ``W`` through a fixed-shift
+  correction iteration.  It is window-limited but independent of the series
+  algebra; dense ``eigh`` cross-checks of both backends live in the tests.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,25 +67,17 @@ EMPIRICAL_SAFETY = 4.0
 # nodes, so the working set of a band solve does not grow with grid size
 # times node count.
 NODE_BLOCK_BYTES = 2 * 2**20
-# Resource guard for the oracle window, in lattice sites.  On the sparse path
-# memory is bounded by the fill of the LU factor, not by the non-zeros of the
-# window operator: at n = 3 with a cosine potential (real, 8 bytes an entry),
-# 2197 sites factor into 0.21 M entries (0.01 s), 9261 into 2.2 M (16.5 MiB,
-# 0.5 s; peak process RSS 116 MiB) and 24389 into 10.4 M (79 MiB, 11 s; peak
-# RSS 299 MiB); one core of a 2-vCPU host.  The dense path holds ``sites**2``
-# entries twice (the operator and its LU), each within ORACLE_DENSE_BYTES.
+# Resource guard for the oracle window, in lattice sites; a diag fixed point
+# factors one window, its seed's.  Memory is bounded by the fill of the LU
+# factor: at n = 3 with a cosine potential (real, 8 bytes an entry), 2197
+# sites factor into 0.21 M entries (0.01 s), 9261 into 2.2 M (16.5 MiB, 0.5 s)
+# and 24389 into 10.4 M (79 MiB, 11 s; peak RSS 299 MiB) on one 2-vCPU core.
 ORACLE_SITES_MAX = 12000
-# A window operator whose stored entries reach this fraction of ``sites**2``
-# is factored dense by LAPACK, if the dense matrix fits ORACLE_DENSE_BYTES;
-# every other window goes to SuperLU.  Measured on one core of a 2-vCPU host
-# (factor plus shift-invert eigensolve, medians of 3-5): a real operator
-# breaks even at 13-14 % stored at 961-1681 sites and is 1.8x faster dense at
-# 20 % (l1_k8 nonlinear W, 1089 sites: 0.065 s against 0.117 s), while the
-# l3 desks (0.3-1.1 % stored) are 4-11x faster sparse.  A complex operator
-# breaks even near 30 %, so the fraction scales with the entry size (16 bytes
-# against 8); the byte budget keeps it sparse from 1025 sites up.
-ORACLE_DENSE_FRACTION = 0.15
-ORACLE_DENSE_BYTES = 16 * 2**20
+# A continued oracle solve stops once its correction to the unit vector is
+# this small in 2-norm (each is about 60x smaller than the one before on the
+# l = 1 desks), or factors its own window after CONTINUE_STEPS_MAX steps.
+CONTINUE_TOL = 1e-14
+CONTINUE_STEPS_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -131,8 +114,9 @@ class BlochEigenpair(Anchor):
     ``quad_err`` is the relative disagreement of the accepted contour ring
     and ``quad_nodes`` its node count; both are 0 where no ring ran.
     ``isolation`` is the oracle's lower bound on ``|mu|`` over the other
-    eigenvalues ``mu`` of its shifted window operator (see
-    ``diagonalize_oracle``; NaN on the series backend); no artifact writes it.
+    eigenvalues ``mu`` of its shifted window operator, ``inverse`` the
+    inverse it solved with, which a later ``diagonalize_oracle`` call may
+    continue from (NaN and None on the series backend); no artifact writes them.
     """
 
     lam_gap: float
@@ -146,6 +130,7 @@ class BlochEigenpair(Anchor):
     quad_err: float = 0.0
     quad_nodes: int = 0
     isolation: float = math.nan
+    inverse: object = field(default=None, repr=False, compare=False)
 
     @property
     def lam(self) -> float:
@@ -432,6 +417,29 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
 # window oracle
 # ---------------------------------------------------------------------------
 
+def _continued_band(apply, inverse, v: np.ndarray, rho: float):
+    """The band's eigenvector of ``H`` continued from ``v`` on the factor of
+    an earlier window operator ``H_V``, or None where that proves nothing.
+
+    A step subtracts ``H_V^-1 r`` from the unit ``v``, with the residual
+    ``r = H v - theta v`` at the Rayleigh quotient ``theta``: a fixed-shift
+    correction, which keeps the band's component and shrinks every other by
+    a factor near ``|theta / mu|`` or less.  Once it is at rounding,
+    ``|theta| + ||r|| < rho`` puts an eigenvalue in the spectral window, by
+    the caller's isolation bound the band's, with eigenvector ``v``.
+    """
+    for _ in range(CONTINUE_STEPS_MAX):
+        v = v / np.linalg.norm(v)
+        hv = apply(v)
+        theta = np.vdot(v, hv).real
+        r = hv - theta * v
+        step = inverse @ r
+        v = v - step
+        if np.linalg.norm(step) <= CONTINUE_TOL:
+            return v if abs(theta) + np.linalg.norm(r) < rho else None
+    return None
+
+
 def diagonalize_oracle(
     ctx: ModelContext,
     W: PeriodicFunction,
@@ -439,6 +447,7 @@ def diagonalize_oracle(
     j,
     window: Optional[int] = None,
     isolation: float = -math.inf,
+    previous: Optional[BlochEigenpair] = None,
 ) -> BlochEigenpair:
     """Eigenpair from a shift-invert eigensolve on a window around the anchor.
 
@@ -454,33 +463,26 @@ def diagonalize_oracle(
 
     ``isolation`` is a lower bound on ``|mu|`` over every eigenvalue ``mu``
     but the band's of the shift-stabilized window matrix
-    ``H = diag(mu_i - c) + W``.  Where ``||W||_* < rho`` the oracle raises it
-    to its own Weyl bound, ``min |gap| - ||W||_*`` over the sites other than
-    the anchor, since ``||PWP|| <= ||W||_*``.  When the bound reaches ``rho``,
-    shift-invert at the centre solves for the one eigenvalue nearest ``c``,
-    the band's if it lies inside, started at the anchor site; otherwise for
-    the two nearest, started at the anchor site plus a fixed seeded random
-    vector, so that the Krylov space also reaches eigenvectors orthogonal to
-    the anchor site and the count is settled.  The pair records the bound it
-    used, or the ``|mu|`` of the second eigenvalue it measured; by Weyl
-    again, a later ``W`` on the same window that differs by ``d`` in star
-    norm may pass that less ``d`` (``fixedpoint.iterate`` does).
-
-    ``H`` is factored once: as a dense array by LAPACK when its stored
-    entries reach ``ORACLE_DENSE_FRACTION`` of ``sites**2`` (twice that for a
-    complex ``H``, whose entries are twice as large) and the array fits
-    ``ORACLE_DENSE_BYTES``, otherwise by SuperLU with a minimum-degree
-    ordering of its symmetric pattern.  ``H`` is real (float64) when every
-    coefficient of ``W`` is real (``W`` even, ``H`` real symmetric) and ARPACK
-    runs Lanczos; otherwise ``H`` is complex Hermitian and ARPACK runs
-    Arnoldi.  The eigenvalue is reported as a gap from ``c`` via a Rayleigh
-    quotient over ``H``, which restores the accuracy lost to the huge
-    absolute scale of the raw eigensolve.  A singular factorisation and any
-    other ARPACK failure raise ``NumericalFailure``, an eigensolve that does
-    not converge ``NonConvergence``.
+    ``H = diag(mu_i - c) + W``; where ``||W||_* < rho`` the oracle raises it
+    to its own Weyl bound, ``min |gap| - ||W||_*`` over the other sites.
+    Once the bound reaches ``rho`` the band is continued from ``previous``, a
+    pair from an earlier call on the same window, on the ``inverse`` of its
+    factor (``_continued_band``).  Otherwise, or where that proves nothing,
+    ``H`` gets a SuperLU factor (minimum-degree ordering of its symmetric
+    pattern; real and Lanczos when ``W`` is even, complex Hermitian and
+    Arnoldi otherwise) and shift-invert at the centre solves for the
+    eigenvalue nearest ``c``, started at the anchor site, or for the two
+    nearest when the bound is below ``rho``, started off that site too (a
+    fixed seeded random vector) so that the count is settled.  The pair
+    records the bound it used, or the ``|mu|`` of the second eigenvalue it
+    measured; a later ``W`` on the same window that differs by ``d`` in star
+    norm may pass that less ``d`` (``fixedpoint.iterate`` does).  The
+    eigenvalue is the Rayleigh quotient of the band's vector over ``H``, free
+    of the raw eigensolve's error at the huge absolute scale.  A singular
+    factorisation or other ARPACK failure raises ``NumericalFailure``, an
+    eigensolve that does not converge ``NonConvergence``.
     """
     # Imported here so the series path never loads scipy (~0.3 s, ~28 MiB).
-    import scipy.linalg
     import scipy.sparse
     import scipy.sparse.linalg
 
@@ -512,60 +514,65 @@ def diagonalize_oracle(
         isolation = max(isolation, float(np.delete(np.abs(gaps), center_index).min()) - w_star)
     nev = 1 if isolation >= rho else 2
 
-    # Sites in row-major order, the anchor in the middle; H[i, k] = w_{d_i - d_k}.
-    lin = np.arange(sites).reshape((full,) * ctx.n)
+    # Sites in row-major order, the anchor in the middle.  W couples two lines
+    # along the last axis whose other coordinates differ by q through the
+    # Toeplitz block T[b, a] = w_(q, a - b), held in bands[q + R].
+    box = (full,) * ctx.n
     even = W.is_even()
     dtype = np.dtype(float if even else complex)    # H is real symmetric when W is even
-    stencil = [(c.real if even else c, dst, src) for c, dst, src in _stencil(W, full)]
-    stored = sites + sum(lin[dst].size for _, dst, _ in stencil)
-    dense = (
-        stored >= ORACLE_DENSE_FRACTION * (dtype.itemsize // 8) * sites * sites
-        and sites * sites * dtype.itemsize <= ORACLE_DENSE_BYTES
-    )
-    if dense:
-        H = np.zeros((sites, sites), dtype=dtype)
-        np.fill_diagonal(H, gaps)
-        for c, dst, src in stencil:
-            H[lin[dst].ravel(), lin[src].ravel()] = c
-    else:
-        rows, cols, data = [lin.ravel()], [lin.ravel()], [gaps.astype(dtype)]
-        for c, dst, src in stencil:
-            rows.append(lin[dst].ravel())
-            cols.append(lin[src].ravel())
-            data.append(np.full(rows[-1].size, c, dtype=dtype))
-        H = scipy.sparse.csc_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(sites, sites),
-        )
+    R = min(W.box_radius, full - 1)
+    kernel = W.to_box(R).real if even else W.to_box(R)
+    d = np.subtract.outer(np.arange(full), np.arange(full))
+    bands = np.where(np.abs(d) <= R, kernel[..., R - np.clip(d, -R, R)], 0.0)
+    blocks = [
+        (bands[q], tuple(slice(max(c - R, 0), full + min(c - R, 0)) for c in q),
+         tuple(slice(max(R - c, 0), full - max(c - R, 0)) for c in q))
+        for q in np.ndindex(bands.shape[:-2]) if bands[q].any()
+    ]
 
-    if len(W):
-        if dense:
-            # lu_factor only warns on an exactly zero pivot; that is a failure here.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-                try:
-                    factors = scipy.linalg.lu_factor(H, check_finite=False)
-                except scipy.linalg.LinAlgWarning as exc:
-                    raise NumericalFailure(f"oracle factorisation failed: {exc}") from exc
-            solve = functools.partial(scipy.linalg.lu_solve, factors, check_finite=False)
-        else:
-            # H has a symmetric pattern, so order by minimum degree on H + H^T and
-            # prefer diagonal pivots: at n = 3 that halves the fill of the default
-            # COLAMD ordering (see ORACLE_SITES_MAX).  Threshold pivoting stays on.
-            try:
-                solve = scipy.sparse.linalg.splu(
-                    H,
-                    permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.1,
-                    options=dict(SymmetricMode=True),
-                ).solve
-            except RuntimeError as exc:
-                raise NumericalFailure(f"oracle factorisation failed: {exc}") from exc
-        inverse = scipy.sparse.linalg.LinearOperator(H.shape, matvec=solve, dtype=H.dtype)
+    def apply(v):
+        x = v.reshape(box)
+        y = gaps.reshape(box) * x
+        for T, dst, src in blocks:
+            y[dst] += x[src] @ T
+        return y.ravel()
+
+    inverse = getattr(previous, "inverse", None)
+    phi = None
+    # A factor of another window does not apply, nor a complex one to a real H.
+    if nev == 1 and inverse is not None and inverse.shape[0] == sites and inverse.dtype <= dtype:
+        v = previous.proj_column.to_box(M).ravel()
+        phi = _continued_band(apply, inverse, v.real if even else v, rho)
+    if phi is None and not len(W):
+        phi = (np.arange(sites) == center_index).astype(float)    # H = diag(gaps)
+    elif phi is None:
+        lin = np.arange(sites).reshape(box)
+        rows, cols, data = [lin.ravel()], [lin.ravel()], [gaps.astype(dtype)]
+        for T, dst, src in blocks:
+            b, c = np.nonzero(T)
+            rows.append(lin[dst][..., c].ravel())
+            cols.append(lin[src][..., b].ravel())
+            data.append(np.tile(T[b, c], rows[-1].size // b.size))
+        coo = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+        H = scipy.sparse.csc_matrix(coo, shape=(sites, sites))
+        # H has a symmetric pattern, so order by minimum degree on H + H^T and
+        # prefer diagonal pivots: at n = 3 that halves the fill of the default
+        # COLAMD ordering (see ORACLE_SITES_MAX).  Threshold pivoting stays on.
+        try:
+            lu = scipy.sparse.linalg.splu(
+                H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                options=dict(SymmetricMode=True),
+            )
+        except RuntimeError as exc:
+            raise NumericalFailure(f"oracle factorisation failed: {exc}") from exc
+
+        def solve(b):    # a real factor takes a complex b part by part
+            return lu.solve(b) if b.dtype == dtype else lu.solve(b.real) + 1j * lu.solve(b.imag)
+        inverse = scipy.sparse.linalg.LinearOperator(H.shape, solve, matmat=solve, dtype=dtype)
         # A fixed start vector keeps ARPACK off its random one, so runs repeat.
         # The two-eigenvalue solve also starts off the anchor site, so that it
         # sees eigenvectors that do not overlap that site.
-        start = np.zeros(sites, dtype=H.dtype)
+        start = np.zeros(sites, dtype=dtype)
         if nev == 2:
             start += np.random.default_rng(0).standard_normal(sites)
         start[center_index] += 1.0
@@ -580,40 +587,31 @@ def diagonalize_oracle(
             raise NonConvergence(f"oracle eigensolve: {exc}") from exc
         except scipy.sparse.linalg.ArpackError as exc:
             raise NumericalFailure(f"oracle eigensolve failed: {exc}") from exc
-    else:
-        # H = diag(gaps) is singular at the shift; its eigenvectors are sites.
-        nearest = np.argsort(np.abs(gaps), kind="stable")[:nev]
-        vals = gaps[nearest]
-        vecs = np.zeros((sites, nev), dtype=complex)
-        vecs[nearest, np.arange(nev)] = 1.0
-    inside = np.abs(vals) < rho
-    if not inside.any():
-        raise ResonanceError(
-            f"no eigenvalue inside ({center - rho:.6g}, {center + rho:.6g}) "
-            f"on the window of radius {M}"
-        )
-    if nev == 2:
-        # |mu| of the eigenvalue outside; below rho if both are inside
-        isolation = float(np.abs(vals).max())
+        inside = np.abs(vals) < rho
+        if not inside.any():
+            raise ResonanceError(
+                f"no eigenvalue inside ({center - rho:.6g}, {center + rho:.6g}) "
+                f"on the window of radius {M}"
+            )
+        if nev == 2:
+            # |mu| of the eigenvalue outside; below rho if both are inside
+            isolation = float(np.abs(vals).max())
+        phi = vecs[:, np.argmax(inside)]
     if isolation < rho:
         raise ResonanceError(
             "two or more eigenvalues inside the spectral window; "
             "the band is not isolated here"
         )
-    phi = vecs[:, np.argmax(inside)]
     phi = phi / np.linalg.norm(phi)
 
     # One Rayleigh step on the stabilized matrix: the raw eigenvalue carries
     # an absolute error ~eps * ||H||, the quotient only ~eps * |lam_gap|-ish.
-    lam_gap = float(np.real(np.vdot(phi, H @ phi)))
+    lam_gap = float(np.real(np.vdot(phi, apply(phi))))
 
-    column = PeriodicFunction.from_box(phi.reshape((full,) * ctx.n)).scale(
-        np.conj(phi[center_index])
-    )
+    column = PeriodicFunction.from_box(phi.reshape(box)).scale(np.conj(phi[center_index]))
 
-    boundary = np.max(np.abs(offsets), axis=1) == M
-    leak = float(np.max(np.abs(phi[boundary]))) if boundary.any() else 0.0
-    tail = w_star * leak
+    boundary = np.max(np.abs(offsets), axis=1) == M    # never empty: sites >= 4
+    tail = w_star * float(np.max(np.abs(phi[boundary])))
 
     return BlochEigenpair(
         **vars(a),
@@ -623,4 +621,5 @@ def diagonalize_oracle(
         tail_bound=tail,
         tail_bound_column=tail,
         isolation=isolation,
+        inverse=inverse,
     )

@@ -18,7 +18,7 @@ absolute eigenvalue has no usable precision left.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -175,12 +175,12 @@ def iterate(
     converges; where the floor is above the tolerance, the next step forms
     the same ``W`` again, measures ``d_w = 0`` and stops.
 
-    On the diag backend the seed pair's ``isolation`` certifies every later
-    solve: by Weyl's inequality no eigenvalue of the window operator moves by
-    more than ``||W~_m - W~_0||_*`` from the seed's, so step ``m`` passes
-    ``seed.isolation - ||W~_m - W~_0||_*`` and the oracle solves for the band
-    alone while that stays at ``rho`` or above.  The second eigenvalue is
-    then measured once per fixed point, as admission is checked once.
+    On the diag backend the seed solve on ``V`` factors the window and
+    measures the band's ``isolation``; by Weyl's inequality step ``m`` passes
+    ``seed.isolation - ||W~_m - W~_0||_*``, and while that stays at ``rho``
+    or above the oracle continues the band from the previous pair on the
+    seed's factor.  One window is factored and one second eigenvalue
+    measured per fixed point, as admission is checked once.
     """
     tol = ctx.tol_fp_value
     a = anchor(ctx, t, j)
@@ -193,12 +193,13 @@ def iterate(
     W_prev, _ = effective_perturbation(ctx, PeriodicFunction.constant(ctx.n, 1.0))
     W_seed = zero_mean_shift(W_prev)[0]
     if backend == "series":
-        solve = lambda W_tilde: _series_eigenpair(ctx, W_tilde, a)
-        seed = solve(W_seed)
+        solve = lambda W_tilde, previous: _series_eigenpair(ctx, W_tilde, a)
+        seed = solve(W_seed, None)
     else:
         seed = diagonalize_oracle(ctx, W_seed, a.t, a.j)
-        solve = lambda W_tilde: diagonalize_oracle(
-            ctx, W_tilde, a.t, a.j, isolation=seed.isolation - star_norm(W_tilde - W_seed)
+        solve = lambda W_tilde, previous: diagonalize_oracle(
+            ctx, W_tilde, a.t, a.j, isolation=seed.isolation - star_norm(W_tilde - W_seed),
+            previous=previous,
         )
     pair = seed
     column = pair.proj_column
@@ -211,7 +212,7 @@ def iterate(
         W_tilde, w_mean = zero_mean_shift(W)
         d_w = star_norm(W - W_prev)
         if d_w > noise_floor:
-            pair = solve(W_tilde)
+            pair = solve(W_tilde, pair)
         if not 0.0 < pair.e_jj < 2.0:
             raise NumericalFailure(
                 f"projector diagonal {pair.e_jj:.6g} escaped (0, 2) at step {m}; "
@@ -237,7 +238,7 @@ def iterate(
                 **vars(a),
                 lam_gap=float(lam_gap_total),
                 psi=pair.psi(ctx.A),
-                eigenpair=pair,
+                eigenpair=replace(pair, inverse=None),    # a result keeps no window factor
                 w_mean=w_mean,
                 sigma_abs2=ctx.sigma * abs(ctx.A) ** 2,
                 steps=m,

@@ -76,3 +76,19 @@ def eigensolves(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
     return calls
+
+
+@pytest.fixture
+def factorisations(monkeypatch):
+    """Names of the LU routines the oracle calls, in call order."""
+    import scipy.linalg
+    import scipy.sparse.linalg
+
+    calls = []
+    for module, name in ((scipy.linalg, "lu_factor"), (scipy.sparse.linalg, "splu")):
+        def spy(*args, _factor=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _factor(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls

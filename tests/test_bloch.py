@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polywave import bloch
+from polywave import bloch, fixedpoint
 from polywave.bloch import (
     ContourSpec,
     _chain_series,
@@ -357,22 +357,6 @@ ORACLE_LAM_RTOL = 1e-13     # lam_gap, relative
 ORACLE_COL_ATOL = 1e-10     # star norm of the column difference
 
 
-@pytest.fixture
-def factorisations(monkeypatch):
-    """Names of the LU routines the oracle calls, in call order."""
-    import scipy.linalg
-    import scipy.sparse.linalg
-
-    calls = []
-    for module, name in ((scipy.linalg, "lu_factor"), (scipy.sparse.linalg, "splu")):
-        def spy(*args, _factor=getattr(module, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _factor(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, spy)
-    return calls
-
-
 @pytest.mark.parametrize("extra", [0, 4])
 @pytest.mark.parametrize("name", ["l3_k8", "l3_k10", "l1_k8", "l1_k10"])
 def test_sparse_oracle_matches_dense_reference(desk_points, factorisations, name, extra):
@@ -389,8 +373,8 @@ def test_sparse_oracle_matches_dense_reference(desk_points, factorisations, name
 
 
 def nonlinear_perturbation(point):
-    """Zero-mean ``W = V + sigma |psi|^2`` of the second fixed-point step at a
-    desk point, the matrix the diag backend factors once ``psi`` has spread."""
+    """Zero-mean ``W = V + sigma |psi|^2`` of the first fixed-point step at a
+    desk point, the first ``W`` the diag backend solves after its seed on V."""
     ctx = context_for(point, nonlinear=True)
     _, trace = iterate(ctx, point["t"], point["j"], backend="diag")
     return ctx, zero_mean_shift(trace.rows[0].w)[0]
@@ -400,22 +384,17 @@ def nonlinear_perturbation(point):
 ODD_HARMONIC = PeriodicFunction(2, {(1, 1): 0.3j, (-1, -1): -0.3j})
 
 
-# The LU routine each window's own fill selects: the real l1_k8 operator
-# stores 20 % of its entries; the complex one would not fit the dense byte
-# budget on its default window, and on the 961-site window (14.1 MiB) its
-# 22 % stays below the complex crossover of twice ORACLE_DENSE_FRACTION; the
-# l3_k8 operator stores about 1 %.
 @pytest.mark.parametrize(
-    "name, odd, window, coefficients, natural",
+    "name, odd, window, coefficients",
     [
-        pytest.param("l1_k8", False, None, 288, "lu_factor", id="l1_k8-False-288"),
-        pytest.param("l1_k8", True, None, 288, "splu", id="l1_k8-True-288"),
-        pytest.param("l1_k8", True, 15, 288, "splu", id="l1_k8-True-288-window15"),
-        pytest.param("l3_k8", False, None, 12, "splu", id="l3_k8-False-12"),
+        pytest.param("l1_k8", False, None, 288, id="l1_k8-False-288"),
+        pytest.param("l1_k8", True, None, 288, id="l1_k8-True-288"),
+        pytest.param("l1_k8", True, 15, 288, id="l1_k8-True-288-window15"),
+        pytest.param("l3_k8", False, None, 12, id="l3_k8-False-12"),
     ],
 )
 def test_sparse_oracle_matches_dense_reference_on_nonlinear_W(
-    desk_points, factorisations, monkeypatch, name, odd, window, coefficients, natural
+    desk_points, factorisations, name, odd, window, coefficients
 ):
     point = desk_points[name]
     ctx, W = nonlinear_perturbation(point)
@@ -424,18 +403,102 @@ def test_sparse_oracle_matches_dense_reference_on_nonlinear_W(
         W = W + ODD_HARMONIC
     t, j = point["t"], point["j"]
     factorisations.clear()
-    diagonalize_oracle(ctx, W, t, j, window=window)
-    assert factorisations == [natural]
+    pair = diagonalize_oracle(ctx, W, t, j, window=window)
+    assert factorisations == ["splu"]
     dense = dense_reference.diagonalize_oracle(ctx, W, t, j, window=window)
-    # both factorisations, forced through the crossover constants
-    for fraction, budget, path in ((0.0, math.inf, "lu_factor"), (math.inf, 0, "splu")):
-        monkeypatch.setattr(bloch, "ORACLE_DENSE_FRACTION", fraction)
-        monkeypatch.setattr(bloch, "ORACLE_DENSE_BYTES", budget)
-        factorisations.clear()
-        pair = diagonalize_oracle(ctx, W, t, j, window=window)
-        assert factorisations == [path]
-        assert abs(pair.lam_gap - dense.lam_gap) <= ORACLE_LAM_RTOL * abs(dense.lam_gap)
-        assert star_norm(pair.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
+    assert abs(pair.lam_gap - dense.lam_gap) <= ORACLE_LAM_RTOL * abs(dense.lam_gap)
+    assert star_norm(pair.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
+
+
+# -- continued oracle solves against fresh ones ----------------------------
+
+def assert_same_band(pair, fresh, dense):
+    """``pair`` matches a fresh oracle solve on its ``W`` to the series
+    tolerances and the dense ``eigh`` reference to the oracle's."""
+    assert abs(pair.lam_gap - fresh.lam_gap) <= LAM_RTOL * abs(fresh.lam_gap)
+    radius = max(pair.proj_column.box_radius, fresh.proj_column.box_radius)
+    ref = fresh.proj_column.to_box(radius)
+    assert np.abs(pair.proj_column.to_box(radius) - ref).max() <= COL_RTOL * np.abs(ref).sum()
+    assert abs(pair.lam_gap - dense.lam_gap) <= ORACLE_LAM_RTOL * abs(dense.lam_gap)
+    assert star_norm(pair.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
+
+
+@pytest.mark.parametrize("name", ["l3_k8", "l3_k10", "l1_k8", "l1_k10"])
+def test_continued_oracle_matches_fresh_solves_on_every_step(
+    desk_points, monkeypatch, factorisations, name
+):
+    """Every step of a diag fixed point after the seed continues from the
+    seed's factor and lands on the band a fresh solve on its own W finds."""
+    point = desk_points[name]
+    ctx = context_for(point, nonlinear=True)
+    t, j = point["t"], point["j"]
+    calls = []
+
+    def recorded(*args, **kwargs):
+        pair = diagonalize_oracle(*args, **kwargs)
+        calls.append((args[1], kwargs, pair))
+        return pair
+
+    monkeypatch.setattr(fixedpoint, "diagonalize_oracle", recorded)
+    iterate(ctx, t, j, backend="diag")
+    assert factorisations == ["splu"]
+    assert len(calls) > 1
+    for W, kwargs, pair in calls[1:]:
+        assert pair.isolation == kwargs["isolation"] >= pair.rho
+        fresh = diagonalize_oracle(ctx, W, t, j)
+        assert_same_band(pair, fresh, dense_reference.diagonalize_oracle(ctx, W, t, j))
+
+
+@pytest.mark.parametrize("name", ["l1_k8", "l1_k10"])
+def test_continued_oracle_matches_fresh_solve_on_odd_W(
+    desk_points, factorisations, eigensolves, name
+):
+    """A complex Hermitian window continues from the real factor of V's."""
+    point = desk_points[name]
+    ctx = context_for(point, nonlinear=False)
+    t, j = point["t"], point["j"]
+    seed = diagonalize_oracle(ctx, ctx.V, t, j)
+    harmonic = ODD_HARMONIC.scale(0.5)
+    W = ctx.V + harmonic
+    factorisations.clear()
+    eigensolves.clear()
+    pair = diagonalize_oracle(
+        ctx, W, t, j, isolation=seed.isolation - star_norm(harmonic), previous=seed
+    )
+    assert factorisations == [] and eigensolves == []
+    assert pair.inverse is seed.inverse
+    fresh = diagonalize_oracle(ctx, W, t, j)
+    assert_same_band(pair, fresh, dense_reference.diagonalize_oracle(ctx, W, t, j))
+
+
+def test_continued_oracle_falls_back_to_a_fresh_solve(
+    desk_points, monkeypatch, factorisations, eigensolves
+):
+    """Without a proof from the continuation, the oracle factors the new
+    window; a bound below rho also measures the second eigenvalue."""
+    point = desk_points["l1_k8"]
+    ctx, W = nonlinear_perturbation(point)
+    t, j = point["t"], point["j"]
+    seed = diagonalize_oracle(ctx, ctx.V, t, j)
+    dense = dense_reference.diagonalize_oracle(ctx, W, t, j)
+    factorisations.clear()
+    eigensolves.clear()
+    pair = diagonalize_oracle(ctx, W, t, j, isolation=0.99 * seed.rho, previous=seed)
+    assert factorisations == ["splu"] and eigensolves == [2]
+    assert pair.isolation >= pair.rho
+    assert_same_band(pair, diagonalize_oracle(ctx, W, t, j), dense)
+
+    bound = seed.isolation - star_norm(W - ctx.V)
+    assert bound >= seed.rho
+    monkeypatch.setattr(bloch, "CONTINUE_STEPS_MAX", 0)
+    factorisations.clear()
+    eigensolves.clear()
+    pair = diagonalize_oracle(ctx, W, t, j, isolation=bound, previous=seed)
+    assert factorisations == ["splu"] and eigensolves == [1]
+    fresh = diagonalize_oracle(ctx, W, t, j, isolation=bound)
+    assert pair.lam_gap == fresh.lam_gap and pair.isolation == fresh.isolation
+    assert star_norm(pair.proj_column - fresh.proj_column) == 0.0
+    assert_same_band(pair, fresh, dense)
 
 
 def test_empirical_tail_estimates_each_parity():

@@ -10,12 +10,11 @@ import tempfile
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polywave import bloch, fixedpoint, galerkin
+from polywave import fixedpoint, galerkin
 from polywave.bloch import QUAD_NODES
 from polywave.cli import main
 from polywave.config import parse_config
@@ -423,42 +422,30 @@ def _raise(error):
     return fail
 
 
-_LU_FACTOR = scipy.linalg.lu_factor
-
-
-def _zero_pivot(H, **kwargs):
-    """LAPACK's own outcome on an exactly singular matrix: a zero pivot, which
-    ``lu_factor`` reports as a warning, not an error."""
-    return _LU_FACTOR(np.zeros_like(H), **kwargs)
-
-
 @pytest.mark.parametrize(
-    "module, name, replacement, dense_fraction, code",
+    "module, name, replacement, code",
     [
         pytest.param(
             scipy.sparse.linalg, "splu", _raise(RuntimeError("Factor is exactly singular")),
-            bloch.ORACLE_DENSE_FRACTION, 3, id="splu-error0-3",
+            3, id="splu-error0-3",
         ),
         pytest.param(
             scipy.sparse.linalg, "eigsh",
             _raise(scipy.sparse.linalg.ArpackNoConvergence("No convergence", [], [])),
-            bloch.ORACLE_DENSE_FRACTION, 4, id="eigsh-error1-4",
+            4, id="eigsh-error1-4",
         ),
         # any other ARPACK failure, such as -9999 "Could not build an Arnoldi
         # factorization", is a numerical failure
         pytest.param(
             scipy.sparse.linalg, "eigsh", _raise(scipy.sparse.linalg.ArpackError(-9999)),
-            bloch.ORACLE_DENSE_FRACTION, 3, id="eigsh-arpack_error-3",
+            3, id="eigsh-arpack_error-3",
         ),
-        # every window factors dense at fraction 0, the l3 desk's included
-        pytest.param(scipy.linalg, "lu_factor", _zero_pivot, 0.0, 3, id="lu_factor-zero_pivot-3"),
     ],
 )
 def test_oracle_failures_exit_with_typed_codes(
-    tmp_path, monkeypatch, module, name, replacement, dense_fraction, code
+    tmp_path, monkeypatch, module, name, replacement, code
 ):
     monkeypatch.setattr(module, name, replacement)
-    monkeypatch.setattr(bloch, "ORACLE_DENSE_FRACTION", dense_fraction)
     cfg = write_config(tmp_path, MODEL_L3 + "\n" + "\n".join(desk_lines()))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):

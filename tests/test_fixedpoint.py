@@ -173,17 +173,22 @@ def test_iterate_reuses_the_pair_while_W_sits_at_the_noise_floor(
 
 
 @pytest.mark.parametrize("name", ["l1_k8", "l1_k10"])
-def test_diag_iterate_measures_the_second_eigenvalue_once(desk_points, eigensolves, name):
-    """The seed solve on V measures the band's isolation; every later step
-    inherits it through Weyl's inequality and solves for the band alone."""
+def test_diag_iterate_measures_the_second_eigenvalue_once(
+    desk_points, eigensolves, factorisations, name
+):
+    """The seed solve on V factors the window and measures the band's
+    isolation; every later step inherits the bound through Weyl's inequality
+    and continues from the seed's factor, with no factorisation or eigensolve
+    of its own."""
     point = desk_points[name]
     ctx = context_for(point, nonlinear=True)
     t, j = point["t"], point["j"]
     sol, trace = iterate(ctx, t, j, backend="diag")
     assert sol is not None
-    solved = [row for row in trace.rows if row.d_w > trace.noise_floor]
-    assert eigensolves == [2] + [1] * len(solved)
+    assert eigensolves == [2]
+    assert factorisations == ["splu"]
     assert sol.eigenpair.isolation >= sol.eigenpair.rho
+    assert sol.eigenpair.inverse is None
 
     # differential reference: a fresh solve on the last step's own W, with
     # no bound passed, measures the second eigenvalue itself
