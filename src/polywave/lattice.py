@@ -28,6 +28,9 @@ HERMITIAN_RTOL = 1e-13
 # refused before allocation.  For the admission screen it bounds the
 # (n-1)-dimensional column grid, of side 2*(ceil(2k) + 2 + ceil(k^beta)) + 1.
 BOX_SITES_MAX = 1 << 22
+# Coefficient pairs per scatter-add in ``multiply``: a block's index and term
+# arrays stay in cache, and peak memory does not grow with the pair count.
+PAIR_BLOCK = 1 << 13
 
 LatticeIndex = Tuple[int, ...]
 
@@ -55,13 +58,13 @@ def _resize(box: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-def _times(c: complex, box: np.ndarray) -> np.ndarray:
-    """``c * box`` with the terms of Python's complex product, one rounding
-    per operation (numpy's complex multiply may fuse them)."""
-    c = complex(c)
-    out = np.empty(box.shape, dtype=complex)
-    out.real = c.real * box.real - c.imag * box.imag
-    out.imag = c.real * box.imag + c.imag * box.real
+def _times(a, b) -> np.ndarray:
+    """``a * b``, broadcast, with the terms of Python's complex product, one
+    rounding per operation (numpy's complex multiply may fuse them)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 
@@ -245,27 +248,33 @@ def star_norm(f: PeriodicFunction) -> float:
 def multiply(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
     """Pointwise product, computed as the exact convolution of coefficients.
 
-    ``c * g`` is shifted and added into the output once per nonzero ``c`` of
-    ``f``, in lexicographic order of its frequency, and only where ``g`` is
-    stored, so each coefficient sums the same terms in the same order as a
-    loop over coefficient pairs.  When both factors are even (every
-    coefficient exactly real) the cross terms of the complex product are
-    exact zeros, so the sums run on the real parts alone, bitwise equal to
-    the complex path.
+    The products of all pairs of nonzero coefficients are scatter-added
+    (``np.add.at`` adds them one after another) into a zeroed output,
+    ``PAIR_BLOCK`` pairs at a time, in lexicographic order of ``f``'s
+    frequencies: each coefficient sums the same terms in the same order as the
+    pair loop of ``tests/dict_reference.py``, bitwise equal, signed zeros
+    included.  When both factors are even (every coefficient exactly real)
+    the cross terms of the complex product are exact zeros, so the sums run
+    on the real parts alone, bitwise equal to the complex path.
     """
     if f.n != g.n:
         raise ContractError("dimension mismatch in multiply")
     rf, rg = f.box_radius, g.box_radius
+    shape = _box_shape(rf + rg, f.n)
     real = f.is_even() and g.is_even()
-    out = np.zeros(_box_shape(rf + rg, f.n), dtype=float if real else complex)
-    box = g.box.real if real else g.box
-    stored = box != 0
-    side = 2 * rg + 1
-    offsets, values = f.nonzero()
-    for corner, c in zip((offsets + rf).tolist(), values.tolist()):
-        view = out[tuple(slice(i, i + side) for i in corner)]
-        np.add(view, c.real * box if real else _times(c, box), out=view, where=stored)
-    return PeriodicFunction.from_box(out)
+    out = np.zeros(math.prod(shape), dtype=float if real else complex)
+    (qf, a), (qg, b) = f.nonzero(), g.nonzero()
+    if real:
+        a, b = a.real, b.real
+    at_f = np.ravel_multi_index(tuple((qf + rf).T), shape)
+    at_g = np.ravel_multi_index(tuple((qg + rg).T), shape)
+    rows = max(1, PAIR_BLOCK // max(1, len(b)))
+    for lo in range(0, len(a), rows):
+        c = a[lo:lo + rows, None]
+        terms = c * b if real else _times(c, b)
+        # A flat index array keeps np.add.at on its fast path.
+        np.add.at(out, (at_f[lo:lo + rows, None] + at_g).ravel(), terms.ravel())
+    return PeriodicFunction.from_box(out.reshape(shape))
 
 
 def abs_squared(f: PeriodicFunction) -> PeriodicFunction:

@@ -5,6 +5,8 @@ import importlib
 import inspect
 import math
 import pkgutil
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from polywave.lattice import (
     cosine_potential,
     decompose,
     from_json_dict,
+    integer_grid,
     momentum,
     multiply,
     star_norm,
@@ -37,6 +40,12 @@ from conftest import make_context
 
 def pf(n, coeffs):
     return PeriodicFunction(n, dict(coeffs))
+
+
+def exact(f):
+    """The ``coeffs`` map of a box- or dict-backed function with every
+    amplitude as the bytes of its two parts, so that -0.0 differs from 0.0."""
+    return {q: struct.pack("<2d", c.real, c.imag) for q, c in f.coeffs.items()}
 
 
 # -- momentum split ----------------------------------------------------
@@ -277,8 +286,8 @@ def test_box_layout_matches_dict_reference(case, s, radius):
     rf, rg = ref.DictFunction(n, a), ref.DictFunction(n, b)
     assert f.coeffs == rf.coeffs and len(f) == len(rf.coeffs)
 
-    assert multiply(f, g).coeffs == ref.multiply(rf, rg).coeffs
-    assert abs_squared(f).coeffs == ref.abs_squared(rf).coeffs
+    assert exact(multiply(f, g)) == exact(ref.multiply(rf, rg))
+    assert exact(abs_squared(f)) == exact(ref.abs_squared(rf))
     assert (f + g).coeffs == (rf + rg).coeffs
     assert f.scale(s).coeffs == rf.scale(s).coeffs
     assert f.conj().coeffs == rf.conj().coeffs
@@ -299,6 +308,96 @@ def test_box_layout_matches_dict_reference(case, s, radius):
     doc = to_json_dict(f)
     assert doc == ref.to_json_dict(rf)
     assert from_json_dict(doc, n=n) == f
+
+
+def _pipeline_operand(rng, count, radius, kind):
+    """``count`` coefficients at distinct frequencies of sup-norm at most
+    ``radius`` in the plane, decaying like the l = 1 desk columns so that
+    products span many magnitudes; ``kind`` is even (exactly real
+    coefficients), complex, or odd (a real-valued odd function, which
+    pairs ``count // 2`` drawn frequencies with their negatives)."""
+    if kind == "odd":
+        count //= 2
+    sites = integer_grid(radius, 2).reshape(-1, 2)
+    q = sites[rng.choice(len(sites), count, replace=False)]
+    decay = np.exp(-np.abs(q).sum(axis=1))
+    amp = rng.standard_normal(count) * decay
+    if kind == "complex":
+        amp = amp + 1j * rng.standard_normal(count) * decay
+    f = PeriodicFunction(2, dict(zip(map(tuple, q.tolist()), amp)))
+    if kind == "odd":
+        f = PeriodicFunction.from_box(1j * (f.box - np.flip(f.box)))
+    return f
+
+
+@pytest.fixture(scope="module", params=["even", "complex", "odd"])
+def pipeline_product(request):
+    """Factors the size of the l1_k8 desk's cubic term (a 312-coefficient
+    column times a 326-367-coefficient modulus square) and the dict
+    reference's bits for their product and for the first one's ``abs_squared``."""
+    rng = np.random.default_rng(23)
+    f = _pipeline_operand(rng, 312, 15, "complex" if request.param == "complex" else "even")
+    g = _pipeline_operand(rng, 367, 16, request.param)
+    rf, rg = ref.DictFunction(2, f.coeffs), ref.DictFunction(2, g.coeffs)
+    return f, g, exact(ref.multiply(rf, rg)), exact(ref.abs_squared(rf))
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_multiply_matches_dict_reference_at_pipeline_size(pipeline_product, block, monkeypatch):
+    """Bitwise equality with the pair loop, signed zeros included, at the
+    default block size and with one factor row per block."""
+    f, g, product, square = pipeline_product
+    assert len(f) >= 300 and len(g) >= 300
+    if block is not None:
+        monkeypatch.setattr("polywave.lattice.PAIR_BLOCK", block)
+    assert exact(multiply(f, g)) == product
+    assert exact(abs_squared(f)) == square
+
+
+def test_multiply_peak_memory_does_not_grow_with_pairs():
+    """Two dense radius-30 factors make 3721^2 = 13.8 M pairs; one array of
+    all pair terms and indices would take 24 B a pair (330 MB)."""
+    rng = np.random.default_rng(5)
+    f, g = (
+        PeriodicFunction.from_box(rng.standard_normal((61, 61)) + 1j * rng.standard_normal((61, 61)))
+        for _ in range(2)
+    )
+    assert len(f) == len(g) == 61 * 61
+    tracemalloc.start()
+    try:
+        product = multiply(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product.box_radius == 60
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_multiply_by_empty_and_constant_factors(n):
+    g = PeriodicFunction.from_box(np.arange(3 ** n).reshape((3,) * n) * (0.5 - 1j))
+    zero, one = PeriodicFunction.zero(n), PeriodicFunction.constant(n, 1.0)
+    for a, b in [(zero, g), (g, zero), (zero, zero), (zero, one)]:
+        assert multiply(a, b) == zero and multiply(a, b).box.shape == (1,) * n
+    assert multiply(one, g) == g and multiply(g, one) == g
+    c, d = 2.0 - 1.5j, -0.25 + 3.0j
+    product = multiply(PeriodicFunction.constant(n, c), PeriodicFunction.constant(n, d))
+    assert exact(product) == {(0,) * n: struct.pack("<2d", (c * d).real, (c * d).imag)}
+
+
+def test_oversized_product_refused_before_pairs_are_formed():
+    """The output box of a radius-41 factor squared has 165^3 > BOX_SITES_MAX
+    sites at n = 3; it is refused before the output or any pair array exists."""
+    f = pf(3, {(41, 0, 0): 1.0, (-41, 0, 0): 1.0})
+    assert 83 ** 3 <= BOX_SITES_MAX < 165 ** 3
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError):
+            multiply(f, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_from_box_canonical_form():
