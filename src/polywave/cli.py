@@ -56,16 +56,20 @@ def _complex_pair(z: complex) -> List[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict, refusing a key given twice (``json`` keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("a JSON object repeats a key")
+    return obj
+
+
 def _eigenpair_dict(pair: BlochEigenpair) -> dict:
+    """The band block: what only the band solve knows.  The anchor and the
+    column are the caller's (a solution holds the column as ``psi / A``)."""
     return {
-        "backend": pair.backend,
-        "lam": pair.lam,
         "lam_gap": pair.lam_gap,
-        "center": pair.center,
         "rho": pair.rho,
-        "k": pair.k,
-        "t": list(pair.t),
-        "j": list(pair.j),
         "e_jj": pair.e_jj,
         "g_terms": [_complex_pair(g) for g in pair.g_terms],
         "G_norms": list(pair.G_norms),
@@ -74,7 +78,6 @@ def _eigenpair_dict(pair: BlochEigenpair) -> dict:
         "tail_certified": pair.tail_certified,
         "quad_err": pair.quad_err,
         "quad_nodes": pair.quad_nodes,
-        "column": to_json_dict(pair.proj_column),
     }
 
 
@@ -161,10 +164,11 @@ def _cmd_linear_eig(cfg: RunConfig, out: _OutputDir, backend: str) -> None:
     _require(cfg, "linear-eig", t=cfg.t, j=cfg.j)
     solve = diagonalize_oracle if backend == "diag" else series_eigenpair
     pair = solve(cfg.ctx, cfg.ctx.V, cfg.t, cfg.j)
-    out.write_json("eigenpair.json", _eigenpair_dict(pair))
-    header = [f"d{a+1}" for a in range(cfg.ctx.n)] + ["re", "im"]
-    rows = [list(q) + [c.real, c.imag] for q, c in pair.proj_column.items()]
-    out.write_csv("column.csv", header, rows)
+    out.write_json("eigenpair.json", {
+        **_eigenpair_dict(pair), "backend": pair.backend, "lam": pair.lam, "center": pair.center,
+        "k": pair.k, "t": list(pair.t), "j": list(pair.j),
+        "column": to_json_dict(pair.proj_column),
+    })
 
 
 def _cmd_nonres_scan(cfg: RunConfig, out: _OutputDir) -> None:
@@ -221,7 +225,7 @@ def _cmd_fixed_point(cfg: RunConfig, out: _OutputDir, backend: str) -> None:
         last = f"last increment {trace.rows[-1].d_w:.3e}, " if trace.rows else ""
         raise NonConvergence(
             f"no fixed point within {len(trace.rows)} steps "
-            f"({last}tolerance {trace.tol_fp:.3e})"
+            f"({last}tolerance {cfg.ctx.tol_fp_value:.3e})"
         )
     res = residual(cfg.ctx, sol)
     doc = _solution_dict(sol, res)
@@ -289,15 +293,19 @@ def _cmd_verify(cfg: RunConfig, out: _OutputDir) -> None:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read solution file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
         t, j = tuple(float(c) for c in doc["t"]), tuple(int(c) for c in doc["j"])
         if len(t) != ctx.n or len(j) != ctx.n:
             raise ValueError(f"momentum t + j is not of dimension {ctx.n}")
+        if not all(0.0 <= c < 1.0 for c in t):
+            raise ValueError(f"t = {t} does not lie in [0, 1)^{ctx.n}")
         wave = Wave(
             **vars(anchor(ctx, t, j)),
             lam_gap=float(doc["lam_gap"]),
             psi=from_json_dict(doc["psi"], n=ctx.n),
         )
+        if not math.isfinite(wave.lam_gap):
+            raise ValueError(f"lam_gap = {wave.lam_gap} is not finite")
         if wave.psi.get((0,) * ctx.n) == 0:
             raise ValueError("psi has no anchor coefficient psi_0")
     except (ValueError, OverflowError, KeyError, TypeError, AttributeError, ContractError) as exc:

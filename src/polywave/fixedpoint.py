@@ -62,6 +62,7 @@ class TraceRow:
 
     m: int
     d_w: float            # ||W_m - W_{m-1}||_* including the mean part
+    drift: float          # ||W~_m - V||_*, the zero-mean W_m's distance from V
     lam_gap: float        # lam - center, resolved to full precision
     d_col: float          # ||column_m - column_{m-1}||_1
     d_psi: float          # |A| * d_col
@@ -72,7 +73,6 @@ class TraceRow:
 @dataclass(frozen=True)
 class FixedPointTrace:
     rows: Tuple[TraceRow, ...]
-    tol_fp: float
     noise_floor: float
 
 
@@ -163,7 +163,8 @@ def iterate(
     ``effective_perturbation``, splits off its mean, solves the band on the
     zero-mean part and takes the band's projector column as the next one.
     Step ``m``'s increment ``d_w`` is measured against the previous step's
-    ``W``; the wave ``A * column`` is formed once, at convergence.
+    ``W``, and its ``drift`` against ``V``; the wave ``A * column`` is formed
+    once, at convergence.
 
     A step whose ``d_w`` is within the noise floor ``NOISE_FLOOR_FACTOR *
     eps * ||W_0||_*`` keeps the previous step's band pair (at ``m = 1`` the
@@ -175,14 +176,14 @@ def iterate(
     converges; where the floor is above the tolerance, the next step forms
     the same ``W`` again, measures ``d_w = 0`` and stops.
 
-    On the diag backend the seed solve on ``V`` factors the window and
-    measures the band's ``isolation``; by Weyl's inequality step ``m`` passes
-    ``seed.isolation - ||W~_m - W~_0||_*``, and while that stays at ``rho``
-    or above the oracle continues the band from the previous pair on the
-    seed's factor.  One window is factored and one second eigenvalue
-    measured per fixed point, as admission is checked once.
+    The seed solves the band on ``V``, which is ``W~_0`` exactly (``V`` has
+    zero mean).  On the diag backend it factors the window and measures the
+    band's ``isolation``; by Weyl's inequality step ``m`` passes
+    ``seed.isolation - drift``, and while that stays at ``rho`` or above the
+    oracle continues the band from the previous pair on the seed's factor.
+    One window is factored and one second eigenvalue measured per fixed
+    point, as admission is checked once.
     """
-    tol = ctx.tol_fp_value
     a = anchor(ctx, t, j)
     check_smallness(ctx, a.k)
     if len(ctx.V):
@@ -191,15 +192,13 @@ def iterate(
         raise ConfigError(f"unknown backend {backend!r}; expected 'series' or 'diag'")
 
     W_prev, _ = effective_perturbation(ctx, PeriodicFunction.constant(ctx.n, 1.0))
-    W_seed = zero_mean_shift(W_prev)[0]
     if backend == "series":
-        solve = lambda W_tilde, previous: _series_eigenpair(ctx, W_tilde, a)
-        seed = solve(W_seed, None)
+        solve = lambda W_tilde, drift, previous: _series_eigenpair(ctx, W_tilde, a)
+        seed = _series_eigenpair(ctx, ctx.V, a)
     else:
-        seed = diagonalize_oracle(ctx, W_seed, a.t, a.j)
-        solve = lambda W_tilde, previous: diagonalize_oracle(
-            ctx, W_tilde, a.t, a.j, isolation=seed.isolation - star_norm(W_tilde - W_seed),
-            previous=previous,
+        seed = diagonalize_oracle(ctx, ctx.V, a.t, a.j)
+        solve = lambda W_tilde, drift, previous: diagonalize_oracle(
+            ctx, W_tilde, a.t, a.j, isolation=seed.isolation - drift, previous=previous,
         )
     pair = seed
     column = pair.proj_column
@@ -211,8 +210,9 @@ def iterate(
         W, tail = effective_perturbation(ctx, column)
         W_tilde, w_mean = zero_mean_shift(W)
         d_w = star_norm(W - W_prev)
+        drift = star_norm(W_tilde - ctx.V)
         if d_w > noise_floor:
-            pair = solve(W_tilde, pair)
+            pair = solve(W_tilde, drift, pair)
         if not 0.0 < pair.e_jj < 2.0:
             raise NumericalFailure(
                 f"projector diagonal {pair.e_jj:.6g} escaped (0, 2) at step {m}; "
@@ -225,6 +225,7 @@ def iterate(
             TraceRow(
                 m=m,
                 d_w=d_w,
+                drift=drift,
                 lam_gap=float(lam_gap_total),
                 d_col=d_col,
                 d_psi=abs(ctx.A) * d_col,
@@ -233,7 +234,7 @@ def iterate(
             )
         )
 
-        if d_w <= tol:
+        if d_w <= ctx.tol_fp_value:
             solution = Solution(
                 **vars(a),
                 lam_gap=float(lam_gap_total),
@@ -251,7 +252,7 @@ def iterate(
             break
         W_prev, column = W, pair.proj_column
 
-    return solution, FixedPointTrace(rows=tuple(rows), tol_fp=tol, noise_floor=noise_floor)
+    return solution, FixedPointTrace(rows=tuple(rows), noise_floor=noise_floor)
 
 
 @dataclass(frozen=True)
@@ -296,7 +297,8 @@ def _compare(measured: float, bound: float, claimed: bool, floor: float) -> str:
 
 
 def contraction_report(ctx: ModelContext, trace: FixedPointTrace, k: float) -> ContractionReport:
-    """Audit a fixed-point trace against the contraction estimates.
+    """Audit a fixed-point trace against the contraction estimates; the
+    drifts are the trace rows' own, measured once by ``iterate``.
 
     Ratios between consecutive increments are only formed when both sit
     above the noise floor of the perturbation norm; at an exact fixed point
@@ -323,13 +325,8 @@ def contraction_report(ctx: ModelContext, trace: FixedPointTrace, k: float) -> C
             ratio_status.append("not-applicable")
 
     drift_bound = 8.0 * coupling * ctx.v_star * k ** -exps.gamma2 if exps.valid else math.inf
-    drifts = []
-    drift_status = []
-    for row in trace.rows:
-        w_tilde, _ = zero_mean_shift(row.w)
-        d = star_norm(w_tilde - ctx.V)
-        drifts.append(d)
-        drift_status.append(_compare(d, drift_bound, claimed, trace.noise_floor))
+    drifts = [row.drift for row in trace.rows]
+    drift_status = [_compare(d, drift_bound, claimed, trace.noise_floor) for d in drifts]
 
     # The column increments contract geometrically from a first kick of
     # size  8 ||V||_* k^-gamma2 * (coupling * k^-gamma0); their own noise

@@ -25,7 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ContractError, NewtonFailure
+from .errors import ContractError, NewtonFailure, NonConvergence
 from .fixedpoint import Wave, defect
 from .lattice import ModelContext, PeriodicFunction, abs_squared, multiply, star_norm
 from .nonres import anchor, energy_gaps
@@ -46,8 +46,8 @@ def newton_solve(
 
     ``lam_gap_init`` is the eigenvalue measured from the unperturbed energy.
     Returns the refined wave and the number of Newton steps taken;
-    raises ``NewtonFailure`` on a singular Jacobian, a failed line search,
-    or an exhausted step budget.
+    raises ``NewtonFailure`` on a singular Jacobian or a failed line search,
+    and ``NonConvergence`` when ``NEWTON_MAX_STEPS`` run out.
     """
     a = anchor(ctx, t, j)
     t, j = a.t, a.j
@@ -85,7 +85,7 @@ def newton_solve(
         if math.fsum(np.abs(F)) / amp < NEWTON_TOL:
             break
         if steps >= NEWTON_MAX_STEPS:
-            raise NewtonFailure(
+            raise NonConvergence(
                 f"residual {math.fsum(np.abs(F)) / amp:.3e} still above {NEWTON_TOL:.1e} "
                 f"after {NEWTON_MAX_STEPS} steps"
             )

@@ -71,8 +71,11 @@ def _times(a, b) -> np.ndarray:
 def _above_prune_tol(box: np.ndarray) -> np.ndarray:
     """Mask of entries with modulus above ``PRUNE_TOL``, as Python's ``abs``
     decides it: numpy's complex modulus can differ in the last bit, so
-    entries within a few ulps of the tolerance are re-checked one by one."""
+    entries within a few ulps of the tolerance are re-checked one by one.
+    A NaN or infinite entry is refused: the mask would drop a NaN unseen."""
     mod = np.abs(box)
+    if not np.isfinite(mod).all():
+        raise ContractError("coefficients must be finite")
     keep = mod > PRUNE_TOL
     near = np.flatnonzero(np.abs(mod - PRUNE_TOL) <= 1e-14 * PRUNE_TOL)
     flat = box.ravel()
@@ -318,7 +321,10 @@ def to_json_dict(f: PeriodicFunction) -> Dict[str, list]:
 def from_json_dict(d: Mapping[str, Iterable[float]], n: int) -> PeriodicFunction:
     coeffs: Dict[LatticeIndex, complex] = {}
     for key, (re, im) in d.items():
-        coeffs[tuple(int(s) for s in key.split(","))] = complex(re, im)
+        q = tuple(int(s) for s in key.split(","))
+        if q in coeffs:
+            raise ContractError(f"frequency {q} is given twice")
+        coeffs[q] = complex(re, im)
     return PeriodicFunction(n, coeffs)
 
 

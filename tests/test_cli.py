@@ -144,13 +144,12 @@ def test_linear_eig_writes_artifacts(tmp_path):
     assert abs(pair["lam_gap"]) < 1.0
     assert pair["quad_nodes"] == 2 * QUAD_NODES     # the accepted ring
 
-    lines = (out / "column.csv").read_text().splitlines()
-    assert lines[0] == "d1,d2,re,im"
-    assert len(lines) > 10
+    assert len(pair["column"]) > 10
+    assert all(len(key.split(",")) == 2 and len(c) == 2 for key, c in pair["column"].items())
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "linear-eig"
-    assert set(manifest["outputs"]) == {"eigenpair.json", "column.csv"}
+    assert set(manifest["outputs"]) == {"eigenpair.json"}
     for name, digest in manifest["outputs"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
@@ -204,7 +203,13 @@ def test_fixed_point_and_verify_round_trip(tmp_path):
 
         sol = json.loads((out / "solution.json").read_text())
         assert "converged" not in sol
-        assert sol["backend"] == sol["eigenpair"]["backend"] == backend
+        assert sol["backend"] == backend
+        # the band block holds what only the band solve knows: the anchor is
+        # the top level's, and the column is psi / A
+        assert set(sol["eigenpair"]) == {
+            "lam_gap", "rho", "e_jj", "g_terms", "G_norms", "tail_bound",
+            "tail_bound_column", "tail_certified", "quad_err", "quad_nodes",
+        }
         assert sol["residual"] < 1e-8
         statuses = (
             sol["contraction"]["ratio_status"]
@@ -467,11 +472,6 @@ def _plane_wave_solution(tmp_path, lam_gap=0.0, psi=None):
     return path
 
 
-def _newton_step_budget(tmp_path, monkeypatch):
-    monkeypatch.setattr(galerkin, "NEWTON_MAX_STEPS", 0)
-    return "verify", MODEL_L3_NL + f"\nsolution = {_plane_wave_solution(tmp_path)}", ()
-
-
 def _newton_rank_deficiency(tmp_path, monkeypatch):
     # With no potential and sigma = 0 the Jacobian column of the coefficient
     # at offset (1, 0) is mu_{j+(1,0)} - mu_j - lam_gap, exactly 0 here.
@@ -512,13 +512,12 @@ def _projector_diagonal_escape(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "setup, fragment",
     [
-        (_newton_step_budget, "after 0 steps"),
         (_newton_rank_deficiency, "Jacobian rank"),
         (_newton_line_search, "line search found no descent"),
         (_oracle_without_eigenvalue, "no eigenvalue inside"),
         (_projector_diagonal_escape, "projector diagonal"),
     ],
-    ids=["newton-step-budget", "newton-rank", "newton-line-search", "oracle-no-eigenvalue",
+    ids=["newton-rank", "newton-line-search", "oracle-no-eigenvalue",
          "fixed-point-e_jj"],
 )
 def test_numerical_failures_exit_3(tmp_path, monkeypatch, setup, fragment):
@@ -529,6 +528,18 @@ def test_numerical_failures_exit_3(tmp_path, monkeypatch, setup, fragment):
         code = run_cli(command, "--config", cfg, "--out", str(tmp_path / "out"), *flags)
     assert code == 3
     assert fragment in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def test_newton_budget_exhaustion_exits_4(tmp_path, monkeypatch):
+    # the plane wave is no solution at this coupling, so Newton needs a step
+    monkeypatch.setattr(galerkin, "NEWTON_MAX_STEPS", 0)
+    body = MODEL_L3_NL + f"\nsolution = {_plane_wave_solution(tmp_path)}"
+    cfg = write_config(tmp_path, body)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli("verify", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert code == 4
+    assert "after 0 steps" in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 def test_config_errors_exit_2(tmp_path):
@@ -557,6 +568,25 @@ def test_config_errors_exit_2(tmp_path):
     empty_psi.write_text(json.dumps({**good, "psi": {}}))
     no_anchor = tmp_path / "no_anchor.json"
     no_anchor.write_text(json.dumps({**good, "psi": {"1,0": [1e-3, 0.0]}}))
+    # waves verify cannot check: each would end in a traceback or a misread
+    unusable = {
+        "nan_gap": {**good, "lam_gap": math.nan, "psi": {"0,0": [0.03, 0.0]}},
+        "inf_gap": {**good, "lam_gap": math.inf, "psi": {"0,0": [0.03, 0.0]}},
+        "minus_inf_gap": {**good, "lam_gap": -math.inf, "psi": {"0,0": [0.03, 0.0]}},
+        "nan_psi": {**good, "psi": {"0,0": [0.03, 0.0], "1,0": [math.nan, 0.0]}},
+        "inf_psi": {**good, "psi": {"0,0": [0.03, 0.0], "1,0": [0.0, math.inf]}},
+        "minus_inf_psi": {**good, "psi": {"0,0": [0.03, 0.0], "1,0": [-math.inf, 0.0]}},
+        "t_outside": {**good, "t": [1.5, DESK_T[1]], "psi": {"0,0": [0.03, 0.0]}},
+        "t_negative": {**good, "t": [-0.25, DESK_T[1]], "psi": {"0,0": [0.03, 0.0]}},
+        "twice_spelt": {
+            **good, "psi": {"0,0": [0.03, 0.0], "1,0": [1e-9, 0.0], "01,0": [2e-9, 0.0]}
+        },
+    }
+    for name, doc in unusable.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps({**good, "psi": {"0,0": [0.03, 0.0]}})[:-1]
+                        + ', "lam_gap": 1.0}')
     huge = "\nt = 0.5,0.5\nj = 1" + "0" * 80 + ",0"
     rows = [
         ("linear-eig", "n = 2\nl = 3\nwild = 1"),
@@ -575,6 +605,9 @@ def test_config_errors_exit_2(tmp_path):
         ("verify", MODEL_L3_NL + f"\nsolution = {huge_gap}"),
         ("verify", MODEL_L3_NL + f"\nsolution = {empty_psi}"),
         ("verify", MODEL_L3_NL + f"\nsolution = {no_anchor}"),
+        *(("verify", MODEL_L3_NL + f"\nsolution = {tmp_path / name}.json")
+          for name in unusable),
+        ("verify", MODEL_L3_NL + f"\nsolution = {repeated}"),
         # unreadable stored solutions
         ("verify", MODEL_L3_NL + f"\nsolution = {tmp_path / 'missing.json'}"),
         ("verify", MODEL_L3_NL + f"\nsolution = {tmp_path}"),

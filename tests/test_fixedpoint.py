@@ -225,6 +225,21 @@ def test_series_path_keeps_W_even(desk_points, name):
     assert sol.psi.is_even()
 
 
+@pytest.mark.parametrize("backend", ["series", "diag"])
+@pytest.mark.parametrize("name", ["l3_k8", "l3_k10", "l1_k8", "l1_k10"])
+def test_trace_rows_carry_the_drift_from_V(desk_points, monkeypatch, name, backend):
+    """Each row's drift is ``||W~_m - V||_*``, bit for bit, measured once:
+    the diag backend's Weyl bound and the contraction report read it."""
+    point = desk_points[name]
+    ctx = context_for(point, nonlinear=True)
+    if backend == "series" and point["l"] == 1:
+        monkeypatch.setattr(fixedpoint, "M_MAX", 1)   # each l = 1 series step takes seconds
+    _, trace = iterate(ctx, point["t"], point["j"], backend=backend)
+    drifts = [star_norm(zero_mean_shift(row.w)[0] - ctx.V) for row in trace.rows]
+    assert [row.drift for row in trace.rows] == drifts
+    assert list(contraction_report(ctx, trace, point["k"]).drifts) == drifts
+
+
 def test_iterate_budget_exhaustion_returns_trace(desk_points, monkeypatch):
     point = desk_points["l3_k8"]
     ctx = context_for(point, nonlinear=True)

@@ -413,6 +413,19 @@ def test_from_box_canonical_form():
         PeriodicFunction.from_box(np.zeros((4, 5)))
 
 
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, math.nan)]
+)
+def test_non_finite_coefficients_refused(value):
+    # |nan| > PRUNE_TOL is false, so a pruning mask alone would drop a NaN
+    box = np.zeros((3, 3), dtype=complex)
+    box[1, 1], box[2, 1] = 1.0, value
+    with pytest.raises(ContractError, match="finite"):
+        PeriodicFunction.from_box(box)
+    with pytest.raises(ContractError, match="finite"):
+        PeriodicFunction(2, {(0, 0): 1.0, (1, 0): value})
+
+
 def test_oversized_box_refused_before_allocation():
     side = math.isqrt(BOX_SITES_MAX) + 1
     with pytest.raises(ConfigError):
