@@ -24,11 +24,11 @@ Two backends produce the same quantities:
   chain at ``zeta``, so only the half ring with ``Im zeta >= 0`` runs and
   the ring sum is the real part of its doubly weighted sum.
 * ``diagonalize_oracle`` builds the operator on a finite window and finds
-  the eigenvalue nearest ``c`` by shift-invert on a sparse LU factor, proving
-  the band isolated by a Weyl bound or a second eigenvalue; under such a
-  bound an earlier pair's factor serves a new ``W`` through a fixed-shift
-  correction iteration.  It is window-limited but independent of the series
-  algebra; dense ``eigh`` cross-checks of both backends live in the tests.
+  the eigenvalue nearest ``c`` by a fixed-shift correction iteration on a
+  sparse LU factor, its own or an earlier pair's, where a Weyl bound proves
+  the band isolated; without one, ARPACK measures a second eigenvalue.  It
+  is window-limited but independent of the series algebra; dense ``eigh``
+  cross-checks of both backends live in the tests.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ NODE_BLOCK_BYTES = 2 * 2**20
 # sites factor into 0.21 M entries (0.01 s), 9261 into 2.2 M (16.5 MiB, 0.5 s)
 # and 24389 into 10.4 M (79 MiB, 11 s; peak RSS 299 MiB) on one 2-vCPU core.
 ORACLE_SITES_MAX = 12000
-# A continued oracle solve stops once its correction to the unit vector is
+# The oracle's band finder stops once its correction to the unit vector is
 # this small in 2-norm (each is about 60x smaller than the one before on the
-# l = 1 desks), or factors its own window after CONTINUE_STEPS_MAX steps.
+# l = 1 desks), or gives up after CONTINUE_STEPS_MAX steps.
 CONTINUE_TOL = 1e-14
 CONTINUE_STEPS_MAX = 20
 
@@ -418,18 +418,25 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
 # ---------------------------------------------------------------------------
 
 def _continued_band(apply, inverse, v: np.ndarray, rho: float):
-    """The band's eigenvector of ``H`` continued from ``v`` on the factor of
-    an earlier window operator ``H_V``, or None where that proves nothing.
+    """The band's eigenvector of ``H`` found from ``v`` on ``inverse``, the
+    factor of ``H`` or of an earlier window operator ``H_V``, or None where
+    that proves nothing.
 
-    A step subtracts ``H_V^-1 r`` from the unit ``v``, with the residual
+    A step subtracts ``inverse @ r`` from the unit ``v``, with the residual
     ``r = H v - theta v`` at the Rayleigh quotient ``theta``: a fixed-shift
     correction, which keeps the band's component and shrinks every other by
-    a factor near ``|theta / mu|`` or less.  Once it is at rounding,
+    a factor near ``|theta / mu|`` or less (on ``H``'s own factor the step
+    is ``v - theta H^-1 v``, inverse iteration).  Once it is at rounding,
     ``|theta| + ||r|| < rho`` puts an eigenvalue in the spectral window, by
-    the caller's isolation bound the band's, with eigenvector ``v``.
+    the caller's isolation bound the band's, with eigenvector ``v``.  A
+    vector that vanishes, such as ``e_anchor`` on ``H``'s own factor when
+    ``theta = 0``, proves nothing.
     """
     for _ in range(CONTINUE_STEPS_MAX):
-        v = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if not norm > 0.0:
+            return None
+        v = v / norm
         hv = apply(v)
         theta = np.vdot(v, hv).real
         r = hv - theta * v
@@ -449,7 +456,7 @@ def diagonalize_oracle(
     isolation: float = -math.inf,
     previous: Optional[BlochEigenpair] = None,
 ) -> BlochEigenpair:
-    """Eigenpair from a shift-invert eigensolve on a window around the anchor.
+    """Eigenpair from a shift-invert solve on a window around the anchor.
 
     The window (sup-norm radius ``ceil(2k)`` by default) contains every site
     whose unperturbed energy can approach the spectral window, so exactly one
@@ -465,22 +472,23 @@ def diagonalize_oracle(
     but the band's of the shift-stabilized window matrix
     ``H = diag(mu_i - c) + W``; where ``||W||_* < rho`` the oracle raises it
     to its own Weyl bound, ``min |gap| - ||W||_*`` over the other sites.
-    Once the bound reaches ``rho`` the band is continued from ``previous``, a
-    pair from an earlier call on the same window, on the ``inverse`` of its
-    factor (``_continued_band``).  Otherwise, or where that proves nothing,
-    ``H`` gets a SuperLU factor (minimum-degree ordering of its symmetric
-    pattern; real and Lanczos when ``W`` is even, complex Hermitian and
-    Arnoldi otherwise) and shift-invert at the centre solves for the
-    eigenvalue nearest ``c``, started at the anchor site, or for the two
-    nearest when the bound is below ``rho``, started off that site too (a
-    fixed seeded random vector) so that the count is settled.  The pair
-    records the bound it used, or the ``|mu|`` of the second eigenvalue it
-    measured; a later ``W`` on the same window that differs by ``d`` in star
-    norm may pass that less ``d`` (``fixedpoint.iterate`` does).  The
-    eigenvalue is the Rayleigh quotient of the band's vector over ``H``, free
-    of the raw eigensolve's error at the huge absolute scale.  A singular
-    factorisation or other ARPACK failure raises ``NumericalFailure``, an
-    eigensolve that does not converge ``NonConvergence``.
+    Once the bound reaches ``rho`` one finder, ``_continued_band``, finds the
+    band: from the column of ``previous``, a pair from an earlier call on the
+    same window, on the ``inverse`` of its factor, or else from
+    ``H^-1 e_anchor`` on a fresh SuperLU factor of ``H`` (minimum-degree
+    ordering of its symmetric pattern; real when ``W`` is even, complex
+    Hermitian otherwise).  Where the bound is below ``rho``, or the finder
+    proves nothing on the fresh factor, ARPACK's shift-invert at the centre
+    solves for the two eigenvalues nearest ``c`` (Lanczos when ``W`` is even,
+    Arnoldi otherwise), started off the anchor site too (a fixed seeded
+    random vector) so that the count is settled.  The pair records the bound
+    it used, or the ``|mu|`` of the second eigenvalue it measured; a later
+    ``W`` on the same window that differs by ``d`` in star norm may pass
+    that less ``d`` (``fixedpoint.iterate`` does).  The eigenvalue is the
+    Rayleigh quotient of the band's vector over ``H``, free of the raw
+    solve's error at the huge absolute scale.  A singular factorisation or
+    an ARPACK failure raises ``NumericalFailure``, an eigensolve that does
+    not converge ``NonConvergence``.
     """
     # Imported here so the series path never loads scipy (~0.3 s, ~28 MiB).
     import scipy.sparse
@@ -512,7 +520,6 @@ def diagonalize_oracle(
         # Weyl: every eigenvalue but the band's lies within ||W||_* of a gap
         # other than the anchor's zero one.
         isolation = max(isolation, float(np.delete(np.abs(gaps), center_index).min()) - w_star)
-    nev = 1 if isolation >= rho else 2
 
     # Sites in row-major order, the anchor in the middle.  W couples two lines
     # along the last axis whose other coordinates differ by q through the
@@ -537,14 +544,16 @@ def diagonalize_oracle(
             y[dst] += x[src] @ T
         return y.ravel()
 
+    e_anchor = (np.arange(sites) == center_index).astype(dtype)
     inverse = getattr(previous, "inverse", None)
     phi = None
     # A factor of another window does not apply, nor a complex one to a real H.
-    if nev == 1 and inverse is not None and inverse.shape[0] == sites and inverse.dtype <= dtype:
+    if (isolation >= rho and inverse is not None and inverse.shape[0] == sites
+            and inverse.dtype <= dtype):
         v = previous.proj_column.to_box(M).ravel()
         phi = _continued_band(apply, inverse, v.real if even else v, rho)
     if phi is None and not len(W):
-        phi = (np.arange(sites) == center_index).astype(float)    # H = diag(gaps)
+        phi = e_anchor    # H = diag(gaps)
     elif phi is None:
         lin = np.arange(sites).reshape(box)
         rows, cols, data = [lin.ravel()], [lin.ravel()], [gaps.astype(dtype)]
@@ -569,20 +578,16 @@ def diagonalize_oracle(
         def solve(b):    # a real factor takes a complex b part by part
             return lu.solve(b) if b.dtype == dtype else lu.solve(b.real) + 1j * lu.solve(b.imag)
         inverse = scipy.sparse.linalg.LinearOperator(H.shape, solve, matmat=solve, dtype=dtype)
-        # A fixed start vector keeps ARPACK off its random one, so runs repeat.
-        # The two-eigenvalue solve also starts off the anchor site, so that it
-        # sees eigenvectors that do not overlap that site.
-        start = np.zeros(sites, dtype=dtype)
-        if nev == 2:
-            start += np.random.default_rng(0).standard_normal(sites)
-        start[center_index] += 1.0
+        if isolation >= rho:
+            # e_anchor itself has theta = 0 and a zero first step
+            phi = _continued_band(apply, inverse, solve(e_anchor), rho)
+    if phi is None:
+        # A fixed start vector keeps ARPACK off its random one, so runs
+        # repeat; it lies off the anchor site too, so that the solve sees
+        # eigenvectors that do not overlap that site.
+        start = np.random.default_rng(0).standard_normal(sites).astype(dtype) + e_anchor
         try:
-            # A Lanczos basis of 4 converges the band alone in 9 solves on
-            # the nonlinear l = 1 W, against 21 at scipy's default of 20; the
-            # pair keeps the default.
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                H, k=nev, sigma=0.0, v0=start, OPinv=inverse, ncv=4 if nev == 1 else None
-            )
+            vals, vecs = scipy.sparse.linalg.eigsh(H, k=2, sigma=0.0, v0=start, OPinv=inverse)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NonConvergence(f"oracle eigensolve: {exc}") from exc
         except scipy.sparse.linalg.ArpackError as exc:
@@ -593,9 +598,8 @@ def diagonalize_oracle(
                 f"no eigenvalue inside ({center - rho:.6g}, {center + rho:.6g}) "
                 f"on the window of radius {M}"
             )
-        if nev == 2:
-            # |mu| of the eigenvalue outside; below rho if both are inside
-            isolation = float(np.abs(vals).max())
+        # |mu| of the eigenvalue outside; below rho if both are inside
+        isolation = float(np.abs(vals).max())
         phi = vecs[:, np.argmax(inside)]
     if isolation < rho:
         raise ResonanceError(

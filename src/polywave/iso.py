@@ -82,14 +82,11 @@ def reference_radius(ctx: ModelContext, lam: float) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class IsoSurfaceSample:
-    """One resolved point of an isoenergetic surface."""
+    """One resolved point of an isoenergetic surface: the radius ``kappa``,
+    ``h`` off the reference radius, along the direction it was asked for."""
 
-    direction: Tuple[float, ...]
-    ktilde: float
     h: float
     kappa: float
-    j: Tuple[int, ...]
-    t: Tuple[float, ...]
     f_at_root: float            # residual of the defining equation at the root
     evals: int
 
@@ -154,16 +151,7 @@ def kappa_solve(ctx: ModelContext, lam: float, direction) -> IsoSurfaceSample:
             f"evaluations (last |F| = {abs(f):.3e}, tol_root {tol_root:.3e})"
         )
 
-    return IsoSurfaceSample(
-        direction=tuple(float(c) for c in nu),
-        ktilde=kt,
-        h=float(h),
-        kappa=float(kappa),
-        j=tuple(int(c) for c in j),
-        t=tuple(float(c) for c in t),
-        f_at_root=float(f),
-        evals=evals,
-    )
+    return IsoSurfaceSample(h=float(h), kappa=float(kappa), f_at_root=float(f), evals=evals)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Contour-series band solver against closed forms and dense references."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -333,14 +334,20 @@ def test_oracle_flags_degenerate_window(ctx_l3_lin):
         diagonalize_oracle(ctx_l3_lin, ctx_l3_lin.V, (0.0, 0.0), (5, 0))
 
 
-def test_oracle_window_bounds_at_three_dimensions():
-    # admitted n = 3, l = 3, k = 10 point: rho ~ 891, default radius 20 (41^3 sites)
-    t = (0.19061364492264854, 0.49689265475472233, 0.42132525273177723)
-    j = (-4, 6, -7)
-    weak, strong = (
-        ModelContext(n=3, l=3, sigma=0.0, A=0.0, V=cosine_potential(3, (a, a, a)))
-        for a in (1.0, 1000.0)
+# admitted n = 3, l = 3, k = 10 point: rho ~ 891, default radius 20 (41^3 sites)
+N3_T = (0.19061364492264854, 0.49689265475472233, 0.42132525273177723)
+N3_J = (-4, 6, -7)
+
+
+def n3_context(amplitude):
+    return ModelContext(
+        n=3, l=3, sigma=0.0, A=0.0, V=cosine_potential(3, (amplitude,) * 3)
     )
+
+
+def test_oracle_window_bounds_at_three_dimensions():
+    t, j = N3_T, N3_J
+    weak, strong = n3_context(1.0), n3_context(1000.0)
     # ||V||_* = 6000 >= rho: admission cannot isolate the band, so the 2k
     # window stays and exceeds the site budget
     with pytest.raises(ConfigError, match="exceeds"):
@@ -359,7 +366,9 @@ ORACLE_COL_ATOL = 1e-10     # star norm of the column difference
 
 @pytest.mark.parametrize("extra", [0, 4])
 @pytest.mark.parametrize("name", ["l3_k8", "l3_k10", "l1_k8", "l1_k10"])
-def test_sparse_oracle_matches_dense_reference(desk_points, factorisations, name, extra):
+def test_sparse_oracle_matches_dense_reference(
+    desk_points, factorisations, eigensolves, name, extra
+):
     point = desk_points[name]
     ctx = context_for(point, nonlinear=False)
     t, j = point["t"], point["j"]
@@ -367,6 +376,8 @@ def test_sparse_oracle_matches_dense_reference(desk_points, factorisations, name
     sparse = diagonalize_oracle(ctx, ctx.V, t, j, window=window)
     # four coefficients store well under 1 % of the window operator
     assert factorisations == ["splu"]
+    # a Weyl bound isolates every l = 3 band; no l = 1 band has one
+    assert eigensolves == ([] if point["l"] == 3 else [2])
     dense = dense_reference.diagonalize_oracle(ctx, ctx.V, t, j, window=window)
     assert abs(sparse.lam_gap - dense.lam_gap) <= ORACLE_LAM_RTOL * abs(dense.lam_gap)
     assert star_norm(sparse.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
@@ -471,11 +482,44 @@ def test_continued_oracle_matches_fresh_solve_on_odd_W(
     assert_same_band(pair, fresh, dense_reference.diagonalize_oracle(ctx, W, t, j))
 
 
+@pytest.mark.parametrize("name", ["l3_k8", "l3_k10", "n3_k10"])
+def test_isolated_bands_need_no_eigensolve(desk_points, eigensolves, name):
+    """The band finder alone solves the clipped n = 3 window and every step
+    of an l = 3 diag fixed point; each lands on the series band."""
+    if name == "n3_k10":
+        ctx, t, j = n3_context(1.0), N3_T, N3_J
+        diag = diagonalize_oracle(ctx, ctx.V, t, j)
+        series = series_eigenpair(ctx, ctx.V, t, j)
+    else:
+        point = desk_points[name]
+        ctx, t, j = context_for(point, nonlinear=True), point["t"], point["j"]
+        diag = iterate(ctx, t, j, backend="diag")[0]
+        series = iterate(ctx, t, j)[0]
+    assert eigensolves == []
+    assert abs(diag.lam_gap - series.lam_gap) <= LAM_RTOL * abs(series.lam_gap)
+
+
+def test_band_finder_refuses_a_vanishing_vector():
+    """On ``H``'s own factor ``e_anchor`` has ``theta = 0`` and steps to the
+    zero vector: the finder proves nothing there, without dividing by zero,
+    and finds the band from ``H^-1 e_anchor``."""
+    H = np.array([[0.0, 0.125], [0.125, 32.0]])    # zero anchor entry, as for zero-mean W
+    inverse = np.array([[-2048.0, 8.0], [8.0, 0.0]])    # H^-1, exact in binary
+    e_anchor = np.array([1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bloch._continued_band(H.__matmul__, inverse, e_anchor, 1.0) is None
+    v = bloch._continued_band(H.__matmul__, inverse, inverse @ e_anchor, 1.0)
+    band = np.linalg.eigh(H)[1][:, 0]
+    assert abs(abs(np.vdot(v, band)) / np.linalg.norm(v) - 1.0) <= 1e-15
+
+
 def test_continued_oracle_falls_back_to_a_fresh_solve(
     desk_points, monkeypatch, factorisations, eigensolves
 ):
     """Without a proof from the continuation, the oracle factors the new
-    window; a bound below rho also measures the second eigenvalue."""
+    window; a bound below rho measures the second eigenvalue, and so does a
+    bound at rho where the finder proves nothing on the fresh factor."""
     point = desk_points["l1_k8"]
     ctx, W = nonlinear_perturbation(point)
     t, j = point["t"], point["j"]
@@ -494,7 +538,7 @@ def test_continued_oracle_falls_back_to_a_fresh_solve(
     factorisations.clear()
     eigensolves.clear()
     pair = diagonalize_oracle(ctx, W, t, j, isolation=bound, previous=seed)
-    assert factorisations == ["splu"] and eigensolves == [1]
+    assert factorisations == ["splu"] and eigensolves == [2]
     fresh = diagonalize_oracle(ctx, W, t, j, isolation=bound)
     assert pair.lam_gap == fresh.lam_gap and pair.isolation == fresh.isolation
     assert star_norm(pair.proj_column - fresh.proj_column) == 0.0
@@ -532,19 +576,20 @@ def test_l1_empirical_tail_covers_the_oracle_gap(desk_points):
 
 
 @pytest.mark.parametrize(
-    "name, bound, nev",
+    "name, bound, solved",
     [
         # ||V||_* = 4 exceeds rho ~ 0.6: no bound of the oracle's own
-        pytest.param("l1_k8", None, 2, id="l1_k8-no_bound"),
+        pytest.param("l1_k8", None, [2], id="l1_k8-no_bound"),
         # a passed bound below rho proves nothing; the second eigenvalue is measured
-        pytest.param("l1_k8", 0.99, 2, id="l1_k8-bound_below_rho"),
-        pytest.param("l1_k8", 1.0, 1, id="l1_k8-bound_at_rho"),
+        pytest.param("l1_k8", 0.99, [2], id="l1_k8-bound_below_rho"),
+        # a bound at rho: the band finder on the fresh factor, no eigensolve
+        pytest.param("l1_k8", 1.0, [], id="l1_k8-bound_at_rho"),
         # ||V||_* is far below rho: the oracle's own Weyl bound isolates the band
-        pytest.param("l3_k8", None, 1, id="l3_k8-own_bound"),
+        pytest.param("l3_k8", None, [], id="l3_k8-own_bound"),
     ],
 )
 def test_oracle_solves_for_a_second_eigenvalue_only_without_a_bound(
-    desk_points, eigensolves, name, bound, nev
+    desk_points, eigensolves, name, bound, solved
 ):
     point = desk_points[name]
     ctx = context_for(point, nonlinear=False)
@@ -552,13 +597,13 @@ def test_oracle_solves_for_a_second_eigenvalue_only_without_a_bound(
     rho = contour_radius(ctx, point["k"])
     isolation = -math.inf if bound is None else bound * rho
     pair = diagonalize_oracle(ctx, ctx.V, t, j, isolation=isolation)
-    assert eigensolves == [nev]
+    assert eigensolves == solved
     assert pair.isolation >= rho
     if name == "l3_k8":
         offsets = integer_grid(ctx.m_lin(point["k"]), ctx.n).reshape(-1, ctx.n)
         others = np.abs(energy_gaps(ctx, t, j, offsets))[offsets.any(axis=1)]
         assert pair.isolation == others.min() - star_norm(ctx.V)
-    elif nev == 1:
+    elif not solved:
         assert pair.isolation == isolation
     else:
         # the |mu| of the second eigenvalue, measured

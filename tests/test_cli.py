@@ -427,31 +427,40 @@ def _raise(error):
     return fail
 
 
+# The l1_k8 desk point: ||V||_* = 4 exceeds rho ~ 0.6, so no Weyl bound
+# isolates the band and the oracle asks ARPACK for a second eigenvalue.
+MODEL_L1_DESK = "\n".join(
+    ["n = 2", "l = 1", "delta = 0.25"]
+    + [f"v.{q} = 1.0" for q in ("1,0", "-1,0", "0,1", "0,-1")]
+    + ["t = 0.13312643051231188,0.8063802563286901", "j = 7,2"]
+)
+
+
 @pytest.mark.parametrize(
-    "module, name, replacement, code",
+    "module, name, replacement, body, code",
     [
         pytest.param(
             scipy.sparse.linalg, "splu", _raise(RuntimeError("Factor is exactly singular")),
-            3, id="splu-error0-3",
+            MODEL_L3 + "\n" + "\n".join(desk_lines()), 3, id="splu-error0-3",
         ),
         pytest.param(
             scipy.sparse.linalg, "eigsh",
             _raise(scipy.sparse.linalg.ArpackNoConvergence("No convergence", [], [])),
-            4, id="eigsh-error1-4",
+            MODEL_L1_DESK, 4, id="eigsh-error1-4",
         ),
         # any other ARPACK failure, such as -9999 "Could not build an Arnoldi
         # factorization", is a numerical failure
         pytest.param(
             scipy.sparse.linalg, "eigsh", _raise(scipy.sparse.linalg.ArpackError(-9999)),
-            3, id="eigsh-arpack_error-3",
+            MODEL_L1_DESK, 3, id="eigsh-arpack_error-3",
         ),
     ],
 )
 def test_oracle_failures_exit_with_typed_codes(
-    tmp_path, monkeypatch, module, name, replacement, code
+    tmp_path, monkeypatch, module, name, replacement, body, code
 ):
     monkeypatch.setattr(module, name, replacement)
-    cfg = write_config(tmp_path, MODEL_L3 + "\n" + "\n".join(desk_lines()))
+    cfg = write_config(tmp_path, body)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code_seen = run_cli(

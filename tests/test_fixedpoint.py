@@ -2,7 +2,12 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,3 +306,38 @@ def test_residual_requires_wave():
     stripped = sol.__class__(**{**sol.__dict__, "psi": PeriodicFunction.zero(2)})
     with pytest.raises(ContractError):
         residual(ctx, stripped)
+
+
+def test_series_pipeline_never_imports_scipy():
+    """Only the window oracle needs scipy, and it imports it on first use:
+    the series path (fixed point, residual, Newton check, surface root)
+    runs without loading it, which keeps its start-up time and memory."""
+    script = textwrap.dedent("""
+        import json, math, sys
+        import numpy as np
+        from polywave.fixedpoint import iterate, residual
+        from polywave.galerkin import compare
+        from polywave.iso import kappa_solve
+        from polywave.lattice import ModelContext, cosine_potential
+
+        point = json.load(open(sys.argv[1]))["l3_k8"]
+        ctx = ModelContext(
+            n=2, l=3, sigma=1.0, A=math.sqrt(1e-3), V=cosine_potential(2, (1.0, 1.0)),
+            delta=point["delta"],
+        )
+        sol, _ = iterate(ctx, point["t"], point["j"])
+        residual(ctx, sol)
+        compare(ctx, sol)
+        p = np.add(point["t"], point["j"])
+        kappa_solve(ctx, float(np.linalg.norm(p)) ** 6 + 1e-3, p)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    tests = Path(__file__).parent
+    path = [str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(tests / "fixtures" / "desk_points.json")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
