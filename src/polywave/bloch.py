@@ -18,8 +18,9 @@ Two backends produce the same quantities:
   truncation enters; the only approximations are the series order ``r_max``
   and the trapezoid contour quadrature, both of which are controlled and
   reported.  All nodes of a contour ring are evaluated in one pass with the
-  nodes on a leading axis, in blocks of bounded memory, and a doubled ring
-  reuses the sums of the ring it contains.  When ``W`` is even (every
+  nodes on a leading axis, in blocks of bounded memory; the first pass also
+  weighs its nodes into the N ring that the 2N ring contains, and a doubled
+  ring reuses the sums of the ring it contains.  When ``W`` is even (every
   coefficient real) the chain at ``conj(zeta)`` is the conjugate of the
   chain at ``zeta``, so only the half ring with ``Im zeta >= 0`` runs and
   the ring sum is the real part of its doubly weighted sum.
@@ -48,15 +49,15 @@ from .lattice import (
 )
 from .nonres import K0, Anchor, anchor, energy_gaps, exponents, require_nonresonant
 
-# Nodes of the first contour ring; the ring doubles from here until two
-# consecutive resolutions agree to QUAD_RTOL.
-QUAD_NODES = 64
+# Nodes of the first contour ring, run in one pass with the 2N ring; the ring
+# doubles from there until two consecutive resolutions agree to QUAD_RTOL.
+QUAD_NODES = 16
 # Relative agreement demanded between two consecutive quadrature resolutions.
 QUAD_RTOL = 1e-10
-# How many times the node count may double before giving up.  Each doubling
-# squares the trapezoid aliasing factor on a circle, so a handful of rounds
-# separates slow-but-convergent geometry from a genuine failure.
-QUAD_MAX_DOUBLINGS = 3
+# How many times the node count may double (to 1024) before giving up.  Each
+# doubling squares the trapezoid aliasing factor on a circle, so a handful of
+# rounds separates slow-but-convergent geometry from a genuine failure.
+QUAD_MAX_DOUBLINGS = 5
 # Series terms below this fraction of the dominant term count as zero when
 # estimating empirical decay ratios (guards against parity-forced dust).
 NOISE_REL = 1e-13
@@ -181,7 +182,8 @@ def _chain_series(
 
     Nodes sit on a leading axis and are processed in blocks whose resolvent
     and chain vectors fit ``NODE_BLOCK_BYTES``; ``W`` is applied as a sum of
-    shifted slices, one per nonzero coefficient.
+    shifted slices, one per nonzero coefficient.  Each row of a 2-D
+    ``weights`` gives its own sums, ``columns[r, row]``.
     """
     grid_shape = gaps.shape
     R = W.box_radius
@@ -194,7 +196,7 @@ def _chain_series(
     windows = [(Ellipsis,) + (slice(full - rad, full + rad + 1),) * gaps.ndim for rad in radii]
     stencils = [_stencil(W, 2 * rad + 1) for rad in radii]
 
-    columns = np.zeros((r_max + 1,) + grid_shape, dtype=complex)
+    columns = np.zeros((r_max + 1,) + weights.shape[:-1] + grid_shape, dtype=complex)
 
     # First chain application is just the kernel centred on the anchor;
     # embedding it directly keeps the anchor entry of W e_anchor exactly zero
@@ -211,7 +213,7 @@ def _chain_series(
 
         # R0 (W R0)^r e_anchor = -(1/zeta) (R0 W)^r e_anchor: the chain runs on
         # u = (R0 W)^r e_anchor and the node weight absorbs -(1/zeta).
-        coef = weights[lo:lo + block] / zeta
+        coef = weights[..., lo:lo + block] / zeta
         u = np.zeros((nodes,) + grid_shape, dtype=complex)
         for b, (win, stencil) in enumerate(zip(windows, stencils)):
             if b == 0:
@@ -292,11 +294,11 @@ def series_eigenpair(
     quadrature resolutions agree to ``QUAD_RTOL`` (relative disagreements are
     dominated by trapezoid aliasing, which a doubling squares away, so the
     escalation terminates fast whenever the contour clears the nearest pole);
-    each doubled ring reuses the sums of the previous one and evaluates only
-    its new nodes.  When ``W`` is even only the upper half of each ring runs
-    (nodes ``k = 0..N/2`` of the N ring, ``k = 0..N/2-1`` of the odd half of
-    the 2N ring) and the sums are exactly real; an odd ``W`` runs every node,
-    and the imaginary part of ``lam_gap`` then enters ``quad_err``.
+    one pass over the 2N ring gives the N ring's sums too, and each further
+    doubled ring reuses the previous sums and evaluates only its odd nodes.
+    When ``W`` is even only the upper half of each ring runs (``k = 0..N`` of
+    the 2N ring, then the odd ``k < M/2`` of an M ring) and the sums are
+    exactly real; an odd ``W`` runs every node, and ``Im lam_gap`` enters ``quad_err``.
     ``quad_nodes`` is the size of the accepted ring either way.  Admission of
     the quasi-momentum is verified up front, except in the trivial decoupled
     case ``W == 0``.
@@ -332,12 +334,14 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
     def ring_sums(size: int, odd: bool):
         """``_chain_series`` over the ``size``-node ring, or its odd nodes.
 
+        The whole ring runs on axis 1 with two weight rows, its own and the
+        ``size/2`` ring's (twice its weight at even nodes, 0 at odd nodes).
         When ``W`` is even the stencil and ``gaps`` are real, so the chain at
         node ``size - k`` (``conj(zeta)``, conjugate weight) is the conjugate
         of the chain at node ``k``: only ``k <= size/2`` run, pairs at weight
-        2 and the self-conjugate ``k = 0`` and ``k = size/2`` at weight 1,
-        and the real part of the sums is kept.  The pairing is by index, since
-        ``Im zeta`` at ``k = size/2`` is rounding dust, not zero.
+        2 and the self-conjugate ``k = 0`` and ``k = size/2`` at weight 1
+        (in both rows), and the real part of the sums is kept.  The pairing
+        is by index, since ``Im zeta`` at ``k = size/2`` is rounding dust.
         """
         zeta, weights = ContourSpec(center, rho, size).nodes()
         idx = np.arange(1 if odd else 0, size, 2 if odd else 1)
@@ -345,17 +349,15 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
         if even:
             idx = idx[2 * idx <= size]
             fold = np.where((idx == 0) | (2 * idx == size), 1.0, 2.0)
-        cols = _chain_series(gaps, W, r_max, zeta[idx], fold * weights[idx])
+        rows = np.stack([fold, 2.0 * fold * (idx % 2 == 0)])[: 1 if odd else 2]
+        cols = _chain_series(gaps, W, r_max, zeta[idx], rows * weights[idx])
         return cols.real if even else cols
 
-    col_lo = ring_sums(count, odd=False)
+    col_hi, col_lo = np.moveaxis(ring_sums(2 * count, odd=False), 1, 0)
+    g_lo = _eigenvalue_terms(W, col_lo)
     for attempt in range(QUAD_MAX_DOUBLINGS + 1):
-        # The 2N ring holds the N ring as its even nodes at half the weight,
-        # so only its odd nodes are evaluated.  The eigenvalue terms are read
-        # off each ring's combined columns.
-        col_hi = 0.5 * col_lo + ring_sums(2 * count, odd=True)
         g_hi = _eigenvalue_terms(W, col_hi)
-        lam_gap_lo = complex(np.sum(_eigenvalue_terms(W, col_lo)))
+        lam_gap_lo = complex(np.sum(g_lo))
         lam_gap_hi = complex(np.sum(g_hi))
         total_lo = col_lo.sum(axis=0)
         total_hi = col_hi.sum(axis=0)
@@ -377,8 +379,10 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
                 f"contour quadrature did not settle: disagreement {quad_err:.3e} "
                 f"between {count} and {2 * count} nodes (tolerance {QUAD_RTOL:.1e})"
             )
+        # The doubled ring holds this one at half weight: its odd nodes run.
         count *= 2
-        col_lo = col_hi
+        col_lo, g_lo = col_hi, g_hi
+        col_hi = 0.5 * col_lo + ring_sums(2 * count, odd=True)[:, 0]
 
     g_terms = tuple(complex(v) for v in g_hi[1:])
     lam_gap = float(lam_gap_hi.real)

@@ -32,7 +32,7 @@ from . import __version__
 from .bloch import BlochEigenpair, diagonalize_oracle, series_eigenpair
 from .config import RunConfig, parse_config
 from .errors import ConfigError, ContractError, NonConvergence, NumericalFailure, PolywaveError
-from .fixedpoint import Solution, Wave, contraction_report, iterate, residual
+from .fixedpoint import Solution, Wave, contraction_report, defect, iterate, residual
 from .galerkin import compare
 from .iso import sample_surface
 from .lattice import from_json_dict, to_json_dict
@@ -310,8 +310,9 @@ def _cmd_verify(cfg: RunConfig, out: _OutputDir) -> None:
             raise ValueError("psi has no anchor coefficient psi_0")
     except (ValueError, OverflowError, KeyError, TypeError, AttributeError, ContractError) as exc:
         raise ConfigError(f"solution file {path} is malformed: {exc!r}") from exc
-    res = residual(ctx, wave)
-    ref = compare(ctx, wave)
+    box = defect(ctx, wave.t, wave.j, wave.psi, wave.lam_gap)    # formed once, read twice
+    res = residual(ctx, wave, box)
+    ref = compare(ctx, wave, box)
     out.write_json(
         "verify.json",
         {

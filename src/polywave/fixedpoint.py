@@ -383,10 +383,12 @@ def defect(
     return (gaps - lam_gap) * psi.to_box(radius) + coupled.to_box(radius)
 
 
-def residual(ctx: ModelContext, wave: Wave) -> float:
+def residual(ctx: ModelContext, wave: Wave, box: Optional[np.ndarray] = None) -> float:
     """Exact residual of the nonlinear equation at ``wave``: the summed
-    magnitudes of its ``defect``, scaled by the wave amplitude."""
+    magnitudes of its ``defect`` (``box`` where the caller holds it), scaled
+    by the wave amplitude."""
     if not len(wave.psi):
         raise ContractError("solution wave is empty")
-    box = defect(ctx, wave.t, wave.j, wave.psi, wave.lam_gap)
+    if box is None:
+        box = defect(ctx, wave.t, wave.j, wave.psi, wave.lam_gap)
     return math.fsum(map(abs, box.ravel().tolist())) / (abs(ctx.A) or 1.0)

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ContractError, NewtonFailure, NonConvergence
 from .fixedpoint import Wave, defect
-from .lattice import ModelContext, PeriodicFunction, abs_squared, multiply, star_norm
+from .lattice import ModelContext, PeriodicFunction, _resize, abs_squared, multiply, star_norm
 from .nonres import anchor, energy_gaps
 
 NEWTON_TOL = 1e-12
@@ -41,10 +41,12 @@ def newton_solve(
     j,
     psi_init: PeriodicFunction,
     lam_gap_init: float,
+    defect_init: Optional[np.ndarray] = None,
 ) -> Tuple[Wave, int]:
     """Refine (psi, lam) by a damped least-squares Newton iteration.
 
-    ``lam_gap_init`` is the eigenvalue measured from the unperturbed energy.
+    ``lam_gap_init`` is the eigenvalue measured from the unperturbed energy;
+    ``defect_init``, the ``defect`` box of the start where the caller holds it.
     Returns the refined wave and the number of Newton steps taken;
     raises ``NewtonFailure`` on a singular Jacobian or a failed line search,
     and ``NonConvergence`` when ``NEWTON_MAX_STEPS`` run out.
@@ -78,7 +80,7 @@ def newton_solve(
 
     psi = psi_init
     dlam = float(lam_gap_init)
-    F = projected(psi, dlam)
+    F = projected(psi, dlam) if defect_init is None else _resize(defect_init, R).ravel()[cells]
     steps = 0
 
     while True:
@@ -152,9 +154,10 @@ class RefinementComparison:
     steps: int
 
 
-def compare(ctx: ModelContext, wave: Wave) -> RefinementComparison:
-    """Refine ``wave`` and report the displacement; small means confirmed."""
-    refined, steps = newton_solve(ctx, wave.t, wave.j, wave.psi, wave.lam_gap)
+def compare(ctx: ModelContext, wave: Wave, box=None) -> RefinementComparison:
+    """Refine ``wave`` (its ``defect`` ``box`` where the caller holds it) and
+    report the displacement; small means confirmed."""
+    refined, steps = newton_solve(ctx, wave.t, wave.j, wave.psi, wave.lam_gap, box)
     d_lam = abs(refined.lam_gap - wave.lam_gap)
     denom = max(abs(refined.lam_gap), abs(wave.lam_gap), 1e-300)
     return RefinementComparison(

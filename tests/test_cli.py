@@ -14,7 +14,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polywave import fixedpoint, galerkin
+from polywave import cli, fixedpoint, galerkin
 from polywave.bloch import QUAD_NODES
 from polywave.cli import main
 from polywave.config import parse_config
@@ -253,6 +253,26 @@ def test_verify_measures_a_perturbed_coefficient(tmp_path):
     assert report["residual"] > report["stored_residual"]
     assert report["newton_steps"] >= 1
     assert report["newton_d_psi"] == pytest.approx(kick, rel=1e-3)
+
+
+def test_verify_forms_one_defect(tmp_path, monkeypatch):
+    # the residual and Newton's start read one defect of the stored wave
+    cfg = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
+    out = tmp_path / "fp"
+    assert run_cli("fixed-point", "--config", cfg, "--out", str(out)) == 0
+    calls = []
+    formed = fixedpoint.defect
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return formed(*args, **kwargs)
+
+    for module in (cli, fixedpoint, galerkin):
+        monkeypatch.setattr(module, "defect", counting)
+    vcfg = write_config(tmp_path, MODEL_L3_NL + f"\nsolution = {out / 'solution.json'}", "v.cfg")
+    assert run_cli("verify", "--config", vcfg, "--out", str(tmp_path / "verify")) == 0
+    assert json.loads((tmp_path / "verify" / "verify.json").read_text())["newton_steps"] == 0
+    assert len(calls) == 1
 
 
 def test_verify_derives_the_anchor_from_t_and_j(tmp_path):

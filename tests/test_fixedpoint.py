@@ -15,6 +15,7 @@ import pytest
 from polywave import fixedpoint
 from polywave.bloch import diagonalize_oracle, series_eigenpair
 from polywave.errors import ConfigError, ContractError
+from polywave.galerkin import compare
 from polywave.fixedpoint import (
     contraction_ratio,
     contraction_report,
@@ -30,8 +31,9 @@ from polywave.lattice import (
     star_norm,
     zero_mean_shift,
 )
-from polywave.nonres import k1_threshold
+from polywave.nonres import k1_threshold, sample_nonresonant
 
+from closed_forms import first_order_column
 from conftest import COUPLING, context_for, make_context
 from test_bloch import COL_RTOL, LAM_RTOL
 
@@ -212,6 +214,44 @@ N3_CONTEXT = ModelContext(
 )
 N3_T = (0.19061364492264854, 0.49689265475472233, 0.42132525273177723)
 N3_J = (-4, 6, -7)
+
+
+def test_gp_waves_approach_the_plane_wave_like_one_over_k():
+    """The paper's claim at l = 1 (Gross-Pitaevskii): ``psi / A`` tends to the
+    plane wave as ``|k|`` grows, and each wave's deviation is its first-order
+    column ``C_1``, of size ~1/k, up to a second-order remainder.
+
+    The first 4 admitted draws of 400 at each k, all kept.  Measured:
+    ``||psi/A - 1||_* / ||C_1||_* - 1`` reads 0.63-0.70 ``||C_1||_*`` on all
+    12, and k times the median deviation reads 3.40, 6.09 and 3.72; the
+    k = 256 median sits high because two of its four draws have a small gap
+    along V's support (ratios 1.040 and 1.020 to C_1, which predicts them).
+    From k = 128 to 1024 the median falls as k^-0.96.
+    """
+    A = math.sqrt(COUPLING)
+    ctx = ModelContext(
+        n=2, l=1, sigma=1.0, A=A, V=cosine_potential(2, (1.0, 1.0)), delta=0.25, r_max=10,
+        seed=42,
+    )
+    plane = PeriodicFunction.constant(2, 1.0)
+    medians = {}
+    for k in (128.0, 256.0, 1024.0):
+        draws = [r for r in sample_nonresonant(ctx, k, 400).reports if r.admitted][:4]
+        assert len(draws) == 4
+        devs = []
+        for r in draws:
+            sol, _ = iterate(ctx, r.t, r.j)
+            assert sol is not None
+            assert residual(ctx, sol) < 1e-8
+            moved = compare(ctx, sol)
+            assert moved.d_psi < 1e-9 and moved.d_lam_gap < 1e-9
+            dev = star_norm(sol.psi.scale(1.0 / A) - plane)
+            c1 = star_norm(first_order_column(ctx, ctx.V, r.t, r.j))
+            assert abs(dev / c1 - 1.0) <= c1
+            devs.append(dev)
+        medians[k] = float(np.median(devs))
+        assert 2.5 <= k * medians[k] <= 8.0
+    assert -1.25 <= math.log(medians[1024.0] / medians[128.0]) / math.log(8.0) <= -0.75
 
 
 @pytest.mark.parametrize("name", ["l3_k8", "l3_k10", "n3_k10"])

@@ -3,7 +3,7 @@
 import pytest
 
 from polywave.errors import ContractError
-from polywave.fixedpoint import iterate
+from polywave.fixedpoint import defect, iterate, residual
 from polywave.galerkin import compare, newton_solve
 from polywave.lattice import PeriodicFunction, star_norm
 
@@ -41,6 +41,22 @@ def test_newton_recovers_from_perturbed_init(desk_solution):
     noisy, _ = newton_solve(ctx, sol.t, sol.j, sol.psi + noise, sol.lam_gap)
     assert abs(noisy.lam_gap - refined.lam_gap) < 1e-10
     assert star_norm(noisy.psi - refined.psi) < 1e-10
+
+
+def test_newton_from_a_formed_defect_is_bitwise_its_own(desk_solution):
+    """Started on the wave's full defect box, Newton crops its first defect
+    from it and takes the same steps, bit for bit, as from its own."""
+    ctx, sol = desk_solution
+    noise = PeriodicFunction(2, {(1, 0): 1e-6, (0, -1): -1e-6})
+    start = sol.psi + noise
+    box = defect(ctx, sol.t, sol.j, start, sol.lam_gap)
+    assert box.shape[0] > 2 * start.box_radius + 1
+    own, own_steps = newton_solve(ctx, sol.t, sol.j, start, sol.lam_gap)
+    shared, shared_steps = newton_solve(ctx, sol.t, sol.j, start, sol.lam_gap, box)
+    assert shared_steps == own_steps >= 1
+    assert shared.lam_gap == own.lam_gap and shared.psi == own.psi
+    wave = sol.__class__(**{**sol.__dict__, "psi": start})
+    assert residual(ctx, wave, box) == residual(ctx, wave)
 
 
 def test_newton_requires_anchor_amplitude(desk_solution):
