@@ -15,10 +15,14 @@ Two backends produce the same quantities:
   the anchor entry of ``(H - lam) P = 0``, which says
   ``(lam - c) P_jj = (W P)_jj``.  The chain applies ``W`` as a stencil of
   shifted slices on windows that hold its exact support, so no lattice
-  truncation enters; the only approximations are the series order ``r_max``
-  and the trapezoid contour quadrature, both of which are controlled and
-  reported.  All nodes of a contour ring are evaluated in one pass with the
-  nodes on a leading axis, in blocks of bounded memory; the first pass also
+  truncation enters; the only approximations are the series order and the
+  trapezoid contour quadrature, both of which are controlled and reported.
+  Where the tail is certified its bound is known before any chain runs, and
+  the series stops at the first order whose bound is within
+  ``ctx.tol_fp_value``; ``ctx.r_max`` caps it, and every order up to the cap
+  runs where the tail is only estimated.  All nodes of a contour ring are
+  evaluated in one pass with the nodes on a leading axis, in blocks of
+  bounded memory; the first pass also
   weighs its nodes into the N ring that the 2N ring contains, and a doubled
   ring reuses the sums of the ring it contains.  When ``W`` is even (every
   coefficient real) the chain at ``conj(zeta)`` is the conjugate of the
@@ -112,6 +116,9 @@ class BlochEigenpair(Anchor):
     ``proj_column`` stores the projector column in offset coordinates:
     coefficient ``d`` belongs to lattice site ``j + d``, so
     ``proj_column.get((0,) * n)`` is the diagonal entry ``E_jj``.
+    ``g_terms`` and ``G_norms`` hold one entry per series order run, and
+    ``tail_bound``/``tail_bound_column`` bound what the orders past the last
+    one add to ``lam_gap`` and the column.
     ``quad_err`` is the relative disagreement of the accepted contour ring
     and ``quad_nodes`` its node count; both are 0 where no ring ran.
     ``isolation`` is the oracle's lower bound on ``|mu|`` over the other
@@ -153,14 +160,16 @@ class BlochEigenpair(Anchor):
 def _stencil(W: PeriodicFunction, size: int):
     """``(c, dst, src)`` per nonzero coefficient ``c = w_q``: adding
     ``c * u[src]`` into ``y[dst]`` over boxes of side ``size`` in the trailing
-    axes forms ``y[x] = sum_q w_q u[x - q]``, dropping what leaves the box."""
+    axes forms ``y[x] = sum_q w_q u[x - q]``, dropping what leaves the box.
+    The slices count from both ends of an axis, so they serve a box of any
+    side larger than ``|q|_inf`` as well."""
     offsets, amps = W.nonzero()
     terms = []
     for q, c in zip(offsets.tolist(), amps.tolist()):
         if max(map(abs, q)) >= size:
             continue    # couples no two sites of the box
-        dst = (Ellipsis,) + tuple(slice(max(qa, 0), size + min(qa, 0)) for qa in q)
-        src = (Ellipsis,) + tuple(slice(max(-qa, 0), size - max(qa, 0)) for qa in q)
+        dst = (Ellipsis,) + tuple(slice(max(qa, 0), min(qa, 0) or None) for qa in q)
+        src = (Ellipsis,) + tuple(slice(max(-qa, 0), -max(qa, 0) or None) for qa in q)
         terms.append((c, dst, src))
     return terms
 
@@ -194,7 +203,7 @@ def _chain_series(
     # each step works on its own window and drops nothing.
     radii = [(b + 1) * R for b in range(r_max)]
     windows = [(Ellipsis,) + (slice(full - rad, full + rad + 1),) * gaps.ndim for rad in radii]
-    stencils = [_stencil(W, 2 * rad + 1) for rad in radii]
+    stencil = _stencil(W, 2 * R + 1)    # its slices serve every window
 
     columns = np.zeros((r_max + 1,) + weights.shape[:-1] + grid_shape, dtype=complex)
 
@@ -215,7 +224,7 @@ def _chain_series(
         # u = (R0 W)^r e_anchor and the node weight absorbs -(1/zeta).
         coef = weights[..., lo:lo + block] / zeta
         u = np.zeros((nodes,) + grid_shape, dtype=complex)
-        for b, (win, stencil) in enumerate(zip(windows, stencils)):
+        for b, win in enumerate(windows):
             if b == 0:
                 y = y_first
             else:
@@ -290,8 +299,15 @@ def series_eigenpair(
     """Eigenvalue and projector column from the contour-integral expansion.
 
     ``W`` must be the zero-mean part of the perturbation (fold any mean into
-    the eigenvalue afterwards).  The node count doubles until two consecutive
-    quadrature resolutions agree to ``QUAD_RTOL`` (relative disagreements are
+    the eigenvalue afterwards).  Where the tail is certified (``k >= K0``,
+    valid exponents and ``x = 4 ||W||_* k^-gamma2 <= 1/4``) the series runs
+    the first order ``r <= ctx.r_max`` whose tails ``rho x^(r+1) / ((r+1)
+    (1-x))`` and ``(x/2)^(r+1) / (1-x/2)`` are both within
+    ``ctx.tol_fp_value``, or ``ctx.r_max`` if none is; otherwise it runs
+    ``ctx.r_max`` orders and estimates the tail from them.
+
+    The node count doubles until two consecutive quadrature resolutions
+    agree to ``QUAD_RTOL`` (relative disagreements are
     dominated by trapezoid aliasing, which a doubling squares away, so the
     escalation terminates fast whenever the contour clears the nearest pole);
     one pass over the 2N ring gives the N ring's sums too, and each further
@@ -316,19 +332,39 @@ def series_eigenpair(
 def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> BlochEigenpair:
     """``series_eigenpair`` for a zero-mean real ``W`` at an anchor whose
     admission the caller has already verified."""
-    r_max, count = ctx.r_max, QUAD_NODES
+    count = QUAD_NODES
     t, j, k, center, rho = a.t, a.j, a.k, a.center, a.rho
 
     if len(W) == 0:
         return BlochEigenpair(
             **vars(a), lam_gap=0.0,
-            proj_column=PeriodicFunction.constant(ctx.n, 1.0), g_terms=(0.0 + 0.0j,) * r_max,
-            G_norms=(0.0,) * r_max, tail_bound=0.0, tail_bound_column=0.0,
+            proj_column=PeriodicFunction.constant(ctx.n, 1.0), g_terms=(0.0 + 0.0j,) * ctx.r_max,
+            G_norms=(0.0,) * ctx.r_max, tail_bound=0.0, tail_bound_column=0.0,
             tail_certified=True,
         )
 
+    # Tail control: fully certified in the high-energy regime where the
+    # step-gain exponents are valid and the coupling is small against
+    # k^gamma2, and known before any chain runs, so the series stops at the
+    # first order whose two tails are within tol_fp_value (r_max caps it);
+    # otherwise all r_max orders run and an empirical geometric estimate,
+    # clearly flagged, stands in.
+    exps = exponents(ctx)
+    w_norm = star_norm(W)
+    x_lam = 4.0 * w_norm * k ** (-exps.gamma2) if exps.gamma2 > 0 else math.inf
+    x_col = 2.0 * w_norm * k ** (-exps.gamma2) if exps.gamma2 > 0 else math.inf
+    certified = exps.valid and k >= K0 and x_lam <= 0.25
+
+    def tails(r: int) -> Tuple[float, float]:
+        return (rho * x_lam ** (r + 1) / ((r + 1) * (1.0 - x_lam)),
+                x_col ** (r + 1) / (1.0 - x_col))
+
+    order = ctx.r_max
+    if certified:
+        order = next((r for r in range(1, order) if max(tails(r)) <= ctx.tol_fp_value), order)
+
     R = W.box_radius
-    gaps = energy_gaps(ctx, t, j, integer_grid(r_max * R, ctx.n))
+    gaps = energy_gaps(ctx, t, j, integer_grid(order * R, ctx.n))
     even = W.is_even()
 
     def ring_sums(size: int, odd: bool):
@@ -350,7 +386,7 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
             idx = idx[2 * idx <= size]
             fold = np.where((idx == 0) | (2 * idx == size), 1.0, 2.0)
         rows = np.stack([fold, 2.0 * fold * (idx % 2 == 0)])[: 1 if odd else 2]
-        cols = _chain_series(gaps, W, r_max, zeta[idx], rows * weights[idx])
+        cols = _chain_series(gaps, W, order, zeta[idx], rows * weights[idx])
         return cols.real if even else cols
 
     col_hi, col_lo = np.moveaxis(ring_sums(2 * count, odd=False), 1, 0)
@@ -386,19 +422,10 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
 
     g_terms = tuple(complex(v) for v in g_hi[1:])
     lam_gap = float(lam_gap_hi.real)
-    G_norms = tuple(float(np.abs(col_hi[r]).sum()) for r in range(1, r_max + 1))
+    G_norms = tuple(float(np.abs(col_hi[r]).sum()) for r in range(1, order + 1))
 
-    # Tail control: fully certified in the high-energy regime where the
-    # step-gain exponents are valid and the coupling is small against
-    # k^gamma2; otherwise an empirical geometric estimate, clearly flagged.
-    exps = exponents(ctx)
-    w_norm = star_norm(W)
-    x_lam = 4.0 * w_norm * k ** (-exps.gamma2) if exps.gamma2 > 0 else math.inf
-    x_col = 2.0 * w_norm * k ** (-exps.gamma2) if exps.gamma2 > 0 else math.inf
-    certified = exps.valid and k >= K0 and x_lam <= 0.25
     if certified:
-        tail_lam = rho * x_lam ** (r_max + 1) / ((r_max + 1) * (1.0 - x_lam))
-        tail_col = x_col ** (r_max + 1) / (1.0 - x_col)
+        tail_lam, tail_col = tails(order)
     else:
         tail_lam, _ = _empirical_tail([abs(v) for v in g_terms])
         tail_col, _ = _empirical_tail(list(G_norms))

@@ -338,7 +338,9 @@ class ModelContext:
     cubic coupling and ``A`` the amplitude of the unperturbed plane wave.
     ``delta``/``beta`` steer the admission thresholds, and ``r_max``,
     ``tol_root`` and ``seed`` are the numerical controls a caller sets; the
-    others are module constants or derived here.  Stages read their
+    others are module constants or derived here.  ``r_max`` is the largest
+    series order a band solve runs: one whose tail is certified stops at the
+    first order whose bound is within ``tol_fp_value``.  Stages read their
     controls from here alone (``diagonalize_oracle(window=)`` aside; its
     ``isolation=`` is a certificate, not a control), so a variant is
     ``dataclasses.replace(ctx, r_max=...)``.

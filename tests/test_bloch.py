@@ -28,7 +28,7 @@ from polywave.lattice import (
     star_norm,
     zero_mean_shift,
 )
-from polywave.nonres import contour_radius, energy_gaps
+from polywave.nonres import contour_radius, energy_gaps, sample_nonresonant
 
 import chain_reference
 import dense_reference
@@ -156,25 +156,42 @@ G_RTOL = 1e-12          # g_terms, absolute per order, in units of max |g_r|
 COL_RTOL = 1e-14        # column sup-norm, in units of its 1-norm
 
 
-def _reference_sums(ctx, W, pair, r_max, count):
-    """Per-node reference pass over a fresh ``count``-node ring at the
-    anchor of ``pair``: (g_terms, total column box)."""
+def _reference_sums(ctx, W, pair, r_max):
+    """Per-node reference pass to order ``r_max`` over a fresh ring of the
+    size ``pair`` accepted, at its anchor: (g_terms, per-order column boxes
+    with ``e_anchor`` in the r = 0 slot)."""
     gaps = energy_gaps(ctx, pair.t, pair.j, integer_grid(r_max * W.box_radius, ctx.n))
-    contour = ContourSpec(pair.center, pair.rho, count)
+    contour = ContourSpec(pair.center, pair.rho, pair.quad_nodes)
     g, cols = chain_reference._chain_series(ctx, gaps, W, r_max, contour)
-    col = cols.sum(axis=0)
-    col[(r_max * W.box_radius,) * ctx.n] += 1.0
-    return g, col
+    cols[(0,) + (r_max * W.box_radius,) * ctx.n] = 1.0
+    return g, cols
 
 
-def _assert_matches_reference(ctx, W, pair, r_max):
-    g_ref, col_ref = _reference_sums(ctx, W, pair, r_max, pair.quad_nodes)
+def _assert_matches_reference(ctx, W, pair):
+    """The pair against the reference at the order the pair ran."""
+    r_max = len(pair.g_terms)
+    g_ref, cols_ref = _reference_sums(ctx, W, pair, r_max)
+    col_ref = cols_ref.sum(axis=0)
     lam_ref = float(np.sum(g_ref).real)
     assert abs(pair.lam_gap - lam_ref) <= LAM_RTOL * abs(lam_ref)
     g_dev = np.abs(np.array(pair.g_terms) - g_ref[1:]).max()
     assert g_dev <= G_RTOL * np.abs(g_ref).max()
     col = pair.proj_column.to_box(r_max * W.box_radius)
     assert np.abs(col - col_ref).max() <= COL_RTOL * np.abs(col_ref).sum()
+
+
+def _assert_truncation_within_tail(ctx, W, pair):
+    """The pair, cut at its certified order, against the reference run to
+    ``ctx.r_max``: the orders it left out move lam_gap and the column by no
+    more than the tails it reports.  The column's gap is the reference's own
+    orders past the pair's: the pair's column drops every entry below
+    ``PRUNE_TOL``, and on drawn W those entries sum to up to 1e-17, above
+    the column tail of some draws even where every order runs."""
+    assert pair.tail_certified
+    g_ref, cols_ref = _reference_sums(ctx, W, pair, ctx.r_max)
+    assert abs(pair.lam_gap - float(np.sum(g_ref).real)) <= pair.tail_bound
+    left_out = cols_ref[len(pair.g_terms) + 1:].sum(axis=0)
+    assert np.abs(left_out).sum() <= pair.tail_bound_column
 
 
 @pytest.mark.parametrize("name", ["l3_k8", "l3_k10", "l1_k8", "l1_k10"])
@@ -186,7 +203,14 @@ def test_chain_engine_matches_reference_on_desks(desk_points, name):
     # one doubling more on l1_k10; compared with a fresh pass of the reference
     N = bloch.QUAD_NODES
     assert pair.quad_nodes == {"l3_k8": 2 * N, "l3_k10": 2 * N, "l1_k8": 2 * N, "l1_k10": 4 * N}[name]
-    _assert_matches_reference(ctx, ctx.V, pair, ctx.r_max)
+    _assert_matches_reference(ctx, ctx.V, pair)
+    # the l = 3 tails are certified and stop the series early; every l = 1
+    # order runs, for an empirical tail
+    order = {"l3_k8": 5, "l3_k10": 4}.get(name, ctx.r_max)
+    assert len(pair.g_terms) == len(pair.G_norms) == order
+    assert pair.tail_certified is (order < ctx.r_max)
+    if pair.tail_certified:
+        _assert_truncation_within_tail(ctx, ctx.V, pair)
 
 
 _offsets = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda q: q != (0, 0))
@@ -213,7 +237,7 @@ def test_chain_engine_matches_reference_on_drawn_W(desk_points, W):
     ctx = context_for(point, nonlinear=False)
     assert 2 <= len(W) <= 14 and W.is_real_valued()
     pair = series_eigenpair(ctx, W, point["t"], point["j"])
-    _assert_matches_reference(ctx, W, pair, ctx.r_max)
+    _assert_matches_reference(ctx, W, pair)
 
     # one ring at a time: the batched kernel against the reference pass
     gaps = energy_gaps(ctx, pair.t, pair.j, integer_grid(ctx.r_max * W.box_radius, 2))
@@ -247,10 +271,11 @@ def test_folded_ring_matches_full_reference_on_drawn_even_W(desk_points, W):
     assert 2 <= len(W) <= 14 and W.is_even() and W.is_real_valued()
     pair = series_eigenpair(ctx, W, point["t"], point["j"])
     # the reference runs every node of the accepted ring
-    _assert_matches_reference(ctx, W, pair, ctx.r_max)
+    _assert_matches_reference(ctx, W, pair)
     # the folded sums are real by construction, not to rounding
     assert not np.imag(pair.g_terms).any()
     assert pair.proj_column.is_even()
+    _assert_truncation_within_tail(ctx, W, pair)
 
 
 def test_only_even_W_folds_the_ring(desk_points, monkeypatch):
@@ -280,7 +305,7 @@ def test_only_even_W_folds_the_ring(desk_points, monkeypatch):
     assert counts == [2 * N]
     assert full.quad_nodes == folded.quad_nodes == 2 * N
     assert not full.proj_column.is_even()
-    _assert_matches_reference(ctx, W, full, ctx.r_max)
+    _assert_matches_reference(ctx, W, full)
 
 
 @pytest.mark.parametrize("odd", [False, True])
@@ -302,7 +327,8 @@ def test_one_pass_holds_both_rings(desk_points, monkeypatch, odd):
     monkeypatch.setattr(bloch, "_chain_series", recording)
     pair = series_eigenpair(ctx, W, point["t"], point["j"])
     assert len(passes) == 1 and pair.quad_nodes == 2 * N
-    gaps = energy_gaps(ctx, pair.t, pair.j, integer_grid(ctx.r_max * W.box_radius, 2))
+    order = len(pair.g_terms)
+    gaps = energy_gaps(ctx, pair.t, pair.j, integer_grid(order * W.box_radius, 2))
 
     def ring(size, start):
         """Separate pass over nodes start, start + 2, ... (every node from
@@ -312,7 +338,7 @@ def test_one_pass_holds_both_rings(desk_points, monkeypatch, odd):
         if not odd:
             idx = idx[2 * idx <= size]
             w = w * np.where((np.arange(size) == 0) | (2 * np.arange(size) == size), 1.0, 2.0)
-        cols = engine(gaps, W, ctx.r_max, zeta[idx], w[idx])
+        cols = engine(gaps, W, order, zeta[idx], w[idx])
         return cols if odd else cols.real
 
     one = passes[0] if odd else passes[0].real
@@ -350,7 +376,22 @@ def test_quad_nodes_records_escalation(desk_points, monkeypatch):
     monkeypatch.setattr(bloch, "QUAD_NODES", 8)
     pair = series_eigenpair(ctx, ctx.V, point["t"], point["j"])
     assert pair.quad_nodes > 2 * 8
-    _assert_matches_reference(ctx, ctx.V, pair, ctx.r_max)
+    _assert_matches_reference(ctx, ctx.V, pair)
+
+
+# -- series order -------------------------------------------------------
+
+@pytest.mark.parametrize("k, order", [(8.0, 5), (12.0, 4), (16.0, 3)])
+def test_certified_series_stops_at_the_order_its_tail_needs(ctx_l3_nl, k, order):
+    """On the l = 3 model the band solve, and the fixed point's last one,
+    run the first order whose certified tails are within tol_fp_value."""
+    ctx = ctx_l3_nl
+    report = next(r for r in sample_nonresonant(ctx, k, 120).reports if r.admitted)
+    pair = series_eigenpair(ctx, ctx.V, report.t, report.j)
+    sol, _ = iterate(ctx, report.t, report.j)
+    for p in (pair, sol.eigenpair):
+        assert p.tail_certified and len(p.g_terms) == len(p.G_norms) == order < ctx.r_max
+        assert max(p.tail_bound, p.tail_bound_column) <= ctx.tol_fp_value
 
 
 def test_series_requires_zero_mean_real_input(ctx_l3_lin):

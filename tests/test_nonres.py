@@ -230,8 +230,8 @@ def assert_matches_box(ctx, t, j):
         assert getattr(got, name) == getattr(want, name), (name, t, j)
 
 
-def cosine_context(n, l):
-    return ModelContext(n=n, l=l, sigma=0.0, A=0.0, V=cosine_potential(n, (1.0,) * n))
+def cosine_context(n, l, **controls):
+    return ModelContext(n=n, l=l, sigma=0.0, A=0.0, V=cosine_potential(n, (1.0,) * n), **controls)
 
 
 def test_shell_matches_box_on_desk_points(desk_points):
@@ -329,3 +329,38 @@ def test_sample_nonresonant_deterministic_and_accounted():
     assert [r.t for r in a.reports] == [r.t for r in b.reports]
     assert a.admitted + a.failed_separation + a.failed_slack + a.failed_pair == a.samples
     assert a.admitted == sum(r.admitted for r in a.reports)
+
+
+# -- the admitted set as a lattice count ------------------------------
+
+@pytest.mark.parametrize("n, l, delta, k", [
+    (2, 3, 0.25, 16.0), (2, 3, 0.25, 256.0), (2, 1, 0.25, 1024.0),
+    (3, 3, 0.55, 16.0), (3, 3, 0.55, 64.0), (3, 2, 0.55, 32.0),
+])
+def test_slack_implies_the_pair_condition_below_k_star(n, l, delta, k):
+    """Slack keeps every site's distance to the contour at rho or more (the
+    anchor's is rho), so every pair product is at least 200 rho^2, above
+    k^(2 gamma2) exactly when k < k* = 200^(1/((n-1)(1-beta)))."""
+    ctx = cosine_context(n, l, delta=delta, seed=5)
+    reports = sample_nonresonant(ctx, k, 60).reports
+    k_star = PAIR_FACTOR ** (1.0 / ((n - 1) * (1.0 - ctx.beta)))
+    assert k < k_star
+    slack = [r for r in reports if r.cond_slack]
+    assert slack    # at least one draw to test, in every setting
+    for r in slack:
+        floor = PAIR_FACTOR * r.rho * r.rho - r.k ** (2.0 * exponents(ctx).gamma2)
+        assert r.margin_pair >= floor > 0.0 and r.admitted
+
+
+@pytest.mark.parametrize("l, delta, k", [
+    (3, 0.25, 16.0), (3, 0.25, 64.0), (3, 0.25, 256.0), (3, 0.25, 1024.0),
+    (1, 0.29, 64.0), (1, 0.29, 256.0), (1, 0.29, 1024.0),
+])
+def test_admitted_fraction_follows_the_lattice_count(l, delta, k):
+    """The slack shell around k^(2l) holds on average (2 |S^(n-1)| / l) k^(-delta)
+    other sites of Z^2 + t, so about exp(-(4 pi / l) k^(-delta)) of the draws
+    are admitted; 400 draws at seed 1 lie within 3 binomial sigma of it."""
+    draws = 400
+    fraction = sample_nonresonant(cosine_context(2, l, delta=delta, seed=1), k, draws).fraction
+    law = math.exp(-(4.0 * math.pi / l) * k ** (-delta))
+    assert abs(fraction - law) <= 3.0 * math.sqrt(law * (1.0 - law) / draws)
