@@ -234,7 +234,8 @@ def _chain_series(
                     y[dst] += c * x[src]
             np.multiply(R0[win], y, out=u[win])
             coef = -coef
-            columns[b + 1][win] += np.tensordot(coef, u[win], axes=1)
+            sums = columns[b + 1][win]
+            sums += (coef @ u[win].reshape(nodes, -1)).reshape(sums.shape)
     return columns
 
 

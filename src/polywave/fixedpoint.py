@@ -191,7 +191,8 @@ def iterate(
     if backend not in ("series", "diag"):
         raise ConfigError(f"unknown backend {backend!r}; expected 'series' or 'diag'")
 
-    W_prev, _ = effective_perturbation(ctx, PeriodicFunction.constant(ctx.n, 1.0))
+    # effective_perturbation of the plane-wave column 1, bit for bit
+    W_prev = ctx.V + PeriodicFunction.constant(ctx.n, ctx.sigma * abs(ctx.A) ** 2)
     if backend == "series":
         solve = lambda W_tilde, drift, previous: _series_eigenpair(ctx, W_tilde, a)
         seed = _series_eigenpair(ctx, ctx.V, a)

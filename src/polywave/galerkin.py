@@ -66,13 +66,6 @@ def newton_solve(
     free = cells != psi_init.box.size // 2
     gaps = energy_gaps(ctx, t, j, offsets)
 
-    # q - p and q + p for q, p in S, as flat positions in a box of radius 2R.
-    side = 4 * R + 1
-    lin = offsets @ side ** np.arange(ctx.n - 1, -1, -1)
-    middle = side ** ctx.n // 2
-    at_diff = middle + lin[:, None] - lin[None, :]
-    at_sum = middle + lin[:, None] + lin[None, :]
-
     amp = abs(ctx.A) if ctx.A else 1.0
 
     def projected(psi: PeriodicFunction, dlam: float) -> np.ndarray:
@@ -92,6 +85,14 @@ def newton_solve(
                 f"after {NEWTON_MAX_STEPS} steps"
             )
         steps += 1
+        if steps == 1:
+            # q - p and q + p for q, p in S, as flat positions in a box of
+            # radius 2R; built on the first step, since a confirmed wave takes none.
+            side = 4 * R + 1
+            lin = offsets @ side ** np.arange(ctx.n - 1, -1, -1)
+            middle = side ** ctx.n // 2
+            at_diff = middle + lin[:, None] - lin[None, :]
+            at_sum = middle + lin[:, None] + lin[None, :]
 
         # J1[q, p] = V_{q-p} + 2 sigma |psi|^2_{q-p}, J2[q, p] = sigma psi^2_{q+p}.
         coupling = ctx.V.to_box(2 * R) + 2.0 * ctx.sigma * abs_squared(psi).to_box(2 * R)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -78,9 +79,21 @@ def _above_prune_tol(box: np.ndarray) -> np.ndarray:
         raise ContractError("coefficients must be finite")
     keep = mod > PRUNE_TOL
     near = np.flatnonzero(np.abs(mod - PRUNE_TOL) <= 1e-14 * PRUNE_TOL)
-    flat = box.ravel()
-    keep.ravel()[near] = [abs(complex(flat[i])) > PRUNE_TOL for i in near]
+    if near.size:
+        flat = box.ravel()
+        keep.ravel()[near] = [abs(complex(flat[i])) > PRUNE_TOL for i in near]
     return keep
+
+
+@lru_cache(maxsize=16)
+def _sup_norms(side: int, n: int) -> np.ndarray:
+    """Sup-norm of every site of the origin-centred box of the given side."""
+    axis = np.abs(np.arange(side, dtype=np.int32) - side // 2)
+    norms = axis
+    for _ in range(n - 1):
+        norms = np.maximum.outer(norms, axis)
+    norms.flags.writeable = False
+    return norms
 
 
 def integer_grid(radius: int, n: int) -> np.ndarray:
@@ -131,23 +144,28 @@ class PeriodicFunction:
                 raise ContractError(f"frequency {q} does not have dimension {n}")
         radius = max((max(abs(s) for s in q) for q, _ in items), default=0)
         box = np.zeros(_box_shape(radius, n), dtype=complex)
-        for q, c in items:
-            box[tuple(s + radius for s in q)] = c
+        if items:
+            freqs, values = zip(*items)
+            box[tuple((np.array(freqs) + radius).T)] = values
         canonical = PeriodicFunction.from_box(box)
         self.n, self.box = canonical.n, canonical.box
 
     @classmethod
     def from_box(cls, arr) -> "PeriodicFunction":
         """The function with coefficients ``arr[q + R]``, for an origin-centred
-        array of shape ``(2R+1,) * n``; the array is copied, pruned and trimmed."""
-        box = np.array(arr, dtype=complex)
+        array of shape ``(2R+1,) * n``: entries at or below ``PRUNE_TOL`` are
+        dropped and the box is trimmed to the largest sup-norm kept, in one
+        pass into a fresh box; ``arr`` itself is never written."""
+        box = np.asarray(arr, dtype=complex)
         if box.ndim < 1 or box.shape[0] % 2 == 0 or len(set(box.shape)) != 1:
             raise ContractError(f"box of shape {box.shape} is not origin-centred")
-        box[~_above_prune_tol(box)] = 0.0
-        nonzero = np.argwhere(box) - box.shape[0] // 2
+        keep = _above_prune_tol(box)
+        half = box.shape[0] // 2
+        radius = int(_sup_norms(box.shape[0], box.ndim)[keep].max(initial=0))
+        crop = (slice(half - radius, half + radius + 1),) * box.ndim
         out = cls.__new__(cls)
         out.n = box.ndim
-        out.box = _resize(box, int(np.abs(nonzero).max()) if nonzero.size else 0)
+        out.box = np.where(keep[crop], box[crop], 0.0)
         out.box.flags.writeable = False
         return out
 
@@ -159,7 +177,7 @@ class PeriodicFunction:
 
     @staticmethod
     def constant(n: int, value: complex) -> "PeriodicFunction":
-        return PeriodicFunction(n, {(0,) * n: complex(value)})
+        return PeriodicFunction.from_box(np.full(_box_shape(0, n), complex(value)))
 
     # -- basic queries ------------------------------------------------
 
@@ -222,16 +240,20 @@ class PeriodicFunction:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "PeriodicFunction") -> "PeriodicFunction":
+        return self._combine(other, negate=False)
+
+    def __sub__(self, other: "PeriodicFunction") -> "PeriodicFunction":
+        return self._combine(other, negate=True)
+
+    def _combine(self, other: "PeriodicFunction", negate: bool) -> "PeriodicFunction":
+        """``self + other``, or ``self + other.scale(-1.0)`` term for term."""
         if self.n != other.n:
             raise ContractError("dimension mismatch in addition")
         radius = max(self.box_radius, other.box_radius)
         out, addend = self.to_box(radius), other.to_box(radius)
         # Only stored coefficients are added, so untouched ones keep their bits.
-        np.add(out, addend, out=out, where=addend != 0)
+        np.add(out, _times(-1.0, addend) if negate else addend, out=out, where=addend != 0)
         return PeriodicFunction.from_box(out)
-
-    def __sub__(self, other: "PeriodicFunction") -> "PeriodicFunction":
-        return self + other.scale(-1.0)
 
     def scale(self, s: complex) -> "PeriodicFunction":
         return PeriodicFunction.from_box(_times(s, self.box))
@@ -292,23 +314,30 @@ def zero_mean_shift(f: PeriodicFunction) -> Tuple[PeriodicFunction, float]:
     rounding dust is a contract violation.
     """
     w0 = f.get((0,) * f.n)
-    if abs(w0.imag) > HERMITIAN_RTOL * max(1.0, star_norm(f)):
+    if w0.imag and abs(w0.imag) > HERMITIAN_RTOL * max(1.0, star_norm(f)):
         raise ContractError(f"mean {w0} has a non-negligible imaginary part")
-    return f - PeriodicFunction.constant(f.n, w0), float(w0.real)
+    box = f.to_box(f.box_radius)
+    box[(f.box_radius,) * f.n] = 0.0
+    return PeriodicFunction.from_box(box), float(w0.real)
 
 
 def truncate_support(f: PeriodicFunction, radius: float) -> Tuple[PeriodicFunction, float]:
     """Drop coefficients with Euclidean frequency norm above ``radius``.
 
     Returns (truncated function, star norm of the dropped tail); the tail is
-    reported so callers can log it rather than lose it silently.
+    reported so callers can log it rather than lose it silently.  Where the
+    box's farthest corner, at norm ``sqrt(n) R``, lies within ``radius``,
+    nothing is dropped and ``f`` itself comes back.
     """
     if radius < 0:
         raise ContractError("truncation radius must be nonnegative")
+    r2 = float(radius) * float(radius)
+    if f.n * f.box_radius ** 2 <= r2:
+        return f, 0.0
     grid = integer_grid(f.box_radius, f.n)
-    near = (grid * grid).sum(axis=-1) <= float(radius) * float(radius)
-    dropped = PeriodicFunction.from_box(np.where(near, 0.0, f.box))
-    return PeriodicFunction.from_box(np.where(near, f.box, 0.0)), star_norm(dropped)
+    near = (grid * grid).sum(axis=-1) <= r2
+    tail = math.fsum(map(abs, f.box[~near].tolist()))
+    return PeriodicFunction.from_box(np.where(near, f.box, 0.0)), tail
 
 
 # -- serialization ----------------------------------------------------

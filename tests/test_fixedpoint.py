@@ -51,6 +51,9 @@ def test_effective_perturbation_of_plane_wave(ctx_l3_nl):
     assert tail == 0.0
     expected = ctx_l3_nl.V + PeriodicFunction.constant(2, COUPLING)
     assert star_norm(W - expected) == 0.0
+    # iterate's W_0, formed without the product, holds the same bits
+    W_0 = ctx_l3_nl.V + PeriodicFunction.constant(2, ctx_l3_nl.sigma * abs(ctx_l3_nl.A) ** 2)
+    assert W_0.box.tobytes() == W.box.tobytes()
 
 
 def test_map_without_potential_fixes_plane_wave():
@@ -132,6 +135,27 @@ def test_iterate_desk_converges_and_traces_shrink(desk_points):
         assert cur.d_w <= prev.d_w * (1 + 1e-9) + trace.noise_floor
     # the correction to the naive eigenvalue stays tiny at this energy
     assert abs(sol.asym_remainder) < 1e-4
+
+
+# Coefficient boxes one l3_k8 ``iterate`` and ``residual`` form, as measured
+# once each Fourier result was canonicalised in one pass (46 before).
+L3_K8_BOXES = 27
+
+
+def test_iterate_and_residual_canonicalise_each_result_once(desk_points, monkeypatch):
+    point = desk_points["l3_k8"]
+    ctx = context_for(point, nonlinear=True)
+    formed = []
+    from_box = PeriodicFunction.from_box.__func__
+
+    def counting(cls, arr):
+        formed.append(np.shape(arr))
+        return from_box(cls, arr)
+
+    monkeypatch.setattr(PeriodicFunction, "from_box", classmethod(counting))
+    sol, _ = iterate(ctx, point["t"], point["j"])
+    residual(ctx, sol)
+    assert 0 < len(formed) <= L3_K8_BOXES
 
 
 @pytest.mark.parametrize(

@@ -288,14 +288,22 @@ def test_box_layout_matches_dict_reference(case, s, radius):
 
     assert exact(multiply(f, g)) == exact(ref.multiply(rf, rg))
     assert exact(abs_squared(f)) == exact(ref.abs_squared(rf))
-    assert (f + g).coeffs == (rf + rg).coeffs
-    assert f.scale(s).coeffs == rf.scale(s).coeffs
-    assert f.conj().coeffs == rf.conj().coeffs
+    assert exact(f + g) == exact(rf + rg)
+    # a difference adds the terms of scale(-1), signed zeros included
+    assert exact(f - g) == exact(rf + rg.scale(-1))
+    assert exact(f.scale(s)) == exact(rf.scale(s))
+    assert exact(f.conj()) == exact(rf.conj())
+    assert exact(PeriodicFunction.constant(n, s)) == exact(ref.DictFunction(n, {(0,) * n: s}))
 
     assert star_norm(f) == ref.star_norm(rf)
-    kept, tail = truncate_support(f, radius)
-    ref_kept, ref_tail = ref.truncate_support(rf, radius)
-    assert kept.coeffs == ref_kept.coeffs and tail == ref_tail
+    # the drawn radius, one that drops the outermost shell, and one just past
+    # the box's farthest corner, within which nothing is dropped and f comes back
+    corner = math.sqrt(n * f.box_radius ** 2 + 0.5)
+    for cut in (radius, max(f.box_radius - 0.5, 0.0), corner):
+        kept, tail = truncate_support(f, cut)
+        ref_kept, ref_tail = ref.truncate_support(rf, cut)
+        assert exact(kept) == exact(ref_kept) and tail == ref_tail
+    assert truncate_support(f, corner) == (f, 0.0)
 
     h = (f + f.conj()).scale(0.5)
     ref_h = ref.DictFunction(n, h.coeffs)
@@ -303,10 +311,11 @@ def test_box_layout_matches_dict_reference(case, s, radius):
     assert h.is_real_valued() == ref_h.is_real_valued()
     shifted, mean = zero_mean_shift(h)
     ref_shifted, ref_mean = ref.zero_mean_shift(ref_h)
-    assert shifted.coeffs == ref_shifted.coeffs and mean == ref_mean
+    assert exact(shifted) == exact(ref_shifted) and mean == ref_mean
 
     doc = to_json_dict(f)
     assert doc == ref.to_json_dict(rf)
+    assert exact(from_json_dict(doc, n=n)) == exact(rf)
     assert from_json_dict(doc, n=n) == f
 
 
@@ -424,6 +433,13 @@ def test_non_finite_coefficients_refused(value):
         PeriodicFunction.from_box(box)
     with pytest.raises(ContractError, match="finite"):
         PeriodicFunction(2, {(0, 0): 1.0, (1, 0): value})
+    # on a corner site, which the trim to the kept coefficients would cut
+    box = np.zeros((5, 5), dtype=complex)
+    box[2, 2], box[0, 4] = 1.0, value
+    with pytest.raises(ContractError, match="finite"):
+        PeriodicFunction.from_box(box)
+    with pytest.raises(ContractError, match="finite"):
+        PeriodicFunction(2, {(0, 0): 1.0, (-2, 2): value})
 
 
 def test_oversized_box_refused_before_allocation():
