@@ -118,7 +118,8 @@ class BlochEigenpair(Anchor):
     ``proj_column.get((0,) * n)`` is the diagonal entry ``E_jj``.
     ``g_terms`` and ``G_norms`` hold one entry per series order run, and
     ``tail_bound``/``tail_bound_column`` bound what the orders past the last
-    one add to ``lam_gap`` and the column.
+    one add to ``lam_gap`` and the column; on the series backend the column's
+    bound also holds the star norm that its pruning at ``PRUNE_TOL`` drops.
     ``quad_err`` is the relative disagreement of the accepted contour ring
     and ``quad_nodes`` its node count; both are 0 where no ring ran.
     ``isolation`` is the oracle's lower bound on ``|mu|`` over the other
@@ -430,15 +431,19 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
     else:
         tail_lam, _ = _empirical_tail([abs(v) for v in g_terms])
         tail_col, _ = _empirical_tail(list(G_norms))
+    # The column drops the entries at or below PRUNE_TOL; their mass is part
+    # of what it leaves out, as the orders past the last one are.
+    column = PeriodicFunction.from_box(total_hi)
+    pruned = float(np.abs(total_hi - column.to_box(order * R)).sum())
 
     return BlochEigenpair(
         **vars(a),
         lam_gap=lam_gap,
-        proj_column=PeriodicFunction.from_box(total_hi),
+        proj_column=column,
         g_terms=g_terms,
         G_norms=G_norms,
         tail_bound=tail_lam,
-        tail_bound_column=tail_col,
+        tail_bound_column=tail_col + pruned,
         tail_certified=certified,
         quad_err=quad_err,
         quad_nodes=2 * count,

@@ -184,9 +184,8 @@ def _assert_truncation_within_tail(ctx, W, pair):
     """The pair, cut at its certified order, against the reference run to
     ``ctx.r_max``: the orders it left out move lam_gap and the column by no
     more than the tails it reports.  The column's gap is the reference's own
-    orders past the pair's: the pair's column drops every entry below
-    ``PRUNE_TOL``, and on drawn W those entries sum to up to 1e-17, above
-    the column tail of some draws even where every order runs."""
+    orders past the pair's; the whole gap, pruning included, is
+    ``test_column_tail_covers_the_pruned_mass``'s."""
     assert pair.tail_certified
     g_ref, cols_ref = _reference_sums(ctx, W, pair, ctx.r_max)
     assert abs(pair.lam_gap - float(np.sum(g_ref).real)) <= pair.tail_bound
@@ -276,6 +275,46 @@ def test_folded_ring_matches_full_reference_on_drawn_even_W(desk_points, W):
     assert not np.imag(pair.g_terms).any()
     assert pair.proj_column.is_even()
     _assert_truncation_within_tail(ctx, W, pair)
+
+
+# Fixed draws of even W at the l3_k8 anchor for the column tail: 1-7 pairs
+# w_q = w_-q on the offsets of [-2, 2]^2, amplitudes of modulus 1e-3 to 1.
+COLUMN_TAIL_SEED = 1
+COLUMN_TAIL_DRAWS = 40
+
+
+def test_column_tail_covers_the_pruned_mass(desk_points):
+    """The pair's column is within ``tail_bound_column`` of the reference
+    run to ``ctx.r_max``, in 1-norm.  The bound counts the orders past the
+    pair's last and the mass ``from_box`` prunes at ``PRUNE_TOL``; the
+    pruned mass alone exceeds the orders' bound on some draws.  The
+    reference column adds ``e_anchor`` after its orders, as the engine does,
+    so the anchor's ``1 + E_jj`` rounds alike on both sides: added first, it
+    can round one ulp (1.1e-16) apart, which is rounding, not tail."""
+    point = desk_points["l3_k8"]
+    ctx = context_for(point, nonlinear=False)
+    rng = np.random.default_rng(COLUMN_TAIL_SEED)
+    half = [q for q in map(tuple, integer_grid(2, 2).reshape(-1, 2).tolist()) if q > (0, 0)]
+    misses = []
+    for draw in range(COLUMN_TAIL_DRAWS):
+        count = rng.integers(1, 8)
+        picks = rng.choice(len(half), count, replace=False)
+        amps = rng.uniform(1e-3, 1.0, count) * rng.choice([-1.0, 1.0], count)
+        coeffs = {}
+        for i, c in zip(picks, amps):
+            q = half[i]
+            coeffs[q] = coeffs[(-q[0], -q[1])] = float(c)
+        W = PeriodicFunction(2, coeffs)
+        pair = series_eigenpair(ctx, W, point["t"], point["j"])
+        assert pair.tail_certified
+        _, cols_ref = _reference_sums(ctx, W, pair, ctx.r_max)
+        R = ctx.r_max * W.box_radius
+        col_ref = cols_ref[1:].sum(axis=0)
+        col_ref[R, R] += 1.0
+        gap = float(np.abs(pair.proj_column.to_box(R) - col_ref).sum())
+        if not gap <= pair.tail_bound_column:
+            misses.append((draw, gap, pair.tail_bound_column))
+    assert not misses
 
 
 def test_only_even_W_folds_the_ring(desk_points, monkeypatch):
