@@ -86,12 +86,9 @@ def _above_prune_tol(box: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _sup_norms(side: int, n: int) -> np.ndarray:
-    """Sup-norm of every site of the origin-centred box of the given side."""
-    axis = np.abs(np.arange(side, dtype=np.int32) - side // 2)
-    norms = axis
-    for _ in range(n - 1):
-        norms = np.maximum.outer(norms, axis)
+def _sup_norms(radius: int, n: int) -> np.ndarray:
+    """Sup-norm of every site of the box of the given radius."""
+    norms = np.abs(integer_grid(radius, n)).max(axis=-1)
     norms.flags.writeable = False
     return norms
 
@@ -161,7 +158,7 @@ class PeriodicFunction:
             raise ContractError(f"box of shape {box.shape} is not origin-centred")
         keep = _above_prune_tol(box)
         half = box.shape[0] // 2
-        radius = int(_sup_norms(box.shape[0], box.ndim)[keep].max(initial=0))
+        radius = int(_sup_norms(half, box.ndim)[keep].max(initial=0))
         crop = (slice(half - radius, half + radius + 1),) * box.ndim
         out = cls.__new__(cls)
         out.n = box.ndim
@@ -314,7 +311,7 @@ def zero_mean_shift(f: PeriodicFunction) -> Tuple[PeriodicFunction, float]:
     rounding dust is a contract violation.
     """
     w0 = f.get((0,) * f.n)
-    if w0.imag and abs(w0.imag) > HERMITIAN_RTOL * max(1.0, star_norm(f)):
+    if abs(w0.imag) > HERMITIAN_RTOL * max(1.0, star_norm(f)):
         raise ContractError(f"mean {w0} has a non-negligible imaginary part")
     box = f.to_box(f.box_radius)
     box[(f.box_radius,) * f.n] = 0.0

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dict_reference as ref
@@ -280,6 +280,9 @@ _scalars = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinit
 
 @given(_map_pairs, _scalars, st.floats(0.0, 7.0))
 @settings(max_examples=150, deadline=None)
+# -0.0 parts of f meet the +0.0 parts that scale(-1) gives, where -g has -0.0
+@example(case=(1, {(0,): complex(1.0, -0.0)}, {(0,): 2.0}), s=1j, radius=0.0)
+@example(case=(2, {(1, 0): complex(-0.0, 1.0)}, {(1, 0): complex(0.0, -1.5)}), s=1j, radius=0.0)
 def test_box_layout_matches_dict_reference(case, s, radius):
     n, a, b = case
     f, g = PeriodicFunction(n, a), PeriodicFunction(n, b)
