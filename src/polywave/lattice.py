@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,8 @@ PRUNE_TOL = 1e-18
 HERMITIAN_RTOL = 1e-13
 # Largest box of lattice sites any stage allocates; larger requests are
 # refused before allocation.  For the admission screen it bounds the
-# (n-1)-dimensional column grid, of side 2*(ceil(2k) + 2 + ceil(k^beta)) + 1.
+# (n-1)-dimensional column grid, of side 2*(ceil(2k) + 2 + ceil(k^beta)) + 1,
+# and the entries of a draw of sample directions.
 BOX_SITES_MAX = 1 << 22
 # Coefficient pairs per scatter-add in ``multiply``: a block's index and term
 # arrays stay in cache, and peak memory does not grow with the pair count.
@@ -135,16 +136,9 @@ class PeriodicFunction:
     __slots__ = ("n", "box")
 
     def __init__(self, n: int, coeffs: Optional[Mapping] = None):
-        items = [(_as_index(q), complex(c)) for q, c in (coeffs or {}).items()]
-        for q, _ in items:
-            if len(q) != n:
-                raise ContractError(f"frequency {q} does not have dimension {n}")
-        radius = max((max(abs(s) for s in q) for q, _ in items), default=0)
-        box = np.zeros(_box_shape(radius, n), dtype=complex)
-        if items:
-            freqs, values = zip(*items)
-            box[tuple((np.array(freqs) + radius).T)] = values
-        canonical = PeriodicFunction.from_box(box)
+        items = (coeffs or {}).items()
+        canonical = _from_frequencies(n, [_as_index(q) for q, _ in items],
+                                      [complex(c) for _, c in items])
         self.n, self.box = canonical.n, canonical.box
 
     @classmethod
@@ -260,10 +254,27 @@ class PeriodicFunction:
         return PeriodicFunction.from_box(np.flip(self.box).conj())
 
 
+def _from_frequencies(n: int, freqs: Sequence[LatticeIndex], values: Sequence[complex]):
+    """The function with coefficient ``values[i]`` at frequency ``freqs[i]``,
+    by one fill of a box and ``from_box``."""
+    for q in freqs:
+        if len(q) != n:
+            raise ContractError(f"frequency {q} does not have dimension {n}")
+    radius = max((max(map(abs, q)) for q in freqs), default=0)
+    box = np.zeros(_box_shape(radius, n), dtype=complex)
+    if freqs:
+        box[tuple((np.array(freqs) + radius).T)] = values
+    return PeriodicFunction.from_box(box)
+
+
 def star_norm(f: PeriodicFunction) -> float:
     """Sum of coefficient magnitudes (the Wiener-algebra norm)."""
     # Python's abs, not np.abs: numpy's complex modulus can differ in the
     # last bit, and star norms are compared exactly across representations.
+    # On an exactly real box the two agree, since abs(complex(x, +-0.0)) is
+    # abs(x), and fsum is correctly rounded in any order.
+    if not np.count_nonzero(f.box.imag):
+        return math.fsum(np.abs(f.box.real).ravel().tolist())
     return math.fsum(map(abs, f.box.ravel().tolist()))
 
 
@@ -351,7 +362,7 @@ def from_json_dict(d: Mapping[str, Iterable[float]], n: int) -> PeriodicFunction
         if q in coeffs:
             raise ContractError(f"frequency {q} is given twice")
         coeffs[q] = complex(re, im)
-    return PeriodicFunction(n, coeffs)
+    return _from_frequencies(n, list(coeffs), list(coeffs.values()))
 
 
 # -- model context ----------------------------------------------------

@@ -312,7 +312,10 @@ class SphereSampleStats:
 
 
 def sample_directions(n: int, count: int, seed: int) -> np.ndarray:
-    """Deterministic unit vectors, one independent stream per draw index."""
+    """Deterministic unit vectors, one independent stream per draw index;
+    more than ``BOX_SITES_MAX`` entries are refused before allocation."""
+    if count * n > BOX_SITES_MAX:
+        raise ConfigError(f"{count} directions in dimension {n} exceed {BOX_SITES_MAX} entries")
     out = np.empty((count, n))
     for idx in range(count):
         rng = np.random.default_rng((seed, idx))

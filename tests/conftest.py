@@ -79,6 +79,34 @@ def eigensolves(monkeypatch):
 
 
 @pytest.fixture
+def eigsh_work(monkeypatch):
+    """``(tol, applications)`` of every ``scipy.sparse.linalg.eigsh`` call, in
+    call order: the accuracy it was asked for and how many times it applied
+    its ``OPinv``."""
+    import scipy.sparse.linalg
+
+    calls = []
+
+    def spy(*args, _eigsh=scipy.sparse.linalg.eigsh, **kwargs):
+        inverse, applications = kwargs["OPinv"], [0]
+
+        def counted(b):
+            applications[0] += 1
+            return inverse.matvec(b)
+
+        kwargs["OPinv"] = scipy.sparse.linalg.LinearOperator(
+            inverse.shape, matvec=counted, dtype=inverse.dtype
+        )
+        try:
+            return _eigsh(*args, **kwargs)
+        finally:
+            calls.append((kwargs.get("tol", 0), applications[0]))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    return calls
+
+
+@pytest.fixture
 def factorisations(monkeypatch):
     """``"splu"`` for every sparse LU factorisation the oracle runs."""
     import scipy.sparse.linalg

@@ -679,7 +679,9 @@ def test_continued_oracle_falls_back_to_a_fresh_solve(
     factorisations.clear()
     eigensolves.clear()
     pair = diagonalize_oracle(ctx, W, t, j, isolation=bound, previous=seed)
-    assert factorisations == ["splu"] and eigensolves == [2]
+    # nor does it from the vector of the loose isolation solve, which then
+    # runs again to rounding
+    assert factorisations == ["splu"] and eigensolves == [2, 2]
     fresh = diagonalize_oracle(ctx, W, t, j, isolation=bound)
     assert pair.lam_gap == fresh.lam_gap and pair.isolation == fresh.isolation
     assert star_norm(pair.proj_column - fresh.proj_column) == 0.0
@@ -765,6 +767,45 @@ def test_oracle_isolation_is_the_second_eigenvalue_of_the_window(desk_points, na
     _, gaps, coupling = dense_reference._window(ctx, ctx.V, t, j, ctx.m_lin(point["k"]))
     mu = np.sort(np.abs(np.linalg.eigvalsh(np.diag(gaps) + coupling)))
     assert pair.isolation == pytest.approx(mu[1], rel=1e-9)
+
+
+# How many times the seeds' isolation solves applied the factor when
+# ISOLATION_RTOL was chosen (55 and 72 at tol = 0).
+SEED_APPLICATIONS = {"l1_k8": 21, "l1_k10": 38}
+
+
+@pytest.mark.parametrize("name", ["l1_k8", "l1_k10"])
+def test_isolation_solve_asks_only_for_its_accuracy(desk_points, eigsh_work, name):
+    """ARPACK only measures the isolation; the band finder takes its band
+    vector to rounding on the fresh factor."""
+    point = desk_points[name]
+    ctx = context_for(point, nonlinear=False)
+    t, j = point["t"], point["j"]
+    pair = diagonalize_oracle(ctx, ctx.V, t, j)
+    [(tol, applications)] = eigsh_work
+    assert tol == bloch.ISOLATION_RTOL
+    assert applications <= SEED_APPLICATIONS[name]
+    dense = dense_reference.diagonalize_oracle(ctx, ctx.V, t, j)
+    assert abs(pair.lam_gap - dense.lam_gap) <= ORACLE_LAM_RTOL * abs(dense.lam_gap)
+    assert star_norm(pair.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
+
+
+def test_loose_isolation_near_rho_is_measured_to_rounding(desk_points, monkeypatch, eigsh_work):
+    """A loose isolation that lies within its own accuracy of rho settles
+    nothing: the solve runs again at tol = 0 and the oracle keeps its pair."""
+    point = desk_points["l1_k8"]
+    ctx = context_for(point, nonlinear=False)
+    t, j = point["t"], point["j"]
+    exact = diagonalize_oracle(ctx, ctx.V, t, j)
+    # 1.12 (1 - 0.75) is below rho = 0.601; a loose |mu| would have to read 2.4
+    monkeypatch.setattr(bloch, "ISOLATION_RTOL", 0.75)
+    eigsh_work.clear()
+    pair = diagonalize_oracle(ctx, ctx.V, t, j)
+    assert [tol for tol, _ in eigsh_work] == [0.75, 0]
+    assert pair.isolation == pytest.approx(exact.isolation, rel=1e-9)
+    dense = dense_reference.diagonalize_oracle(ctx, ctx.V, t, j)
+    assert abs(pair.lam_gap - dense.lam_gap) <= ORACLE_LAM_RTOL * abs(dense.lam_gap)
+    assert star_norm(pair.proj_column - dense.proj_column) <= ORACLE_COL_ATOL
 
 
 @pytest.mark.parametrize("window", [None, 14])

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from polywave.bloch import QUAD_NODES
 from polywave.cli import main
 from polywave.config import parse_config
 from polywave.errors import ConfigError
+from polywave.lattice import BOX_SITES_MAX
 from polywave.nonres import energy_gaps
 
 DESK_T = (0.37982347232642333, 0.2509856775414585)
@@ -671,6 +673,30 @@ def test_config_errors_exit_2(tmp_path):
         cfg = write_config(tmp_path, body, f"row{idx}.cfg")
         code = run_cli(command, "--config", cfg, "--out", str(tmp_path / f"o{idx}"), *flags)
         assert code == 2, (command, body, flags)
+
+
+@pytest.mark.parametrize("command, run", [
+    ("nonres-scan", "k = 6.0"),
+    ("isoenergetic", "lambda = 262144.0"),
+])
+@pytest.mark.parametrize("samples", [
+    BOX_SITES_MAX // 2 + 1,     # two components a draw: just past the bound
+    2 ** 62,                    # numpy: "array is too big"
+    10 ** 20,                   # numpy: "Maximum allowed dimension exceeded"
+])
+def test_oversized_samples_exit_2_before_allocation(tmp_path, command, run, samples):
+    cfg = write_config(tmp_path, MODEL_L3 + f"\n{run}\nsamples = {samples}")
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = run_cli(command, "--config", cfg, "--out", str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert str(BOX_SITES_MAX) in err.getvalue() and "Traceback" not in err.getvalue()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,29 @@ def test_star_norm_examples():
     assert math.isclose(star_norm(pf(1, {(3,): 1 + 1j})), math.sqrt(2))
 
 
+def _unpruned(box):
+    """A function holding ``box`` as given, so that its subnormal and -0.0
+    parts, which ``from_box`` would drop, reach ``star_norm``."""
+    f = PeriodicFunction.__new__(PeriodicFunction)
+    f.n, f.box = box.ndim, box
+    return f
+
+
+_part = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308])
+_signed_zeros = st.lists(st.sampled_from([0.0, -0.0]), min_size=9, max_size=9)
+
+
+@given(st.lists(_part, min_size=9, max_size=9),
+       _signed_zeros | st.lists(_part, min_size=9, max_size=9))
+@example([-0.0, 5e-324, 1.0, -2.5, 0.0, -5e-324, 3.0, 1e-300, -1e300], [-0.0] * 9)
+@example([1.0] * 9, [0.0] * 8 + [5e-324])
+def test_star_norm_is_the_fsum_of_python_moduli(real, imag):
+    box = np.empty((3, 3), dtype=complex)
+    box.real, box.imag = np.reshape(real, (3, 3)), np.reshape(imag, (3, 3))   # -0.0 kept
+    for f in (_unpruned(box), PeriodicFunction.from_box(box)):
+        assert star_norm(f) == math.fsum(map(abs, f.box.ravel().tolist()))
+
+
 def test_cosine_potential_coefficients():
     V = cosine_potential(2, (1.0, 1.0))
     assert V.get((1, 0)) == 1.0
@@ -455,6 +478,33 @@ def test_oversized_box_refused_before_allocation():
 
 def test_json_empty_requires_dimension():
     assert len(from_json_dict({}, n=3)) == 0
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), _coeff_maps(n))))
+@settings(max_examples=100, deadline=None)
+@example(case=(2, {(1, 0): complex(-0.0, 1.0), (0, 0): complex(1.0, -0.0), (0, 2): -0.0}))
+def test_json_dict_builds_the_bits_of_the_frequency_map(case):
+    n, coeffs = case
+    doc = {",".join(map(str, q)): [c.real, c.imag] for q, c in coeffs.items()}
+    built, ref_f = from_json_dict(doc, n=n), PeriodicFunction(n, coeffs)
+    assert built.box.shape == ref_f.box.shape
+    assert built.box.tobytes() == ref_f.box.tobytes()
+
+
+@pytest.mark.parametrize("doc, n, error, message", [
+    ({"0,0": [1.0, 0.0], "1,0": [0.5, 0.0], "01,0": [0.5, 0.0]}, 2,
+     ContractError, "frequency (1, 0) is given twice"),
+    ({"0,0": [1.0, 0.0], "1,0,0": [0.5, 0.0]}, 2,
+     ContractError, "frequency (1, 0, 0) does not have dimension 2"),
+    ({"0,0": [1.0, 0.0], "1.5,0": [0.5, 0.0]}, 2,
+     ValueError, "invalid literal for int() with base 10: '1.5'"),
+    ({"0,0": [1.0, 0.0], "1,0": [math.nan, 0.0]}, 2,
+     ContractError, "coefficients must be finite"),
+])
+def test_json_dict_refusals(doc, n, error, message):
+    with pytest.raises(error) as info:
+        from_json_dict(doc, n=n)
+    assert str(info.value) == message
 
 
 # -- model context -----------------------------------------------------
