@@ -215,13 +215,6 @@ def _chain_series(
 
     columns = np.zeros((r_max + 1,) + weights.shape[:-1] + grid_shape, dtype=complex)
 
-    # First chain application is just the kernel centred on the anchor;
-    # embedding it directly keeps the anchor entry of W e_anchor exactly zero
-    # for zero-mean input, where a transform-based convolution of the delta
-    # would backfill it with dust that the contour integral then reports as
-    # a spurious order-1 eigenvalue term.
-    y_first = W.to_box(R)
-
     block = max(1, NODE_BLOCK_BYTES // (2 * gaps.size * 16))
     for lo in range(0, len(zeta_nodes), block):
         zeta = zeta_nodes[lo:lo + block]
@@ -232,14 +225,12 @@ def _chain_series(
         # u = (R0 W)^r e_anchor and the node weight absorbs -(1/zeta).
         coef = weights[..., lo:lo + block] / zeta
         u = np.zeros((nodes,) + grid_shape, dtype=complex)
+        u[(Ellipsis,) + (full,) * gaps.ndim] = 1.0    # e_anchor
         for b, win in enumerate(windows):
-            if b == 0:
-                y = y_first
-            else:
-                x = u[win]
-                y = np.zeros(x.shape, dtype=complex)
-                for c, dst, src in stencil:
-                    y[dst] += c * x[src]
+            x = u[win]
+            y = np.zeros(x.shape, dtype=complex)
+            for c, dst, src in stencil:
+                y[dst] += c * x[src]
             np.multiply(R0[win], y, out=u[win])
             coef = -coef
             sums = columns[b + 1][win]

@@ -294,13 +294,8 @@ def _cmd_verify(cfg: RunConfig, out: _OutputDir) -> None:
         raise ConfigError(f"cannot read solution file {path}: {exc}") from exc
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-        t, j = tuple(float(c) for c in doc["t"]), tuple(int(c) for c in doc["j"])
-        if len(t) != ctx.n or len(j) != ctx.n:
-            raise ValueError(f"momentum t + j is not of dimension {ctx.n}")
-        if not all(0.0 <= c < 1.0 for c in t):
-            raise ValueError(f"t = {t} does not lie in [0, 1)^{ctx.n}")
         wave = Wave(
-            **vars(anchor(ctx, t, j)),
+            **vars(anchor(ctx, doc["t"], doc["j"])),
             lam_gap=float(doc["lam_gap"]),
             psi=from_json_dict(doc["psi"], n=ctx.n),
         )

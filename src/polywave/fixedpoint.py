@@ -30,6 +30,7 @@ from .lattice import (
     PeriodicFunction,
     abs_squared,
     integer_grid,
+    moduli,
     multiply,
     star_norm,
     truncate_support,
@@ -392,4 +393,4 @@ def residual(ctx: ModelContext, wave: Wave, box: Optional[np.ndarray] = None) ->
         raise ContractError("solution wave is empty")
     if box is None:
         box = defect(ctx, wave.t, wave.j, wave.psi, wave.lam_gap)
-    return math.fsum(map(abs, box.ravel().tolist())) / (abs(ctx.A) or 1.0)
+    return math.fsum(moduli(box).ravel().tolist()) / (abs(ctx.A) or 1.0)

@@ -38,7 +38,16 @@ LatticeIndex = Tuple[int, ...]
 
 
 def _as_index(q) -> LatticeIndex:
-    return tuple(int(round(float(c))) for c in q)
+    """``q`` as a tuple of ints; a component that is not an integer is
+    refused, not rounded onto a neighbouring site."""
+    q = tuple(q)
+    try:
+        index = tuple(map(int, q))
+    except (TypeError, ValueError, OverflowError):
+        index = None
+    if index is None or index != q:
+        raise ContractError(f"frequency {q} is not an integer vector")
+    return index
 
 
 def _box_shape(radius: int, n: int) -> Tuple[int, ...]:
@@ -70,20 +79,13 @@ def _times(a, b) -> np.ndarray:
     return out
 
 
-def _above_prune_tol(box: np.ndarray) -> np.ndarray:
-    """Mask of entries with modulus above ``PRUNE_TOL``, as Python's ``abs``
-    decides it: numpy's complex modulus can differ in the last bit, so
-    entries within a few ulps of the tolerance are re-checked one by one.
-    A NaN or infinite entry is refused: the mask would drop a NaN unseen."""
-    mod = np.abs(box)
-    if not np.isfinite(mod).all():
-        raise ContractError("coefficients must be finite")
-    keep = mod > PRUNE_TOL
-    near = np.flatnonzero(np.abs(mod - PRUNE_TOL) <= 1e-14 * PRUNE_TOL)
-    if near.size:
-        flat = box.ravel()
-        keep.ravel()[near] = [abs(complex(flat[i])) > PRUNE_TOL for i in near]
-    return keep
+def moduli(box: np.ndarray) -> np.ndarray:
+    """Modulus of every entry of a complex array, bitwise equal to Python's
+    ``abs``: ``complex.__abs__`` and ``np.hypot`` both return the C library's
+    ``hypot``, while numpy's complex ``abs`` can differ in the last bit.
+    Pruning and star norms are decided exactly, so every one of them reads
+    this modulus."""
+    return np.hypot(box.real, box.imag)
 
 
 @lru_cache(maxsize=16)
@@ -150,7 +152,11 @@ class PeriodicFunction:
         box = np.asarray(arr, dtype=complex)
         if box.ndim < 1 or box.shape[0] % 2 == 0 or len(set(box.shape)) != 1:
             raise ContractError(f"box of shape {box.shape} is not origin-centred")
-        keep = _above_prune_tol(box)
+        mod = moduli(box)
+        if not np.isfinite(mod).all():
+            # a NaN compares false with PRUNE_TOL, so the mask would drop it unseen
+            raise ContractError("coefficients must be finite")
+        keep = mod > PRUNE_TOL
         half = box.shape[0] // 2
         radius = int(_sup_norms(half, box.ndim)[keep].max(initial=0))
         crop = (slice(half - radius, half + radius + 1),) * box.ndim
@@ -257,9 +263,13 @@ class PeriodicFunction:
 def _from_frequencies(n: int, freqs: Sequence[LatticeIndex], values: Sequence[complex]):
     """The function with coefficient ``values[i]`` at frequency ``freqs[i]``,
     by one fill of a box and ``from_box``."""
+    seen = set()
     for q in freqs:
         if len(q) != n:
             raise ContractError(f"frequency {q} does not have dimension {n}")
+        if q in seen:
+            raise ContractError(f"frequency {q} is given twice")
+        seen.add(q)
     radius = max((max(map(abs, q)) for q in freqs), default=0)
     box = np.zeros(_box_shape(radius, n), dtype=complex)
     if freqs:
@@ -268,14 +278,9 @@ def _from_frequencies(n: int, freqs: Sequence[LatticeIndex], values: Sequence[co
 
 
 def star_norm(f: PeriodicFunction) -> float:
-    """Sum of coefficient magnitudes (the Wiener-algebra norm)."""
-    # Python's abs, not np.abs: numpy's complex modulus can differ in the
-    # last bit, and star norms are compared exactly across representations.
-    # On an exactly real box the two agree, since abs(complex(x, +-0.0)) is
-    # abs(x), and fsum is correctly rounded in any order.
-    if not np.count_nonzero(f.box.imag):
-        return math.fsum(np.abs(f.box.real).ravel().tolist())
-    return math.fsum(map(abs, f.box.ravel().tolist()))
+    """Sum of coefficient magnitudes (the Wiener-algebra norm), correctly
+    rounded: star norms are compared exactly across representations."""
+    return math.fsum(moduli(f.box).ravel().tolist())
 
 
 def multiply(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
@@ -344,7 +349,7 @@ def truncate_support(f: PeriodicFunction, radius: float) -> Tuple[PeriodicFuncti
         return f, 0.0
     grid = integer_grid(f.box_radius, f.n)
     near = (grid * grid).sum(axis=-1) <= r2
-    tail = math.fsum(map(abs, f.box[~near].tolist()))
+    tail = math.fsum(moduli(f.box[~near]).tolist())
     return PeriodicFunction.from_box(np.where(near, f.box, 0.0)), tail
 
 
@@ -356,13 +361,8 @@ def to_json_dict(f: PeriodicFunction) -> Dict[str, list]:
 
 
 def from_json_dict(d: Mapping[str, Iterable[float]], n: int) -> PeriodicFunction:
-    coeffs: Dict[LatticeIndex, complex] = {}
-    for key, (re, im) in d.items():
-        q = tuple(int(s) for s in key.split(","))
-        if q in coeffs:
-            raise ContractError(f"frequency {q} is given twice")
-        coeffs[q] = complex(re, im)
-    return _from_frequencies(n, list(coeffs), list(coeffs.values()))
+    freqs = [tuple(int(s) for s in key.split(",")) for key in d]
+    return _from_frequencies(n, freqs, [complex(re, im) for re, im in d.values()])
 
 
 # -- model context ----------------------------------------------------

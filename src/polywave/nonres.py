@@ -90,12 +90,17 @@ class Anchor:
 def anchor(ctx: ModelContext, t, j) -> Anchor:
     """Normalise ``(t, j)`` and derive ``k``, ``center`` and ``rho`` once.
 
-    Raises ``ConfigError`` when ``|t + j|`` or ``k^{2l}`` overflows, or when
-    ``k = 0`` leaves a negative-power contour radius undefined, so no stage
-    downstream forms a power of ``k`` that is out of range.
+    Raises ``ConfigError`` when ``t`` or ``j`` is not of dimension ``n`` or
+    ``t`` lies outside ``[0, 1)^n``, when ``|t + j|`` or ``k^{2l}`` overflows,
+    or when ``k = 0`` leaves a negative-power contour radius undefined, so no
+    stage downstream forms a power of ``k`` that is out of range.
     """
     t = tuple(float(c) for c in np.asarray(t, dtype=float))
     j = tuple(int(c) for c in j)
+    if len(t) != ctx.n or len(j) != ctx.n:
+        raise ConfigError(f"momentum t = {t}, j = {j} is not of dimension {ctx.n}")
+    if not all(0.0 <= c < 1.0 for c in t):
+        raise ConfigError(f"t must lie in [0,1)^n, got {t}")
     k = math.inf
     try:
         p = momentum(j, t)
@@ -202,9 +207,7 @@ def _pair_condition(ctx, a, sites, q_list, box_radius, threshold):
 def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
     """Run all admission tests for the quasi-momentum ``p = t + j``."""
     a = anchor(ctx, t, j)
-    t, j, k, rho = a.t, a.j, a.k, a.rho
-    if any(not 0.0 <= c < 1.0 for c in t):
-        raise ConfigError(f"t must lie in [0,1)^n, got {t}")
+    j, k, rho = a.j, a.k, a.rho
     if k < K0:
         raise ConfigError(f"momentum magnitude {k:.6g} is below the working floor K0 = {K0}")
 

@@ -660,6 +660,8 @@ def test_config_errors_exit_2(tmp_path):
         ("nonres-scan", MODEL_L3 + "\nk = 1e300\nsamples = 1"),
         ("isoenergetic", MODEL_L3 + "\nlambda = 1e300\nsamples = 1"),
         ("linear-eig", MODEL_L3 + "\nt = 0.5,0.5\nj = 100000000,0"),
+        # t outside [0, 1)^n, which the window oracle would otherwise solve
+        ("linear-eig", MODEL_L3 + "\nt = -0.5,0.0\nj = 3,7", "--backend", "diag"),
         # momenta whose k^{2l} overflows
         ("linear-eig", MODEL_L3 + huge),
         ("linear-eig", MODEL_L3 + huge, "--backend", "diag"),

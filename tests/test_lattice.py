@@ -19,6 +19,7 @@ from polywave.errors import ConfigError, ContractError
 from polywave.fixedpoint import check_smallness
 from polywave.lattice import (
     BOX_SITES_MAX,
+    PRUNE_TOL,
     ModelContext,
     PeriodicFunction,
     abs_squared,
@@ -26,6 +27,7 @@ from polywave.lattice import (
     decompose,
     from_json_dict,
     integer_grid,
+    moduli,
     momentum,
     multiply,
     star_norm,
@@ -120,6 +122,28 @@ def test_star_norm_is_the_fsum_of_python_moduli(real, imag):
     box.real, box.imag = np.reshape(real, (3, 3)), np.reshape(imag, (3, 3))   # -0.0 kept
     for f in (_unpruned(box), PeriodicFunction.from_box(box)):
         assert star_norm(f) == math.fsum(map(abs, f.box.ravel().tolist()))
+
+
+_near_tol = st.floats(-2 * PRUNE_TOL, 2 * PRUNE_TOL)
+
+
+@given(st.lists(st.tuples(_part | _near_tol, _part | _near_tol), min_size=1, max_size=9))
+@example([(-9.626681429324233e-19, -2.70684404026238e-19), (-0.0, -0.0), (5e-324, -1e300)])
+def test_moduli_are_python_moduli(parts):
+    box = np.empty(len(parts), dtype=complex)
+    box.real, box.imag = np.transpose(parts)     # -0.0 kept
+    want = np.array([abs(c) for c in box.ravel().tolist()])
+    assert moduli(box).tobytes() == want.tobytes()
+
+
+@given(st.builds(complex, _near_tol, _near_tol))
+# numpy's complex modulus reads this one above PRUNE_TOL, Python's abs does not
+@example(-9.626681429324233e-19 - 2.70684404026238e-19j)
+def test_from_box_keeps_what_python_abs_puts_above_prune_tol(value):
+    box = np.zeros((3, 3), dtype=complex)
+    box[1, 1], box[2, 1] = 1.0, value
+    kept = PeriodicFunction.from_box(box).coeffs
+    assert kept == ({(0, 0): 1.0, (1, 0): value} if abs(value) > PRUNE_TOL else {(0, 0): 1.0})
 
 
 def test_cosine_potential_coefficients():
@@ -251,6 +275,24 @@ def test_truncate_support_negative_radius():
 def test_wrong_dimension_frequency_rejected():
     with pytest.raises(ContractError):
         PeriodicFunction(2, {(1,): 1.0})
+
+
+@pytest.mark.parametrize("coeffs", [
+    {(0, 0): 1.0, (0.2, 0): 5.0},     # both keys once rounded to the origin
+    {(0.4, 0): 1.0, (1.6, 0): 2.0},
+    {(0, 0): 1.0, (math.nan, 0): 2.0},
+])
+def test_non_integer_frequency_refused(coeffs):
+    with pytest.raises(ContractError, match="is not an integer vector"):
+        PeriodicFunction(2, coeffs)
+    with pytest.raises(ContractError, match="is not an integer vector"):
+        pf(2, {(0, 0): 1.0}).get(next(q for q in coeffs if q != (0, 0)))
+
+
+def test_integer_valued_frequencies_accepted():
+    f = PeriodicFunction(2, {(np.int64(1), 0.0): 2.0, (-1.0, np.float64(3)): 1.0})
+    assert f.coeffs == {(-1, 3): 1.0, (1, 0): 2.0}
+    assert f.get((1.0, 0)) == 2.0
 
 
 def test_add_dimension_mismatch():
