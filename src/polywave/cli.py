@@ -47,9 +47,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _finite(x: float) -> Optional[float]:
-    x = float(x)
-    return x if math.isfinite(x) else None
+def _nulled(obj):
+    """A copy of ``obj`` with every non-finite float replaced by ``None``."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _nulled(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nulled(value) for value in obj]
+    return obj
 
 
 def _complex_pair(z: complex) -> List[float]:
@@ -73,8 +79,8 @@ def _eigenpair_dict(pair: BlochEigenpair) -> dict:
         "e_jj": pair.e_jj,
         "g_terms": [_complex_pair(g) for g in pair.g_terms],
         "G_norms": list(pair.G_norms),
-        "tail_bound": _finite(pair.tail_bound),
-        "tail_bound_column": _finite(pair.tail_bound_column),
+        "tail_bound": pair.tail_bound,
+        "tail_bound_column": pair.tail_bound_column,
         "tail_certified": pair.tail_certified,
         "quad_err": pair.quad_err,
         "quad_nodes": pair.quad_nodes,
@@ -102,7 +108,12 @@ def _solution_dict(sol: Solution, res: float) -> dict:
 
 
 class _OutputDir:
-    """Writes artifacts and accumulates their digests for the manifest."""
+    """Writes artifacts and accumulates their digests for the manifest.
+
+    The one place that decides how a value is written: JSON is strict
+    (``allow_nan=False``) and writes a non-finite float as ``null``, CSV
+    writes it as ``nan``.
+    """
 
     def __init__(self, root: Path):
         self.root = root
@@ -117,8 +128,11 @@ class _OutputDir:
         self.digests[name] = hashlib.sha256(data).hexdigest()
 
     def write_json(self, name: str, obj) -> None:
-        data = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-        self._register(name, data.encode())
+        try:
+            data = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:      # a non-finite float: only then copy the document
+            data = json.dumps(_nulled(obj), sort_keys=True, indent=2, allow_nan=False)
+        self._register(name, (data + "\n").encode())
 
     def write_csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         lines = [",".join(header)]
@@ -130,22 +144,21 @@ class _OutputDir:
                 elif isinstance(cell, (int, np.integer)):
                     cells.append(str(int(cell)))
                 elif isinstance(cell, (float, np.floating)):
-                    cells.append(_fmt(cell))
+                    cells.append(_fmt(cell) if math.isfinite(cell) else "nan")
                 else:
                     cells.append(str(cell))
             lines.append(",".join(cells))
         self._register(name, ("\n".join(lines) + "\n").encode())
 
     def write_manifest(self, command: str, config_digest: str, seed: int) -> None:
-        manifest = {
+        # the outputs are copied before the manifest's own digest is registered
+        self.write_json("manifest.json", {
             "command": command,
             "config_sha256": config_digest,
-            "outputs": dict(sorted(self.digests.items())),
+            "outputs": dict(self.digests),
             "seed": seed,
             "version": __version__,
-        }
-        data = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        (self.root / "manifest.json").write_bytes(data.encode())
+        })
 
 
 def _require(cfg: RunConfig, command: str, **fields):
@@ -175,7 +188,6 @@ def _cmd_nonres_scan(cfg: RunConfig, out: _OutputDir) -> None:
     _require(cfg, "nonres-scan", k=cfg.k, samples=cfg.samples)
     ctx = cfg.ctx
     stats = sample_nonresonant(ctx, cfg.k, cfg.samples)
-    exps = exponents(ctx)
     out.write_json(
         "scan.json",
         {
@@ -186,10 +198,8 @@ def _cmd_nonres_scan(cfg: RunConfig, out: _OutputDir) -> None:
             "failed_separation": stats.failed_separation,
             "failed_slack": stats.failed_slack,
             "failed_pair": stats.failed_pair,
-            "gamma0": exps.gamma0,
-            "gamma1": exps.gamma1,
-            "gamma2": exps.gamma2,
-            "k1_threshold": _finite(k1_threshold(ctx)),
+            **vars(exponents(ctx)),
+            "k1_threshold": k1_threshold(ctx),
         },
     )
     header = (
@@ -201,13 +211,12 @@ def _cmd_nonres_scan(cfg: RunConfig, out: _OutputDir) -> None:
     )
     rows = []
     for idx, (omega, rep) in enumerate(zip(stats.directions, stats.reports)):
-        margin_pair = rep.margin_pair if math.isfinite(rep.margin_pair) else float("nan")
         rows.append(
             [idx]
             + list(omega)
             + list(rep.j)
             + list(rep.t)
-            + [rep.admitted, rep.margin_separation, rep.margin_slack, margin_pair]
+            + [rep.admitted, rep.margin_separation, rep.margin_slack, rep.margin_pair]
         )
     out.write_csv("draws.csv", header, rows)
 
@@ -229,22 +238,7 @@ def _cmd_fixed_point(cfg: RunConfig, out: _OutputDir, backend: str) -> None:
         )
     res = residual(cfg.ctx, sol)
     doc = _solution_dict(sol, res)
-    report = contraction_report(cfg.ctx, trace, sol.k)
-    doc["contraction"] = {
-        "k1": _finite(report.k1),
-        "bound_applicable": report.bound_applicable,
-        "increments": list(report.increments),
-        "ratios": list(report.ratios),
-        "ratio_bound": report.ratio_bound,
-        "ratio_status": list(report.ratio_status),
-        "drifts": list(report.drifts),
-        "drift_bound": _finite(report.drift_bound),
-        "drift_status": list(report.drift_status),
-        "col_increments": list(report.col_increments),
-        "col_bounds": [_finite(b) for b in report.col_bounds],
-        "col_status": list(report.col_status),
-        "noise_floor": report.noise_floor,
-    }
+    doc["contraction"] = vars(contraction_report(cfg.ctx, trace, sol.k))
     out.write_json("solution.json", doc)
 
 
@@ -313,10 +307,7 @@ def _cmd_verify(cfg: RunConfig, out: _OutputDir) -> None:
         {
             "residual": res,
             "stored_residual": doc.get("residual"),
-            "newton_d_lam_gap": ref.d_lam_gap,
-            "newton_d_psi": ref.d_psi,
-            "newton_rel_lam_gap": ref.rel_lam_gap,
-            "newton_steps": ref.steps,
+            **{f"newton_{key}": value for key, value in vars(ref).items()},
         },
     )
 

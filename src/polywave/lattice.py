@@ -51,9 +51,10 @@ def _as_index(q) -> LatticeIndex:
 
 
 def _box_shape(radius: int, n: int) -> Tuple[int, ...]:
-    """Shape of the box of sup-norm ``radius``, refused above BOX_SITES_MAX sites."""
-    if n < 1:
-        raise ConfigError(f"dimension n must be >= 1, got {n}")
+    """Shape of the box of sup-norm ``radius``, refused above BOX_SITES_MAX sites
+    and in dimensions numpy's grid functions do not take (above 32)."""
+    if not 1 <= n <= 32:
+        raise ConfigError(f"dimension n must be between 1 and 32, got {n}")
     if (2 * radius + 1) ** n > BOX_SITES_MAX:
         raise ConfigError(f"radius-{radius} box in dimension {n} exceeds {BOX_SITES_MAX} sites")
     return (2 * radius + 1,) * n
@@ -416,6 +417,10 @@ class ModelContext:
             raise ConfigError("potential dimension does not match n")
         if self.V.get((0,) * self.n) != 0:
             raise ConfigError("potential must have zero mean (no zero-frequency coefficient)")
+        try:
+            star_norm(self.V)
+        except OverflowError:
+            raise ConfigError("potential V has no finite star norm") from None
         if not self.V.is_real_valued():
             raise ConfigError("potential must be real-valued (Hermitian coefficients)")
         if self.r_max < 2:

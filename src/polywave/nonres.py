@@ -183,25 +183,25 @@ def _shell(ctx: ModelContext, a: Anchor, radius: int, G: float):
     return sites[np.abs(gaps) <= G], gaps[np.abs(gaps) <= G]
 
 
-def _pair_condition(ctx, a, sites, q_list, box_radius, threshold):
+def _pair_condition(ctx, a, sites, gaps, q_list, box_radius, threshold):
     """Least ``200 d_i d_{i+q} - k^{2 gamma2}`` over ``q`` and over ``i`` in
     the box with ``i`` or ``i + q`` in ``sites`` (``inf`` when ``q_list`` is
-    empty)."""
+    empty).  ``q_list`` is closed under negation, so the pairs ``(s - q, s)``
+    behind a site are its pairs ``(s, s + q)`` read from the partner's end."""
     if 2 * len(sites) * len(q_list) > BOX_SITES_MAX:
         raise ConfigError(f"admission pair pass exceeds {BOX_SITES_MAX} pairs")
-
-    def dist(points):
-        gaps = energy_gaps(ctx, a.t, a.j, points.reshape(-1, ctx.n) - np.asarray(a.j))
-        return np.abs(np.abs(gaps) - a.rho).reshape(points.shape[:-1])
-
-    d_site, behind = dist(sites)[:, None], sites[:, None] - q_list
-    prod = np.concatenate([
-        np.where(np.all(np.abs(sites) <= box_radius, axis=1)[:, None],
-                 PAIR_FACTOR * d_site * dist(sites[:, None] + q_list), np.inf),
-        np.where(np.all(np.abs(behind) <= box_radius, axis=2),
-                 PAIR_FACTOR * dist(behind) * d_site, np.inf),
-    ])
-    return float(prod.min(initial=math.inf) - threshold)
+    partners = sites[:, None] + q_list
+    d_part = energy_gaps(ctx, a.t, a.j, partners.reshape(-1, ctx.n) - np.asarray(a.j))
+    d_part = np.abs(np.abs(d_part) - a.rho).reshape(partners.shape[:-1])
+    d_site = np.abs(np.abs(gaps) - a.rho)[:, None]
+    site_in_box = np.all(np.abs(sites) <= box_radius, axis=1)[:, None]
+    part_in_box = np.all(np.abs(partners) <= box_radius, axis=2)
+    # a pair is multiplied from its end in the box, as the box enumeration does
+    least = min(
+        np.where(site_in_box, PAIR_FACTOR * d_site * d_part, np.inf).min(initial=math.inf),
+        np.where(part_in_box, PAIR_FACTOR * d_part * d_site, np.inf).min(initial=math.inf),
+    )
+    return float(least - threshold)
 
 
 def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
@@ -234,7 +234,7 @@ def check_quasimomentum(ctx: ModelContext, t, j) -> NonResonanceReport:
         inner = np.all(np.abs(sites) <= box_radius, axis=1) & np.any(sites != j, axis=1)
         abs_gaps = np.abs(gaps[inner])
         if G == math.inf or abs_gaps.size and abs_gaps.min() < G:
-            margin_pair = _pair_condition(ctx, a, sites, q_list, box_radius, threshold)
+            margin_pair = _pair_condition(ctx, a, sites, gaps, q_list, box_radius, threshold)
             off_shell = PAIR_FACTOR * (G - rho) * (G - rho) - threshold
             if G == math.inf or not len(q_list) or margin_pair < off_shell:
                 break

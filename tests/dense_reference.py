@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from polywave.bloch import ORACLE_SITES_MAX, QUAD_NODES, BlochEigenpair, ContourSpec, _stencil
+from polywave.bloch import ORACLE_SITES_MAX, QUAD_NODES, BlochEigenpair, ContourSpec
 from polywave.errors import ConfigError, ContractError, ResonanceError
 from polywave.lattice import (
     LatticeIndex,
@@ -57,10 +57,13 @@ def _window(ctx: ModelContext, W: PeriodicFunction, t, j, radius: int):
     if dim > ORACLE_SITES_MAX:
         raise ConfigError(f"window dimension {dim} exceeds {ORACLE_SITES_MAX}")
     offsets = integer_grid(radius, ctx.n).reshape(-1, ctx.n)
+    site = {d: i for i, d in enumerate(map(tuple, offsets.tolist()))}
     mat = np.zeros((dim, dim), dtype=complex)
-    lin = np.arange(dim).reshape((full,) * ctx.n)
-    for c, dst, src in _stencil(W, full):
-        mat[lin[dst].ravel(), lin[src].ravel()] = c
+    for q, c in W.coeffs.items():
+        for d, k in site.items():
+            i = site.get(tuple(a + b for a, b in zip(d, q)))
+            if i is not None:
+                mat[i, k] = c
     return offsets, energy_gaps(ctx, t, j, offsets), mat
 
 

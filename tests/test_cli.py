@@ -135,12 +135,21 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def read_artifact(path):
+    """A JSON artifact, parsed strictly: ``NaN`` and ``Infinity`` are refused."""
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 def test_linear_eig_writes_artifacts(tmp_path):
     cfg = write_config(tmp_path, MODEL_L3 + "\n" + "\n".join(desk_lines()))
     out = tmp_path / "out"
     assert run_cli("linear-eig", "--config", cfg, "--out", str(out)) == 0
 
-    pair = json.loads((out / "eigenpair.json").read_text())
+    pair = read_artifact(out / "eigenpair.json")
     assert pair["backend"] == "series"
     assert pair["tail_certified"] is True
     assert abs(pair["lam_gap"]) < 1.0
@@ -149,7 +158,7 @@ def test_linear_eig_writes_artifacts(tmp_path):
     assert len(pair["column"]) > 10
     assert all(len(key.split(",")) == 2 and len(c) == 2 for key, c in pair["column"].items())
 
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = read_artifact(out / "manifest.json")
     assert manifest["command"] == "linear-eig"
     assert set(manifest["outputs"]) == {"eigenpair.json"}
     for name, digest in manifest["outputs"].items():
@@ -160,7 +169,7 @@ def test_backend_override_switches_solver(tmp_path):
     cfg = write_config(tmp_path, MODEL_L3 + "\n" + "\n".join(desk_lines()))
     out = tmp_path / "diag"
     assert run_cli("linear-eig", "--config", cfg, "--out", str(out), "--backend", "diag") == 0
-    assert json.loads((out / "eigenpair.json").read_text())["backend"] == "diag"
+    assert read_artifact(out / "eigenpair.json")["backend"] == "diag"
 
 
 @pytest.mark.parametrize("command", ["nonres-scan", "isoenergetic", "verify"])
@@ -180,7 +189,7 @@ def test_nonres_scan_counts_and_seed_override(tmp_path):
     cfg = write_config(tmp_path, MODEL_L3 + "\nk = 6.0\nsamples = 24\n")
     out_a = tmp_path / "a"
     assert run_cli("nonres-scan", "--config", cfg, "--out", str(out_a)) == 0
-    scan = json.loads((out_a / "scan.json").read_text())
+    scan = read_artifact(out_a / "scan.json")
     total = (
         scan["admitted"]
         + scan["failed_separation"]
@@ -203,7 +212,7 @@ def test_fixed_point_and_verify_round_trip(tmp_path):
         out = tmp_path / f"fp-{backend}"
         assert run_cli("fixed-point", "--config", cfg, "--out", str(out), "--backend", backend) == 0
 
-        sol = json.loads((out / "solution.json").read_text())
+        sol = read_artifact(out / "solution.json")
         assert "converged" not in sol
         assert sol["backend"] == backend
         # the band block holds what only the band solve knows: the anchor is
@@ -230,7 +239,7 @@ def test_fixed_point_and_verify_round_trip(tmp_path):
         )
         vout = tmp_path / f"verify-{backend}"
         assert run_cli("verify", "--config", vcfg, "--out", str(vout)) == 0
-        report = json.loads((vout / "verify.json").read_text())
+        report = read_artifact(vout / "verify.json")
         assert report["residual"] < 1e-8
         assert report["stored_residual"] == sol["residual"]
         assert report["newton_d_lam_gap"] < 1e-9
@@ -241,7 +250,7 @@ def test_verify_measures_a_perturbed_coefficient(tmp_path):
     cfg = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
     out = tmp_path / "fp"
     assert run_cli("fixed-point", "--config", cfg, "--out", str(out)) == 0
-    doc = json.loads((out / "solution.json").read_text())
+    doc = read_artifact(out / "solution.json")
     # move one coefficient off the solution; Newton must pull it back by as much
     kick = 1e-8
     doc["psi"]["1,0"][0] += kick
@@ -251,7 +260,7 @@ def test_verify_measures_a_perturbed_coefficient(tmp_path):
     vcfg = write_config(tmp_path, MODEL_L3_NL + f"\nsolution = {perturbed}", "verify.cfg")
     vout = tmp_path / "verify"
     assert run_cli("verify", "--config", vcfg, "--out", str(vout)) == 0
-    report = json.loads((vout / "verify.json").read_text())
+    report = read_artifact(vout / "verify.json")
     assert report["residual"] > report["stored_residual"]
     assert report["newton_steps"] >= 1
     assert report["newton_d_psi"] == pytest.approx(kick, rel=1e-3)
@@ -273,7 +282,7 @@ def test_verify_forms_one_defect(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "defect", counting)
     vcfg = write_config(tmp_path, MODEL_L3_NL + f"\nsolution = {out / 'solution.json'}", "v.cfg")
     assert run_cli("verify", "--config", vcfg, "--out", str(tmp_path / "verify")) == 0
-    assert json.loads((tmp_path / "verify" / "verify.json").read_text())["newton_steps"] == 0
+    assert read_artifact(tmp_path / "verify" / "verify.json")["newton_steps"] == 0
     assert len(calls) == 1
 
 
@@ -282,7 +291,7 @@ def test_verify_derives_the_anchor_from_t_and_j(tmp_path):
     cfg = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
     out = tmp_path / "fp"
     assert run_cli("fixed-point", "--config", cfg, "--out", str(out)) == 0
-    doc = json.loads((out / "solution.json").read_text())
+    doc = read_artifact(out / "solution.json")
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps({**doc, "k": 0.0, "center": 1.0, "lam": -5.0}))
     bare = tmp_path / "bare.json"
@@ -303,7 +312,7 @@ def test_verify_reads_only_the_wave(tmp_path):
     cfg = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
     out = tmp_path / "fp"
     assert run_cli("fixed-point", "--config", cfg, "--out", str(out)) == 0
-    doc = json.loads((out / "solution.json").read_text())
+    doc = read_artifact(out / "solution.json")
     wave = {key: doc[key] for key in ("t", "j", "psi", "lam_gap")}
     files = {
         "stored": out / "solution.json",
@@ -319,8 +328,23 @@ def test_verify_reads_only_the_wave(tmp_path):
         assert run_cli("verify", "--config", vcfg, "--out", str(tmp_path / name)) == 0
         reports[name] = (tmp_path / name / "verify.json").read_bytes()
     assert reports["wave_residual"] == reports["stored"]
-    report = json.loads(reports["stored"])
-    assert json.loads(reports["wave"]) == {**report, "stored_residual": None}
+    report = read_artifact(tmp_path / "stored" / "verify.json")
+    assert read_artifact(tmp_path / "wave" / "verify.json") == {**report, "stored_residual": None}
+
+
+@pytest.mark.parametrize("stored, key", [
+    # Newton moves lam_gap = 1e308 to the band in two steps, but the stored
+    # wave's residual, 1e308 / |A|, overflows
+    ({"lam_gap": 1e308, "psi": {"0,0": [1.0, 0.0]}}, "residual"),
+    ({"lam_gap": 0.0, "psi": {"0,0": [math.sqrt(1e-3), 0.0]}, "residual": math.inf},
+     "stored_residual"),
+], ids=["overflowing-residual", "infinite-stored-residual"])
+def test_verify_writes_a_non_finite_number_as_null(tmp_path, stored, key):
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps({"t": list(DESK_T), "j": list(DESK_J), **stored}))
+    vcfg = write_config(tmp_path, MODEL_L3_NL + f"\nsolution = {path}")
+    assert run_cli("verify", "--config", vcfg, "--out", str(tmp_path / "verify")) == 0
+    assert read_artifact(tmp_path / "verify" / "verify.json")[key] is None
 
 
 def test_diag_solution_verifies(tmp_path):
@@ -334,7 +358,7 @@ def test_diag_solution_verifies(tmp_path):
     )
     vout = tmp_path / "verify"
     assert run_cli("verify", "--config", vcfg, "--out", str(vout)) == 0
-    report = json.loads((vout / "verify.json").read_text())
+    report = read_artifact(vout / "verify.json")
     assert report["newton_d_lam_gap"] < 1e-9
     assert report["newton_d_psi"] < 1e-9
 
@@ -348,7 +372,7 @@ def test_zero_amplitude_verifies_and_has_no_fixed_point(tmp_path):
     vcfg = write_config(tmp_path, zero + f"solution = {out / 'solution.json'}", "verify.cfg")
     vout = tmp_path / "verify"
     assert run_cli("verify", "--config", vcfg, "--out", str(vout)) == 0
-    report = json.loads((vout / "verify.json").read_text())
+    report = read_artifact(vout / "verify.json")
     assert 0.0 < report["residual"] < 1e-8
     # the zero wave is no solution: a typed exit, not a traceback
     zcfg = write_config(tmp_path, zero + "\n".join(desk_lines()), "zero.cfg")
@@ -377,7 +401,7 @@ def test_solution_json_round_trip_is_exact(tmp_path):
     out = tmp_path / "fp"
     path = write_config(tmp_path, MODEL_L3_NL + "\n" + "\n".join(desk_lines()))
     assert run_cli("fixed-point", "--config", path, "--out", str(out)) == 0
-    doc = json.loads((out / "solution.json").read_text())
+    doc = read_artifact(out / "solution.json")
 
     assert float(doc["lam"]) == sol.lam
     assert float(doc["lam_gap"]) == sol.lam_gap
@@ -419,7 +443,7 @@ def test_three_dimensional_cross_check(tmp_path):
     for backend in ("series", "diag"):
         out = tmp_path / f"eig-{backend}"
         assert run_cli("linear-eig", "--config", cfg, "--out", str(out), "--backend", backend) == 0
-        gaps[backend] = json.loads((out / "eigenpair.json").read_text())["lam_gap"]
+        gaps[backend] = read_artifact(out / "eigenpair.json")["lam_gap"]
     assert gaps["diag"] == pytest.approx(gaps["series"], rel=1e-13, abs=0.0)
 
     # a resonant momentum is refused by the admission screen, not the window size
@@ -670,6 +694,10 @@ def test_config_errors_exit_2(tmp_path):
         # zero momentum, where the l = 1 contour radius k^(-delta) is undefined
         ("linear-eig", "n = 2\nl = 1\ndelta = 0.25\nv.1,0 = 1.0\nv.-1,0 = 1.0"
                        "\nt = 0.0,0.0\nj = 0,0"),
+        # more dimensions than numpy's grid functions take
+        ("nonres-scan", "n = 33\nl = 9\nk = 6.0\nsamples = 1"),
+        # a potential whose star norm overflows
+        ("linear-eig", "n = 2\nl = 3\nv.1,0 = 1e308\nv.-1,0 = 1e308" + desk),
     ]
     for idx, (command, body, *flags) in enumerate(rows):
         cfg = write_config(tmp_path, body, f"row{idx}.cfg")
@@ -752,7 +780,7 @@ def test_isoenergetic_surface_accounting(tmp_path):
     cfg = write_config(tmp_path, MODEL_L3 + "\nlambda = 262144.0\nsamples = 2\n")
     out = tmp_path / "iso"
     assert run_cli("isoenergetic", "--config", cfg, "--out", str(out)) == 0
-    surface = json.loads((out / "surface.json").read_text())
+    surface = read_artifact(out / "surface.json")
     assert surface["requested"] == 2
     # both seeded directions have punctured base momenta: holes, not failures
     assert surface["holes"] == 2 and surface["failures"] == 0
