@@ -128,10 +128,7 @@ class _OutputDir:
         self.digests[name] = hashlib.sha256(data).hexdigest()
 
     def write_json(self, name: str, obj) -> None:
-        try:
-            data = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-        except ValueError:      # a non-finite float: only then copy the document
-            data = json.dumps(_nulled(obj), sort_keys=True, indent=2, allow_nan=False)
+        data = json.dumps(_nulled(obj), sort_keys=True, indent=2, allow_nan=False)
         self._register(name, (data + "\n").encode())
 
     def write_csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

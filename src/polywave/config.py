@@ -21,6 +21,7 @@ fields; the run keys parameterize individual CLI commands.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
@@ -109,6 +110,8 @@ def parse_config(text: str) -> RunConfig:
                 coeffs[q] = _finite(complex(raw), key, lineno)
             except ValueError as exc:
                 raise _fail(lineno, f"invalid coefficient value {raw!r}") from exc
+            if math.isinf(math.hypot(coeffs[q].real, coeffs[q].imag)):
+                raise _fail(lineno, f"coefficient {key!r} has no finite modulus")
             continue
 
         if key not in _ALL_KEYS:

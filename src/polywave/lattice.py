@@ -411,16 +411,19 @@ class ModelContext:
             )
         if self.n == 1 and self.delta <= 0.0:
             raise ConfigError("need delta > 0")
-        if not math.isfinite(abs(self.A) * abs(self.A)):
+        modulus = math.hypot(self.A.real, self.A.imag)      # abs(A) raises on overflow
+        if not math.isfinite(modulus * modulus):
             raise ConfigError(f"amplitude A = {self.A} must be finite with a finite |A|^2")
         if self.V.n != self.n:
             raise ConfigError("potential dimension does not match n")
         if self.V.get((0,) * self.n) != 0:
             raise ConfigError("potential must have zero mean (no zero-frequency coefficient)")
         try:
-            star_norm(self.V)
+            finite = math.isfinite(star_norm(self.V))
         except OverflowError:
-            raise ConfigError("potential V has no finite star norm") from None
+            finite = False
+        if not finite:
+            raise ConfigError("potential V has no finite star norm")
         if not self.V.is_real_valued():
             raise ConfigError("potential must be real-valued (Hermitian coefficients)")
         if self.r_max < 2:

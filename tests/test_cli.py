@@ -698,6 +698,11 @@ def test_config_errors_exit_2(tmp_path):
         ("nonres-scan", "n = 33\nl = 9\nk = 6.0\nsamples = 1"),
         # a potential whose star norm overflows
         ("linear-eig", "n = 2\nl = 3\nv.1,0 = 1e308\nv.-1,0 = 1e308" + desk),
+        # finite Hermitian coefficients whose moduli overflow
+        ("linear-eig", "n = 2\nl = 3\nv.1,0 = 1.3e308+1.3e308j"
+                       "\nv.-1,0 = 1.3e308-1.3e308j" + desk),
+        # an amplitude whose modulus overflows, which abs() raises on
+        ("fixed-point", MODEL_L3 + "\nsigma = 1.0\nA = 1.3e308+1.3e308j" + desk),
     ]
     for idx, (command, body, *flags) in enumerate(rows):
         cfg = write_config(tmp_path, body, f"row{idx}.cfg")
