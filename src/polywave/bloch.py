@@ -94,14 +94,14 @@ ISOLATION_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Circular contour around ``center`` traversed by an N-point trapezoid rule."""
+    """Circle of radius ``rho`` about the band centre, traversed by a
+    ``count``-point trapezoid rule."""
 
-    center: float
     rho: float
     count: int
 
     def nodes(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Offsets ``zeta = z - center`` and weights absorbing the 1/(2*pi*i).
+        """Node offsets ``zeta`` from the centre, and weights absorbing 1/(2*pi*i).
 
         With these weights, ``sum(w * f(zeta))`` approximates
         ``(1/2*pi*i) * contour integral of f``.
@@ -165,17 +165,15 @@ class BlochEigenpair(Anchor):
 # series backend
 # ---------------------------------------------------------------------------
 
-def _stencil(W: PeriodicFunction, size: int):
+def _stencil(W: PeriodicFunction):
     """``(c, dst, src)`` per nonzero coefficient ``c = w_q``: adding
-    ``c * u[src]`` into ``y[dst]`` over boxes of side ``size`` in the trailing
-    axes forms ``y[x] = sum_q w_q u[x - q]``, dropping what leaves the box.
-    The slices count from both ends of an axis, so they serve a box of any
-    side larger than ``|q|_inf`` as well."""
+    ``c * u[src]`` into ``y[dst]`` over boxes in the trailing axes forms
+    ``y[x] = sum_q w_q u[x - q]``, dropping what leaves the box.  The slices
+    count from both ends of an axis, so they serve any box of side larger
+    than ``W.box_radius``."""
     offsets, amps = W.nonzero()
     terms = []
     for q, c in zip(offsets.tolist(), amps.tolist()):
-        if max(map(abs, q)) >= size:
-            continue    # couples no two sites of the box
         dst = (Ellipsis,) + tuple(slice(max(qa, 0), min(qa, 0) or None) for qa in q)
         src = (Ellipsis,) + tuple(slice(max(-qa, 0), -max(qa, 0) or None) for qa in q)
         terms.append((c, dst, src))
@@ -211,7 +209,7 @@ def _chain_series(
     # each step works on its own window and drops nothing.
     radii = [(b + 1) * R for b in range(r_max)]
     windows = [(Ellipsis,) + (slice(full - rad, full + rad + 1),) * gaps.ndim for rad in radii]
-    stencil = _stencil(W, 2 * R + 1)    # its slices serve every window
+    stencil = _stencil(W)    # its slices serve every window
 
     columns = np.zeros((r_max + 1,) + weights.shape[:-1] + grid_shape, dtype=complex)
 
@@ -333,7 +331,7 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
     """``series_eigenpair`` for a zero-mean real ``W`` at an anchor whose
     admission the caller has already verified."""
     count = QUAD_NODES
-    t, j, k, center, rho = a.t, a.j, a.k, a.center, a.rho
+    t, j, k, rho = a.t, a.j, a.k, a.rho
 
     if len(W) == 0:
         return BlochEigenpair(
@@ -379,7 +377,7 @@ def _series_eigenpair(ctx: ModelContext, W: PeriodicFunction, a: Anchor) -> Bloc
         (in both rows), and the real part of the sums is kept.  The pairing
         is by index, since ``Im zeta`` at ``k = size/2`` is rounding dust.
         """
-        zeta, weights = ContourSpec(center, rho, size).nodes()
+        zeta, weights = ContourSpec(rho, size).nodes()
         idx = np.arange(1 if odd else 0, size, 2 if odd else 1)
         fold = np.ones(idx.size)
         if even:

@@ -28,16 +28,30 @@ from typing import Dict, Optional, Tuple
 from .errors import ConfigError
 from .lattice import ModelContext, PeriodicFunction
 
-_INT_KEYS = {"n", "l", "r_max", "seed", "samples"}
-_FLOAT_KEYS = {"sigma", "delta", "beta", "tol_root", "k", "lambda"}
-_COMPLEX_KEYS = {"A"}
-_FLOAT_TUPLE_KEYS = {"t"}
-_INT_TUPLE_KEYS = {"j"}
 
-# Every ModelContext field but the potential, which ``v.<q>`` lines set.
+def _finite(kind):
+    """A parser for ``kind`` that refuses a nan or infinite value."""
+    def parse(raw: str):
+        value = kind(raw)
+        if not cmath.isfinite(value):
+            raise ConfigError(f"non-finite value {value!r}")
+        return value
+    return parse
+
+
+_REAL, _COMPLEX = _finite(float), _finite(complex)
+# Every key but the potential's ``v.<q>`` lines (parsed by ``_COMPLEX``), and its parser.
+_PARSERS = {
+    "n": int, "l": int, "sigma": _REAL, "A": _COMPLEX, "delta": _REAL, "beta": _REAL,
+    "r_max": int, "tol_root": _REAL, "seed": int,
+    "k": _REAL, "lambda": _REAL, "samples": int,
+    "t": lambda raw: tuple(map(_REAL, raw.split(","))),
+    "j": lambda raw: tuple(map(int, raw.split(","))), "solution": str,
+}
+# Every ModelContext field but the potential; the other keys set RunConfig
+# fields of the same name, but ``lambda`` (a Python keyword) sets ``lam``.
 _MODEL_KEYS = {f.name for f in fields(ModelContext)} - {"V"}
-_RUN_KEYS = {"k", "lambda", "samples", "t", "j", "solution"}
-_ALL_KEYS = _MODEL_KEYS | _RUN_KEYS
+_RUN_FIELDS = {"lambda": "lam"}
 
 
 @dataclass(frozen=True)
@@ -57,28 +71,14 @@ def _fail(lineno: int, message: str) -> ConfigError:
     return ConfigError(f"line {lineno}: {message}")
 
 
-def _finite(value, key: str, lineno: int):
-    """Return ``value`` unless it (or its imaginary part) is nan or infinite."""
-    if not cmath.isfinite(value):
-        raise _fail(lineno, f"non-finite value {value!r} for key {key!r}")
-    return value
-
-
-def _parse_scalar(key: str, raw: str, lineno: int):
+def _parse(parse, key: str, raw: str, lineno: int, invalid: str):
+    """``parse(raw)``, a refusal naming the line where it fails."""
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return _finite(float(raw), key, lineno)
-        if key in _COMPLEX_KEYS:
-            return _finite(complex(raw), key, lineno)
-        if key in _FLOAT_TUPLE_KEYS:
-            return tuple(_finite(float(p), key, lineno) for p in raw.split(","))
-        if key in _INT_TUPLE_KEYS:
-            return tuple(int(p) for p in raw.split(","))
-        return raw
+        return parse(raw)
+    except ConfigError as exc:
+        raise _fail(lineno, f"{exc} for key {key!r}") from None
     except ValueError as exc:
-        raise _fail(lineno, f"invalid value {raw!r} for key {key!r}") from exc
+        raise _fail(lineno, invalid) from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -106,20 +106,18 @@ def parse_config(text: str) -> RunConfig:
                 raise _fail(lineno, f"malformed frequency in {key!r}") from exc
             if q in coeffs:
                 raise _fail(lineno, f"duplicate potential coefficient {key!r}")
-            try:
-                coeffs[q] = _finite(complex(raw), key, lineno)
-            except ValueError as exc:
-                raise _fail(lineno, f"invalid coefficient value {raw!r}") from exc
+            coeffs[q] = _parse(_COMPLEX, key, raw, lineno, f"invalid coefficient value {raw!r}")
             if math.isinf(math.hypot(coeffs[q].real, coeffs[q].imag)):
                 raise _fail(lineno, f"coefficient {key!r} has no finite modulus")
             continue
 
-        if key not in _ALL_KEYS:
+        if key not in _PARSERS:
             raise _fail(lineno, f"unknown key {key!r}")
         if key in seen_lines:
             raise _fail(lineno, f"duplicate key {key!r} (first set on line {seen_lines[key]})")
         seen_lines[key] = lineno
-        values[key] = _parse_scalar(key, raw, lineno)
+        values[key] = _parse(_PARSERS[key], key, raw, lineno,
+                             f"invalid value {raw!r} for key {key!r}")
 
     if values.get("samples", 1) < 1:
         raise _fail(seen_lines["samples"], "samples must be >= 1")
@@ -136,19 +134,10 @@ def parse_config(text: str) -> RunConfig:
     ctx_kwargs.update((key, values[key]) for key in _MODEL_KEYS if key in values)
     ctx = ModelContext(**ctx_kwargs)
 
-    t = values.get("t")
-    if t is not None and len(t) != n:
-        raise ConfigError(f"t must have {n} components")
-    j = values.get("j")
-    if j is not None and len(j) != n:
-        raise ConfigError(f"j must have {n} components")
+    for key in ("t", "j"):
+        if key in values and len(values[key]) != n:
+            raise ConfigError(f"{key} must have {n} components")
 
-    return RunConfig(
-        ctx=ctx,
-        k=values.get("k"),
-        lam=values.get("lambda"),
-        samples=values.get("samples"),
-        t=t,
-        j=j,
-        solution=values.get("solution"),
-    )
+    run = {_RUN_FIELDS.get(key, key): value
+           for key, value in values.items() if key not in _MODEL_KEYS}
+    return RunConfig(ctx=ctx, **run)

@@ -30,9 +30,9 @@ from .lattice import (
     PeriodicFunction,
     abs_squared,
     integer_grid,
-    moduli,
     multiply,
     star_norm,
+    sum_moduli,
     truncate_support,
     zero_mean_shift,
 )
@@ -385,12 +385,18 @@ def defect(
     return (gaps - lam_gap) * psi.to_box(radius) + coupled.to_box(radius)
 
 
+def defect_size(ctx: ModelContext, values: np.ndarray) -> float:
+    """Size of ``defect`` coefficients: their ``sum_moduli`` (``inf`` where it
+    overflows) over the wave amplitude ``|A|``, unscaled at ``A = 0``.  The
+    residual reports it; Newton stops on it and its line search reduces it."""
+    return sum_moduli(values) / (abs(ctx.A) or 1.0)
+
+
 def residual(ctx: ModelContext, wave: Wave, box: Optional[np.ndarray] = None) -> float:
-    """Exact residual of the nonlinear equation at ``wave``: the summed
-    magnitudes of its ``defect`` (``box`` where the caller holds it), scaled
-    by the wave amplitude."""
+    """Exact residual of the nonlinear equation at ``wave``: the
+    ``defect_size`` of its ``defect`` (``box`` where the caller holds it)."""
     if not len(wave.psi):
         raise ContractError("solution wave is empty")
     if box is None:
         box = defect(ctx, wave.t, wave.j, wave.psi, wave.lam_gap)
-    return math.fsum(moduli(box).ravel().tolist()) / (abs(ctx.A) or 1.0)
+    return defect_size(ctx, box)

@@ -19,14 +19,13 @@ point is inside the Newton basin.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ContractError, NewtonFailure, NonConvergence
-from .fixedpoint import Wave, defect
+from .fixedpoint import Wave, defect, defect_size
 from .lattice import ModelContext, PeriodicFunction, _resize, abs_squared, multiply, star_norm
 from .nonres import anchor, energy_gaps
 
@@ -66,22 +65,21 @@ def newton_solve(
     free = cells != psi_init.box.size // 2
     gaps = energy_gaps(ctx, t, j, offsets)
 
-    amp = abs(ctx.A) if ctx.A else 1.0
-
     def projected(psi: PeriodicFunction, dlam: float) -> np.ndarray:
         return defect(ctx, t, j, psi, dlam, R).ravel()[cells]
 
     psi = psi_init
     dlam = float(lam_gap_init)
     F = projected(psi, dlam) if defect_init is None else _resize(defect_init, R).ravel()[cells]
+    size = defect_size(ctx, F)
     steps = 0
 
     while True:
-        if math.fsum(np.abs(F)) / amp < NEWTON_TOL:
+        if size < NEWTON_TOL:
             break
         if steps >= NEWTON_MAX_STEPS:
             raise NonConvergence(
-                f"residual {math.fsum(np.abs(F)) / amp:.3e} still above {NEWTON_TOL:.1e} "
+                f"residual {size:.3e} still above {NEWTON_TOL:.1e} "
                 f"after {NEWTON_MAX_STEPS} steps"
             )
         steps += 1
@@ -123,8 +121,8 @@ def newton_solve(
             )
         move = step[:-1].view(complex)   # (Re, Im) pairs of the free coefficients
 
-        # Damped update with a strict-decrease backtracking line search.
-        f0 = float(np.linalg.norm(F))
+        # Damped update with a backtracking line search that strictly
+        # decreases the size the stopping test reads.
         scale = 1.0
         for _ in range(LINE_SEARCH_HALVINGS + 1):
             trial_box = psi_box.copy()
@@ -132,14 +130,15 @@ def newton_solve(
             trial_psi = PeriodicFunction.from_box(trial_box)
             trial_dlam = dlam + scale * float(step[-1])
             trial_F = projected(trial_psi, trial_dlam)
-            if float(np.linalg.norm(trial_F)) < f0:
-                psi, dlam, F = trial_psi, trial_dlam, trial_F
+            trial_size = defect_size(ctx, trial_F)
+            if trial_size < size:
+                psi, dlam, F, size = trial_psi, trial_dlam, trial_F, trial_size
                 break
             scale *= 0.5
         else:
             raise NewtonFailure(
                 f"line search found no descent after {LINE_SEARCH_HALVINGS} halvings "
-                f"(|F| = {f0:.3e})"
+                f"(residual {size:.3e})"
             )
 
     return Wave(**vars(a), lam_gap=float(dlam), psi=psi), steps

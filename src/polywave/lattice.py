@@ -89,6 +89,16 @@ def moduli(box: np.ndarray) -> np.ndarray:
     return np.hypot(box.real, box.imag)
 
 
+def sum_moduli(values: np.ndarray) -> float:
+    """The size of a coefficient array: the correctly rounded sum of its
+    ``moduli``, or ``inf`` where that sum is larger than the largest float.
+    Star norms, truncation tails, residuals and Newton's defect all read it."""
+    try:
+        return math.fsum(moduli(values).ravel().tolist())
+    except OverflowError:       # fsum's partial sums of nonnegative terms overflowed
+        return math.inf
+
+
 @lru_cache(maxsize=16)
 def _sup_norms(radius: int, n: int) -> np.ndarray:
     """Sup-norm of every site of the box of the given radius."""
@@ -279,9 +289,9 @@ def _from_frequencies(n: int, freqs: Sequence[LatticeIndex], values: Sequence[co
 
 
 def star_norm(f: PeriodicFunction) -> float:
-    """Sum of coefficient magnitudes (the Wiener-algebra norm), correctly
-    rounded: star norms are compared exactly across representations."""
-    return math.fsum(moduli(f.box).ravel().tolist())
+    """The Wiener-algebra norm, ``sum_moduli`` of the coefficients: correctly
+    rounded, so star norms compare exactly across representations."""
+    return sum_moduli(f.box)
 
 
 def multiply(f: PeriodicFunction, g: PeriodicFunction) -> PeriodicFunction:
@@ -350,7 +360,7 @@ def truncate_support(f: PeriodicFunction, radius: float) -> Tuple[PeriodicFuncti
         return f, 0.0
     grid = integer_grid(f.box_radius, f.n)
     near = (grid * grid).sum(axis=-1) <= r2
-    tail = math.fsum(moduli(f.box[~near]).tolist())
+    tail = sum_moduli(f.box[~near])
     return PeriodicFunction.from_box(np.where(near, f.box, 0.0)), tail
 
 
@@ -418,11 +428,7 @@ class ModelContext:
             raise ConfigError("potential dimension does not match n")
         if self.V.get((0,) * self.n) != 0:
             raise ConfigError("potential must have zero mean (no zero-frequency coefficient)")
-        try:
-            finite = math.isfinite(star_norm(self.V))
-        except OverflowError:
-            finite = False
-        if not finite:
+        if not math.isfinite(star_norm(self.V)):
             raise ConfigError("potential V has no finite star norm")
         if not self.V.is_real_valued():
             raise ConfigError("potential must be real-valued (Hermitian coefficients)")

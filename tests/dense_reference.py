@@ -87,7 +87,7 @@ def dense_window_series(
     dim = len(offsets)
     center_index = dim // 2
 
-    zeta_nodes, weights = ContourSpec(a.center, a.rho, count).nodes()
+    zeta_nodes, weights = ContourSpec(a.rho, count).nodes()
     terms = [np.zeros((dim, dim), dtype=complex) for _ in range(r_max + 1)]
     g_dense = np.zeros(r_max + 1, dtype=complex)
     for zeta, w in zip(zeta_nodes, weights):

@@ -40,7 +40,7 @@ from conftest import context_for, make_context
 # -- contour quadrature ------------------------------------------------
 
 def test_contour_weights_reproduce_residues():
-    contour = ContourSpec(center=0.0, rho=2.5, count=64)
+    contour = ContourSpec(rho=2.5, count=64)
     zeta, w = contour.nodes()
     # closed path: integral of dz vanishes
     assert abs(np.sum(w)) < 1e-13 * contour.rho
@@ -161,7 +161,7 @@ def _reference_sums(ctx, W, pair, r_max):
     size ``pair`` accepted, at its anchor: (g_terms, per-order column boxes
     with ``e_anchor`` in the r = 0 slot)."""
     gaps = energy_gaps(ctx, pair.t, pair.j, integer_grid(r_max * W.box_radius, ctx.n))
-    contour = ContourSpec(pair.center, pair.rho, pair.quad_nodes)
+    contour = ContourSpec(pair.rho, pair.quad_nodes)
     g, cols = chain_reference._chain_series(ctx, gaps, W, r_max, contour)
     cols[(0,) + (r_max * W.box_radius,) * ctx.n] = 1.0
     return g, cols
@@ -240,7 +240,7 @@ def test_chain_engine_matches_reference_on_drawn_W(desk_points, W):
 
     # one ring at a time: the batched kernel against the reference pass
     gaps = energy_gaps(ctx, pair.t, pair.j, integer_grid(ctx.r_max * W.box_radius, 2))
-    contour = ContourSpec(pair.center, pair.rho, bloch.QUAD_NODES)
+    contour = ContourSpec(pair.rho, bloch.QUAD_NODES)
     cols = _chain_series(gaps, W, ctx.r_max, *contour.nodes())
     g = _eigenvalue_terms(W, cols)
     g_ref, cols_ref = chain_reference._chain_series(ctx, gaps, W, ctx.r_max, contour)
@@ -372,7 +372,7 @@ def test_one_pass_holds_both_rings(desk_points, monkeypatch, odd):
     def ring(size, start):
         """Separate pass over nodes start, start + 2, ... (every node from
         start = 0 when size is N) of the size ring."""
-        zeta, w = ContourSpec(pair.center, pair.rho, size).nodes()
+        zeta, w = ContourSpec(pair.rho, size).nodes()
         idx = np.arange(start, size, 2 if size > N else 1)
         if not odd:
             idx = idx[2 * idx <= size]
@@ -699,6 +699,12 @@ def test_empirical_tail_estimates_each_parity():
     assert tail == pytest.approx(bloch.EMPIRICAL_SAFETY * 1e-4 / 9.0, rel=1e-12)
     # one term per parity says nothing about decay
     assert bloch._empirical_tail([1.0, 0.5]) == (math.inf, math.inf)
+    # no term at all: nothing to bound
+    assert bloch._empirical_tail([0.0] * 4) == (0.0, 0.0)
+    # a decay of 0.9 per order is at or above EMPIRICAL_RATIO_MAX: no estimate
+    tail, ratio = bloch._empirical_tail([1.0, 0.9, 0.81, 0.729])
+    assert ratio == pytest.approx(0.9, rel=1e-12) and ratio >= bloch.EMPIRICAL_RATIO_MAX
+    assert tail == math.inf
 
 
 def test_l1_empirical_tail_covers_the_oracle_gap(desk_points):

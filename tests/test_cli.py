@@ -15,12 +15,12 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polywave import cli, fixedpoint, galerkin
+from polywave import cli, config, fixedpoint, galerkin
 from polywave.bloch import QUAD_NODES
 from polywave.cli import main
 from polywave.config import parse_config
 from polywave.errors import ConfigError
-from polywave.lattice import BOX_SITES_MAX
+from polywave.lattice import BOX_SITES_MAX, ModelContext
 from polywave.nonres import energy_gaps
 
 DESK_T = (0.37982347232642333, 0.2509856775414585)
@@ -120,6 +120,14 @@ def test_parse_rejects_with_location(body, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(body)
     assert fragment in str(err.value)
+
+
+def test_every_context_and_run_field_has_a_parser():
+    # a field missing from the table would be refused as an unknown key, or,
+    # with a key but no field, fail to reach RunConfig
+    model = {f.name for f in dataclasses.fields(ModelContext)} - {"V"}
+    run = {f.name for f in dataclasses.fields(config.RunConfig)} - {"ctx"}
+    assert {config._RUN_FIELDS.get(key, key) for key in config._PARSERS} == model | run
 
 
 def test_parse_model_overrides():
@@ -339,6 +347,7 @@ def test_verify_reads_only_the_wave(tmp_path):
     ({"lam_gap": 0.0, "psi": {"0,0": [math.sqrt(1e-3), 0.0]}, "residual": math.inf},
      "stored_residual"),
 ], ids=["overflowing-residual", "infinite-stored-residual"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")     # Newton's size must not overflow
 def test_verify_writes_a_non_finite_number_as_null(tmp_path, stored, key):
     path = tmp_path / "wave.json"
     path.write_text(json.dumps({"t": list(DESK_T), "j": list(DESK_J), **stored}))
@@ -543,6 +552,17 @@ def _newton_line_search(tmp_path, monkeypatch):
     return "verify", MODEL_L3_NL + f"\nsolution = {_plane_wave_solution(tmp_path)}", ()
 
 
+def _extreme_wave(lam_gap, others):
+    """The anchor coefficient 1 and a 1 at each of ``others``: the moduli of
+    the defect sum past the largest float, so its size is inf, and Newton's
+    Jacobian, not an overflow in that sum, ends the run."""
+    def setup(tmp_path, monkeypatch):
+        psi = {"0,0": [1.0, 0.0], **{q: [1.0, 0.0] for q in others}}
+        path = _plane_wave_solution(tmp_path, lam_gap, psi)
+        return "verify", MODEL_L3_NL + f"\nsolution = {path}", ()
+    return setup
+
+
 def _oracle_without_eigenvalue(tmp_path, monkeypatch):
     # At the l1_k8 desk momentum a cosine potential of amplitude 3 pushes the
     # band out of the spectral window (c - rho, c + rho), rho = k^-0.25.
@@ -569,10 +589,15 @@ def _projector_diagonal_escape(tmp_path, monkeypatch):
     [
         (_newton_rank_deficiency, "Jacobian rank"),
         (_newton_line_search, "line search found no descent"),
+        (_extreme_wave(1e308, ("1,0",)), "Jacobian rank"),
+        (_extreme_wave(-1e308, ("1,0",)), "Jacobian rank"),
+        (_extreme_wave(1e308, ("1,0", "0,1")), "Jacobian rank"),
+        (_extreme_wave(-1e308, ("1,0", "0,1")), "Jacobian rank"),
         (_oracle_without_eigenvalue, "no eigenvalue inside"),
         (_projector_diagonal_escape, "projector diagonal"),
     ],
-    ids=["newton-rank", "newton-line-search", "oracle-no-eigenvalue",
+    ids=["newton-rank", "newton-line-search", "extreme-wave-2", "extreme-wave-2-negative",
+         "extreme-wave-3", "extreme-wave-3-negative", "oracle-no-eigenvalue",
          "fixed-point-e_jj"],
 )
 def test_numerical_failures_exit_3(tmp_path, monkeypatch, setup, fragment):

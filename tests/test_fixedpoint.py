@@ -324,6 +324,13 @@ def test_iterate_enforces_coupling_smallness():
         iterate(ctx, (0.13, 0.81), (7, 2))
 
 
+def test_iterate_refuses_an_unknown_backend(desk_points):
+    point = desk_points["l3_k8"]
+    ctx = context_for(point, nonlinear=True)
+    with pytest.raises(ConfigError, match="unknown backend 'dense'"):
+        iterate(ctx, point["t"], point["j"], backend="dense")
+
+
 def test_contraction_ratio_formula(ctx_l3_nl):
     ratio = contraction_ratio(ctx_l3_nl, 10.0)
     assert ratio == pytest.approx(8.0 * COUPLING * 10.0 ** -3.95, rel=1e-12)

@@ -31,6 +31,7 @@ from polywave.lattice import (
     momentum,
     multiply,
     star_norm,
+    sum_moduli,
     to_json_dict,
     truncate_support,
     zero_mean_shift,
@@ -107,6 +108,15 @@ def _unpruned(box):
     f = PeriodicFunction.__new__(PeriodicFunction)
     f.n, f.box = box.ndim, box
     return f
+
+
+def test_sum_moduli_is_inf_where_the_sum_overflows():
+    assert sum_moduli(np.array([3 + 4j, -1.0, 0.0])) == 6.0
+    assert sum_moduli(np.zeros(0, dtype=complex)) == 0.0
+    # each modulus is finite, but fsum's partial sums overflow
+    assert sum_moduli(np.array([1e308, -1e308j])) == math.inf
+    assert star_norm(_unpruned(np.array([1e308, 0.0, -1e308], dtype=complex))) == math.inf
+    assert sum_moduli(np.array([math.inf, 1.0])) == math.inf
 
 
 _part = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308])

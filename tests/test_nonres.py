@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polywave import nonres
 from polywave.errors import ConfigError, ResonanceError
 from polywave.lattice import (
     ModelContext,
@@ -292,6 +293,19 @@ def test_shell_reaches_beyond_the_box_guard():
     rep = check_quasimomentum(ctx, t, j)
     assert rep.k == pytest.approx(40.0)
     assert all(math.isfinite(m) for m in (rep.margin_separation, rep.margin_pair))
+
+
+@pytest.mark.parametrize("budget, fragment", [
+    (100, "admission shell of 102 sites exceeds 100"),
+    (200, "admission pair pass exceeds 200 pairs"),
+])
+def test_admission_refuses_past_its_site_budget(desk_points, monkeypatch, budget, fragment):
+    """On the linear l3_k8 desk the shell holds 102 sites: a budget of 100 refuses
+    the shell, and one of 200 holds it but refuses its pair pass."""
+    point = desk_points["l3_k8"]
+    monkeypatch.setattr(nonres, "BOX_SITES_MAX", budget)
+    with pytest.raises(ConfigError, match=fragment):
+        check_quasimomentum(context_for(point, nonlinear=False), point["t"], point["j"])
 
 
 @pytest.mark.parametrize("n, l, k", [
